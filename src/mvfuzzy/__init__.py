@@ -17,7 +17,7 @@ from .representation import (Embedding, RuleBaseExport, embed, export_rules,
                              rules_from_dict, rules_predict, rules_to_dict,
                              rules_to_text)
 from .solver import (FitTrace, Hyperparams, ModelState, NumericFailure,
-                     ObjectiveTerms, fit, irls_diag, objective,
+                     ObjectiveTerms, Problem, fit, irls_diag, objective,
                      update_common, update_consistency, update_specific,
                      update_view_weights)
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntecedentBank", "ClusteringReport", "DataError", "Embedding",
     "FitTrace", "GraphLaplacian", "Hyperparams", "ModelState",
-    "MultiViewDataset", "NumericFailure", "ObjectiveTerms",
+    "MultiViewDataset", "NumericFailure", "ObjectiveTerms", "Problem",
     "RuleBaseExport", "Standardizer", "acc", "build_graph", "embed",
     "estimate_widths", "evaluate_embedding", "export_rules",
     "firing_levels", "fit", "fit_antecedents", "fuzzy_map", "grid_search",

@@ -31,7 +31,6 @@ _HP_FLAGS = [
 ]
 
 _FLAG_VALUE_MAP = {
-    "b_update": {"paper": "paper", "exact": "exact"},
     "variant": {"full": "full", "common-only": "common_only",
                 "no-consistency": "no_consistency"},
 }

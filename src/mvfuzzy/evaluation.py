@@ -110,14 +110,9 @@ def nmi(pred, true):
         return 1.0
     if h_pred == 0.0 or h_true == 0.0:
         return 0.0
-    mi = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            nij = table[i, j]
-            if nij:
-                p = nij / n
-                mi += p * np.log(p / (pr[i] * pc[j]))
-    mi = max(mi, 0.0)
+    rows, cols = np.nonzero(table)
+    p = table[rows, cols] / n
+    mi = max(float((p * np.log(p / (pr[rows] * pc[cols]))).sum()), 0.0)
     return float(mi / np.sqrt(h_pred * h_true))
 
 

@@ -38,7 +38,8 @@ class Hyperparams:
 
     embed_dim=None defers to the number of label classes at fit time.
     b_update "paper" uses the one-shot diagonal closed form for the
-    consistency map; "exact" solves its stationarity system outright.
+    consistency map; "exact" solves its stationarity system outright
+    through one thin SVD, at O(N (mV)^2) per iteration.
     """
 
     alpha: float = 1.0
@@ -195,16 +196,50 @@ def solve_reg(a, rhs, view=None):
     return out
 
 
-def graph_traces(state, design, graphs):
+@dataclass
+class Problem:
+    """Per-view quantities every iteration reads, derived once.
+
+    design[v] is the fuzzy design matrix X (N, D_v); xlx[v] is X^T L X for
+    the view's kNN graph Laplacian L and gram[v] is X^T X, both (D_v, D_v).
+    The N x N graphs themselves are not kept: every graph-dependent term
+    of the objective is a quadratic form in X^T L X.
+    """
+
+    design: list
+    xlx: list
+    gram: list
+
+    @classmethod
+    def from_graphs(cls, design, graphs):
+        xlx = [x.T @ (g.laplacian @ x) for x, g in zip(design, graphs)]
+        return cls(design=list(design), xlx=xlx,
+                   gram=[x.T @ x for x in design])
+
+
+def _smoothness(xlx, p):
+    """tr(Z^T L Z) for Z = X P, as tr(P^T (X^T L X) P)."""
+    return float((p * (xlx @ p)).sum())
+
+
+def _cross(gram, pc, ps):
+    """||Zc^T Zs||_F^2 for Zc = X Pc, Zs = X Ps."""
+    return float(((pc.T @ gram @ ps) ** 2).sum())
+
+
+def _map_residual(bx, pc):
+    """||B Zc - I||_F^2 for Zc = X Pc, given B X."""
+    return float(((bx @ pc - np.eye(pc.shape[1])) ** 2).sum())
+
+
+def graph_traces(state, problem):
     """Per-view smoothness tr((Zc+Zs)^T L (Zc+Zs)) of the current state."""
-    values = np.empty(state.n_views)
-    for v in range(state.n_views):
-        z = design[v] @ (state.p_common[v] + state.p_specific[v])
-        values[v] = float((z * (graphs[v].laplacian @ z)).sum())
-    return values
+    return np.array([
+        _smoothness(xlx, pc + ps) for xlx, pc, ps
+        in zip(problem.xlx, state.p_common, state.p_specific)])
 
 
-def objective(state, design, graphs, hp=None):
+def objective(state, problem, hp=None):
     """Evaluate the joint objective term by term.
 
     Frobenius terms are squared; the row-sparsity terms are plain L2,1
@@ -213,33 +248,25 @@ def objective(state, design, graphs, hp=None):
     reported as exact zeros.
     """
     hp = hp or state.hp
-    if len(design) != state.n_views or len(graphs) != state.n_views:
-        raise ValueError("design/graph count does not match the state")
+    if len(problem.design) != state.n_views:
+        raise ValueError("problem view count does not match the state")
     for v in range(state.n_views):
-        if design[v].shape[1] != state.p_common[v].shape[0]:
+        if problem.design[v].shape[1] != state.p_common[v].shape[0]:
             raise ValueError(f"view {v}: design width mismatch")
 
     w = state.view_weights
-    graph_term = float(w @ graph_traces(state, design, graphs))
-
-    orth = 0.0
-    for v in range(state.n_views):
-        zc = design[v] @ state.p_common[v]
-        zs = design[v] @ state.p_specific[v]
-        orth += float(((zc.T @ zs) ** 2).sum())
-    orth *= hp.alpha
+    graph_term = float(w @ graph_traces(state, problem))
+    orth = hp.alpha * sum(
+        _cross(g, pc, ps) for g, pc, ps
+        in zip(problem.gram, state.p_common, state.p_specific))
 
     if hp.variant == "no_consistency":
         consist = 0.0
         b_sparse = 0.0
     else:
-        m = state.embed_dim
-        eye = np.eye(m)
-        consist = 0.0
-        for v in range(state.n_views):
-            zc = design[v] @ state.p_common[v]
-            consist += float(((state.consistency @ zc - eye) ** 2).sum())
-        consist *= hp.beta
+        consist = hp.beta * sum(
+            _map_residual(state.consistency @ x, pc)
+            for x, pc in zip(problem.design, state.p_common))
         b_sparse = hp.gamma * l21_norm(state.consistency)
 
     pc_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_common)
@@ -254,146 +281,134 @@ def objective(state, design, graphs, hp=None):
                           entropy=entropy)
 
 
-def _xlx(design, graphs, view):
-    x = design[view]
-    return x.T @ (graphs[view].laplacian @ x)
-
-
-def update_common(state, view, design, graphs, f_diag=None, xlx=None):
+def update_common(state, view, problem, f_diag=None):
     """Closed-form update of one view's common consequent matrix with the
     row reweighting frozen at the current iterate."""
     hp = state.hp
-    x = design[view]
+    xlx = problem.xlx[view]
     wv = state.view_weights[view]
     ps = state.p_specific[view]
     if f_diag is None:
         f_diag = irls_diag(state.p_common[view], hp.eps_irls)
-    if xlx is None:
-        xlx = _xlx(design, graphs, view)
 
-    a = wv * xlx + hp.gamma * np.diag(f_diag)
-    gram = x.T @ x
-    gps = gram @ ps
-    a = a + hp.alpha * (gps @ gps.T)
+    gps = problem.gram[view] @ ps
+    a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
     if hp.variant != "no_consistency":
-        bx = state.consistency @ x
+        bx = state.consistency @ problem.design[view]
         a = a + hp.beta * (bx.T @ bx)
         rhs = rhs + hp.beta * bx.T
     return solve_reg(a, rhs, view=view)
 
 
-def update_specific(state, view, design, graphs, f_diag=None, xlx=None):
+def update_specific(state, view, problem, f_diag=None):
     """Closed-form update of one view's specific consequent matrix; the
     common_only variant never calls this (the matrix stays zero)."""
     hp = state.hp
-    x = design[view]
+    xlx = problem.xlx[view]
     wv = state.view_weights[view]
     pc = state.p_common[view]
     if f_diag is None:
         f_diag = irls_diag(state.p_specific[view], hp.eps_irls)
-    if xlx is None:
-        xlx = _xlx(design, graphs, view)
 
-    gram = x.T @ x
-    gpc = gram @ pc
+    gpc = problem.gram[view] @ pc
     a = wv * xlx + hp.alpha * (gpc @ gpc.T) + hp.gamma * np.diag(f_diag)
     rhs = -wv * (xlx @ pc)
     return solve_reg(a, rhs, view=view)
 
 
-def update_consistency(state, design, f_diag=None):
+def update_consistency(state, problem, f_diag=None):
     """Update the consistency map.
 
     "paper" mode keeps the cheap diagonal closed form, which is the true
     minimizer only when the summed common representations have identity
-    covariance. "exact" mode solves the stationarity condition of the
-    frozen-reweighting surrogate row by row.
+    covariance. "exact" mode minimizes the frozen-reweighting surrogate
+    outright: row i solves b_i (U U^T + gamma f_i I) = s_i with
+    U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i lies
+    in the span of U, one thin SVD U = Q S W^T gives every row as
+    b_i = s_i Q diag(1 / (S^2 + gamma f_i)) Q^T, at O(N (mV)^2) per
+    iteration. Singular values below the usual rank tolerance are
+    dropped, so gamma = 0 yields the pseudo-inverse solution.
     """
     hp = state.hp
-    m = state.embed_dim
     if f_diag is None:
         f_diag = irls_diag(state.consistency, hp.eps_irls)
-    zcs = [design[v] @ state.p_common[v] for v in range(state.n_views)]
+    zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
     stacked = sum(z.T for z in zcs)  # (m, N)
 
     if hp.b_update == "paper":
         return stacked / (1.0 + hp.gamma * f_diag)[:, None]
 
-    n = stacked.shape[1]
-    gram = sum(z @ z.T for z in zcs)  # (N, N)
-    b = np.empty((m, n))
-    for i in range(m):
-        a = gram + (hp.gamma * f_diag[i]) * np.eye(n)
-        b[i] = solve_reg(a, stacked[i])
-    return b
+    u = np.hstack(zcs)
+    if not np.all(np.isfinite(u)):
+        # LAPACK's SVD can spin forever on an infinite entry.
+        raise NumericFailure("common representations are not finite")
+    try:
+        q, sigma, _ = np.linalg.svd(u, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise NumericFailure("consistency SVD did not converge") from None
+    keep = sigma > max(u.shape) * np.finfo(float).eps * sigma[0]
+    q, sigma = q[:, keep], sigma[keep]
+    coef = (stacked @ q) / (sigma ** 2 + hp.gamma * f_diag[:, None])
+    return coef @ q.T
 
 
-def update_view_weights(state, design, graphs):
+def update_view_weights(state, problem):
     """Entropy-regularized softmax over the per-view smoothness traces,
     computed with max subtraction so huge traces cannot overflow."""
-    traces = graph_traces(state, design, graphs)
+    traces = graph_traces(state, problem)
     logits = -traces / state.hp.delta
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
 
 
-def common_surrogate(p, state, view, design, graphs, f_diag):
+def common_surrogate(p, state, view, problem, f_diag):
     """Smooth objective minimized by update_common at frozen reweighting."""
     hp = state.hp
-    x = design[view]
-    z = x @ (p + state.p_specific[view])
-    value = state.view_weights[view] * float(
-        (z * (graphs[view].laplacian @ z)).sum())
-    zc = x @ p
-    zs = x @ state.p_specific[view]
-    value += hp.alpha * float(((zc.T @ zs) ** 2).sum())
+    ps = state.p_specific[view]
+    value = state.view_weights[view] * _smoothness(problem.xlx[view], p + ps)
+    value += hp.alpha * _cross(problem.gram[view], p, ps)
     if hp.variant != "no_consistency":
-        resid = state.consistency @ zc - np.eye(state.embed_dim)
-        value += hp.beta * float((resid ** 2).sum())
+        bx = state.consistency @ problem.design[view]
+        value += hp.beta * _map_residual(bx, p)
     value += hp.gamma * float((f_diag[:, None] * p * p).sum())
     return value
 
 
-def specific_surrogate(p, state, view, design, graphs, f_diag):
+def specific_surrogate(p, state, view, problem, f_diag):
     """Smooth objective minimized by update_specific at frozen reweighting."""
     hp = state.hp
-    x = design[view]
-    z = x @ (state.p_common[view] + p)
-    value = state.view_weights[view] * float(
-        (z * (graphs[view].laplacian @ z)).sum())
-    zc = x @ state.p_common[view]
-    zs = x @ p
-    value += hp.alpha * float(((zc.T @ zs) ** 2).sum())
+    pc = state.p_common[view]
+    value = state.view_weights[view] * _smoothness(problem.xlx[view], pc + p)
+    value += hp.alpha * _cross(problem.gram[view], pc, p)
     value += hp.gamma * float((f_diag[:, None] * p * p).sum())
     return value
 
 
-def consistency_surrogate(b, state, design, f_diag):
+def consistency_surrogate(b, state, problem, f_diag):
     """Smooth objective minimized by the exact consistency-map update."""
     hp = state.hp
-    eye = np.eye(state.embed_dim)
-    value = 0.0
-    for v in range(state.n_views):
-        zc = design[v] @ state.p_common[v]
-        value += float(((b @ zc - eye) ** 2).sum())
+    value = sum(_map_residual(b @ x, pc)
+                for x, pc in zip(problem.design, state.p_common))
     value += hp.gamma * float((f_diag[:, None] * b * b).sum())
     return value
 
 
 def prepare_inputs(dataset, hp):
-    """Standardize, estimate antecedents, map to fuzzy space, build graphs.
+    """Standardize, estimate antecedents, map to fuzzy space, build graphs,
+    and derive the Problem every iteration reads.
 
     These are the deterministic preprocessing steps shared by every
-    variant; the graphs are built once here and held fixed afterwards.
+    variant; the graphs enter the fit only through X^T L X, so they are
+    dropped once that is formed.
     """
     standardizers = [Standardizer.fit(v) for v in dataset.views]
     xs = [s.transform(v) for s, v in zip(standardizers, dataset.views)]
     banks = [fit_antecedents(x, hp.n_rules) for x in xs]
     design = [fuzzy_map(x, bank) for x, bank in zip(xs, banks)]
     graphs = [build_graph(xg, hp.n_neighbors, hp.bandwidth) for xg in design]
-    return standardizers, banks, design, graphs
+    return standardizers, banks, Problem.from_graphs(design, graphs)
 
 
 def _resolve_embed_dim(dataset, hp):
@@ -418,16 +433,16 @@ def fit(dataset, hp=None, audit_surrogates=False):
     m = _resolve_embed_dim(dataset, hp)
     hp = replace(hp, embed_dim=m)
 
-    standardizers, banks, design, graphs = prepare_inputs(dataset, hp)
+    standardizers, banks, problem = prepare_inputs(dataset, hp)
     n = dataset.n_instances
     rng = np.random.default_rng(hp.seed)
 
     p_common = []
     p_specific = []
-    for xg in design:
+    for xg in problem.design:
         dg = xg.shape[1]
         p_common.append(rng.normal(size=(dg, m)) / np.sqrt(dg))
-    for xg in design:
+    for xg in problem.design:
         dg = xg.shape[1]
         if hp.variant == "common_only":
             p_specific.append(np.zeros((dg, m)))
@@ -445,15 +460,14 @@ def fit(dataset, hp=None, audit_surrogates=False):
     )
     if hp.variant != "no_consistency":
         # The map does not exist yet; its first update uses unit reweighting.
-        state.consistency = update_consistency(state, design,
+        state.consistency = update_consistency(state, problem,
                                                f_diag=np.ones(m))
 
-    xlx_cache = [_xlx(design, graphs, v) for v in range(state.n_views)]
     trace = FitTrace()
     start = time.perf_counter()
     trace.entries.append(TraceEntry(
         iteration=0,
-        terms=objective(state, design, graphs),
+        terms=objective(state, problem),
         weights=state.view_weights.copy(),
         elapsed=time.perf_counter() - start,
     ))
@@ -463,49 +477,46 @@ def fit(dataset, hp=None, audit_surrogates=False):
         try:
             if hp.variant != "no_consistency":
                 f_b = irls_diag(state.consistency, hp.eps_irls)
-                new_b = update_consistency(state, design, f_diag=f_b)
+                new_b = update_consistency(state, problem, f_diag=f_b)
                 if audit_surrogates:
                     audit["consistency"] = (
                         consistency_surrogate(state.consistency, state,
-                                              design, f_b),
-                        consistency_surrogate(new_b, state, design, f_b),
+                                              problem, f_b),
+                        consistency_surrogate(new_b, state, problem, f_b),
                     )
                 state.consistency = new_b
 
             for v in range(state.n_views):
                 f_c = irls_diag(state.p_common[v], hp.eps_irls)
-                new_pc = update_common(state, v, design, graphs,
-                                       f_diag=f_c, xlx=xlx_cache[v])
+                new_pc = update_common(state, v, problem, f_diag=f_c)
                 if audit_surrogates:
                     audit[f"common_{v}"] = (
                         common_surrogate(state.p_common[v], state, v,
-                                         design, graphs, f_c),
-                        common_surrogate(new_pc, state, v, design,
-                                         graphs, f_c),
+                                         problem, f_c),
+                        common_surrogate(new_pc, state, v, problem, f_c),
                     )
                 state.p_common[v] = new_pc
 
                 if hp.variant != "common_only":
                     f_s = irls_diag(state.p_specific[v], hp.eps_irls)
-                    new_ps = update_specific(state, v, design, graphs,
-                                             f_diag=f_s, xlx=xlx_cache[v])
+                    new_ps = update_specific(state, v, problem, f_diag=f_s)
                     if audit_surrogates:
                         audit[f"specific_{v}"] = (
                             specific_surrogate(state.p_specific[v], state,
-                                               v, design, graphs, f_s),
-                            specific_surrogate(new_ps, state, v, design,
-                                               graphs, f_s),
+                                               v, problem, f_s),
+                            specific_surrogate(new_ps, state, v, problem,
+                                               f_s),
                         )
                     state.p_specific[v] = new_ps
 
-            state.view_weights = update_view_weights(state, design, graphs)
+            state.view_weights = update_view_weights(state, problem)
         except NumericFailure as err:
             err.iteration = t
             raise
 
         trace.entries.append(TraceEntry(
             iteration=t,
-            terms=objective(state, design, graphs),
+            terms=objective(state, problem),
             weights=state.view_weights.copy(),
             elapsed=time.perf_counter() - start,
         ))

@@ -1,7 +1,7 @@
 import pytest
 
 from mvfuzzy import Hyperparams, fit, make_synthetic
-from mvfuzzy.solver import ModelState
+from mvfuzzy.solver import ModelState, Problem
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,8 @@ def fitted_blob(blob_dataset):
 
 def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
                     **hp_kwargs):
-    """A random solver state over real fuzzy design matrices and graphs."""
+    """A random solver state over real fuzzy design matrices and graphs,
+    with the Problem built from them."""
     from mvfuzzy.antecedent import fit_antecedents, fuzzy_map
     from mvfuzzy.graph import build_graph
 
@@ -45,4 +46,4 @@ def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
         consistency=rng.normal(size=(m, n)),
         view_weights=weights,
     )
-    return state, design, graphs
+    return state, Problem.from_graphs(design, graphs), graphs

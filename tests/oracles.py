@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is deliberately written with scalar loops and stdlib math
-so it shares no code path with the library being tested.
+Everything here is deliberately written with scalar loops, stdlib math or
+dense textbook linear algebra so it shares no code path with the library
+being tested.
 """
 
 import itertools
@@ -119,6 +120,26 @@ def fd_gradient(fn, point, step=1e-6):
         grad[idx] = (fn(plus) - fn(minus)) / (2.0 * step)
         it.iternext()
     return grad
+
+
+def dense_exact_consistency(zcs, f_diag, gamma):
+    """Exact consistency-map update by m dense N x N solves.
+
+    Row i solves b_i (sum_v Zc_v Zc_v^T + gamma f_i I) = sum_v Zc_v[:, i];
+    a singular system (gamma f_i = 0) takes the minimum-norm least-squares
+    solution.
+    """
+    gram = sum(z @ z.T for z in zcs)
+    stacked = sum(z.T for z in zcs)
+    eye = np.eye(gram.shape[0])
+    b = np.empty_like(stacked)
+    for i, rhs in enumerate(stacked):
+        shift = gamma * f_diag[i]
+        if shift > 0:
+            b[i] = np.linalg.solve(gram + shift * eye, rhs)
+        else:
+            b[i] = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return b
 
 
 def contingency_table(pred, true):

@@ -102,16 +102,17 @@ def test_c04_objective_matches_scalar_oracle():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(20):
-        state, design, graphs = random_instance(
+        state, problem, graphs = random_instance(
             rng, n=10, n_views=2, m=2, n_rules=2,
             alpha=float(rng.uniform(0.1, 2.0)),
             beta=float(rng.uniform(0.1, 2.0)),
             gamma=float(rng.uniform(0.1, 2.0)),
             delta=float(rng.uniform(0.5, 2.0)))
-        terms = objective(state, design, graphs)
+        terms = objective(state, problem)
         oracle = scalar_objective(
             state.p_common, state.p_specific, state.consistency,
-            state.view_weights, design, [g.laplacian for g in graphs],
+            state.view_weights, problem.design,
+            [g.laplacian for g in graphs],
             state.hp.alpha, state.hp.beta, state.hp.gamma, state.hp.delta)
         for name in ("graph", "orthogonality", "consistency", "b_sparsity",
                      "pc_sparsity", "ps_sparsity", "entropy"):
@@ -129,25 +130,25 @@ def test_c05_update_stationarity():
     rng = np.random.default_rng(105)
     worst = 0.0
     for trial in range(3):
-        state, design, graphs = random_instance(
+        state, problem, _ = random_instance(
             rng, n=8, n_views=2, m=2, n_rules=2, alpha=0.6, beta=0.9,
             gamma=0.5, b_update="exact")
 
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
-        new_pc = update_common(state, 0, design, graphs, f_diag=f_c)
-        fn = lambda p: common_surrogate(p, state, 0, design, graphs, f_c)
+        new_pc = update_common(state, 0, problem, f_diag=f_c)
+        fn = lambda p: common_surrogate(p, state, 0, problem, f_c)
         scale = np.abs(fd_gradient(fn, state.p_common[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_pc)).max() / scale)
 
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
-        new_ps = update_specific(state, 0, design, graphs, f_diag=f_s)
-        fn = lambda p: specific_surrogate(p, state, 0, design, graphs, f_s)
+        new_ps = update_specific(state, 0, problem, f_diag=f_s)
+        fn = lambda p: specific_surrogate(p, state, 0, problem, f_s)
         scale = np.abs(fd_gradient(fn, state.p_specific[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_ps)).max() / scale)
 
         f_b = irls_diag(state.consistency, state.hp.eps_irls)
-        new_b = update_consistency(state, design, f_diag=f_b)
-        fn = lambda b: consistency_surrogate(b, state, design, f_b)
+        new_b = update_consistency(state, problem, f_diag=f_b)
+        fn = lambda b: consistency_surrogate(b, state, problem, f_b)
         scale = np.abs(fd_gradient(fn, state.consistency)).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_b)).max() / scale)
     report(5, "frozen-reweighting updates zero their surrogate gradients",
@@ -159,10 +160,10 @@ def test_c06_view_weight_exactness():
     worst_gap = 0.0
     worst_sum = 0.0
     for delta in (0.3, 1.0, 4.0):
-        state, design, graphs = random_instance(rng, n_views=2,
+        state, problem, _ = random_instance(rng, n_views=2,
                                                 delta=delta)
-        w_star = update_view_weights(state, design, graphs)
-        traces = graph_traces(state, design, graphs)
+        w_star = update_view_weights(state, problem)
+        traces = graph_traces(state, problem)
 
         def energy(w):
             ent = sum(x * np.log(x) for x in w if x > 0)

@@ -1,0 +1,143 @@
+"""Solver invariants over random shapes and hyperparameters.
+
+Each example draws N, V, the per-view inputs, m, the rule count and the
+regularization weights, builds a random instance over real fuzzy design
+matrices and kNN graphs, and checks one invariant against a dense or
+finite-difference reference. The example sequence is derandomized, so
+every run checks the same cases.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_instance
+from mvfuzzy.solver import (VARIANTS, Problem, common_surrogate,
+                            consistency_surrogate, graph_traces, irls_diag,
+                            specific_surrogate, update_common,
+                            update_consistency, update_specific,
+                            update_view_weights)
+from oracles import dense_exact_consistency, fd_gradient
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True,
+                 database=None)
+
+POSITIVE_GAMMA = st.floats(0.01, 10.0)
+ANY_GAMMA = st.one_of(st.just(0.0), POSITIVE_GAMMA)
+
+
+@st.composite
+def instances(draw, gamma=POSITIVE_GAMMA, **hp_kwargs):
+    n_views = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n_views,
+                               max_size=n_views)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_instance(
+        rng, n=draw(st.integers(4, 24)), n_views=n_views,
+        m=draw(st.integers(1, 4)), n_rules=draw(st.integers(1, 3)),
+        dims=dims, alpha=draw(st.floats(0.0, 4.0)),
+        beta=draw(st.floats(0.1, 4.0)), gamma=draw(gamma),
+        delta=draw(st.floats(0.05, 20.0)), **hp_kwargs)
+
+
+def dense_condition(gram, shift):
+    """Condition number of gram + shift*I on the subspace a least-squares
+    solve of it resolves."""
+    s = np.linalg.svd(gram + shift * np.eye(len(gram)), compute_uv=False)
+    s = s[s > len(gram) * np.finfo(float).eps * s[0]]
+    return s[0] / s[-1] if s.size else 1.0
+
+
+def assert_stationary(surrogate, start, new):
+    """The surrogate's FD gradient vanishes at `new` relative to `start`."""
+    scale = np.abs(fd_gradient(surrogate, start)).max()
+    assert np.abs(fd_gradient(surrogate, new)).max() <= 1e-5 * scale
+
+
+@PROPS
+@given(instances())
+def test_graph_traces_match_dense_trace(instance):
+    state, problem, graphs = instance
+    traces = graph_traces(state, problem)
+    for v, g in enumerate(graphs):
+        z = problem.design[v] @ (state.p_common[v] + state.p_specific[v])
+        dense = float(np.trace(z.T @ g.laplacian @ z))
+        # Natural scale of the form: ||L||_inf bounds L's top eigenvalue.
+        scale = np.abs(g.laplacian).sum(axis=1).max() * float((z * z).sum())
+        assert abs(traces[v] - dense) <= 1e-10 * scale
+
+
+@PROPS
+@given(instances(gamma=ANY_GAMMA, b_update="exact"), st.booleans(),
+       st.booleans())
+def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
+                                               zero_column):
+    state, problem, _ = instance
+    if duplicate_view:
+        problem = Problem(design=problem.design + problem.design[:1],
+                          xlx=problem.xlx + problem.xlx[:1],
+                          gram=problem.gram + problem.gram[:1])
+        state = replace(state,
+                        p_common=state.p_common + state.p_common[:1],
+                        p_specific=state.p_specific + state.p_specific[:1])
+    if zero_column:
+        state.p_common[-1] = state.p_common[-1].copy()
+        state.p_common[-1][:, 0] = 0.0
+    f_b = irls_diag(state.consistency, state.hp.eps_irls)
+    new = update_consistency(state, problem, f_diag=f_b)
+    zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
+    ref = dense_exact_consistency(zcs, f_b, state.hp.gamma)
+    # The dense solve squares U's conditioning, and its own forward error
+    # grows as cond(A) * eps. Above cond(A) ~ 450 the tolerance follows
+    # that bound, with a 1e3 margin, instead of the flat 1e-10.
+    gram = sum(z @ z.T for z in zcs)
+    kappa = max(dense_condition(gram, state.hp.gamma * f) for f in f_b)
+    tol = max(1e-10, 1e3 * kappa * np.finfo(float).eps)
+    assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
+
+
+@PROPS
+@given(instances(), st.sampled_from(VARIANTS))
+def test_common_update_is_stationary(instance, variant):
+    state, problem, _ = instance
+    state = replace(state, hp=replace(state.hp, variant=variant))
+    f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
+    new = update_common(state, 0, problem, f_diag=f_c)
+    assert_stationary(
+        lambda p: common_surrogate(p, state, 0, problem, f_c),
+        state.p_common[0], new)
+
+
+@PROPS
+@given(instances())
+def test_specific_update_is_stationary(instance):
+    state, problem, _ = instance
+    f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
+    new = update_specific(state, 0, problem, f_diag=f_s)
+    assert_stationary(
+        lambda p: specific_surrogate(p, state, 0, problem, f_s),
+        state.p_specific[0], new)
+
+
+@PROPS
+@given(instances(gamma=ANY_GAMMA, b_update="exact"))
+def test_exact_consistency_update_is_stationary(instance):
+    state, problem, _ = instance
+    f_b = irls_diag(state.consistency, state.hp.eps_irls)
+    new = update_consistency(state, problem, f_diag=f_b)
+    assert_stationary(
+        lambda b: consistency_surrogate(b, state, problem, f_b),
+        state.consistency, new)
+
+
+@PROPS
+@given(instances(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_view_weights_stay_on_simplex(instance, delta, p_scale):
+    state, problem, _ = instance
+    state = replace(state, hp=replace(state.hp, delta=delta),
+                    p_common=[p_scale * p for p in state.p_common])
+    w = update_view_weights(state, problem)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import random_instance
 from mvfuzzy.model_io import model_to_dict
-from mvfuzzy.solver import (Hyperparams, ModelState, NumericFailure, fit,
-                            irls_diag, objective, solve_reg, update_common,
-                            update_consistency, update_specific,
-                            update_view_weights)
+from mvfuzzy.solver import (Hyperparams, ModelState, NumericFailure, Problem,
+                            fit, irls_diag, objective, solve_reg,
+                            update_common, update_consistency,
+                            update_specific, update_view_weights)
 from oracles import fd_gradient, scalar_objective
 
 
@@ -30,9 +30,9 @@ def zeroed(state):
 class TestObjective:
     def test_all_zero_state_closed_form(self):
         rng = np.random.default_rng(0)
-        state, design, graphs = random_instance(rng, beta=1.5, delta=2.0)
+        state, problem, _ = random_instance(rng, beta=1.5, delta=2.0)
         state = zeroed(state)
-        terms = objective(state, design, graphs)
+        terms = objective(state, problem)
         v = state.n_views
         m = state.embed_dim
         expected = 1.5 * v * m + 2.0 * v * (1 / v) * math.log(1 / v)
@@ -41,27 +41,28 @@ class TestObjective:
 
     def test_uniform_entropy_two_views(self):
         rng = np.random.default_rng(1)
-        state, design, graphs = random_instance(rng, delta=3.0)
+        state, problem, _ = random_instance(rng, delta=3.0)
         state = zeroed(state)
-        terms = objective(state, design, graphs)
+        terms = objective(state, problem)
         assert abs(terms.entropy - (-3.0 * math.log(2.0))) < 1e-12
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
-        state, design, graphs = random_instance(
+        state, problem, graphs = random_instance(
             rng, alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
-        terms = objective(state, design, graphs)
+        terms = objective(state, problem)
         oracle = scalar_objective(
             state.p_common, state.p_specific, state.consistency,
-            state.view_weights, design, [g.laplacian for g in graphs],
+            state.view_weights, problem.design,
+            [g.laplacian for g in graphs],
             alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
         assert abs(terms.total - oracle["total"]) <= 1e-10 * abs(
             oracle["total"])
 
     def test_total_is_sum_of_breakdown(self):
         rng = np.random.default_rng(3)
-        state, design, graphs = random_instance(rng)
-        terms = objective(state, design, graphs)
+        state, problem, _ = random_instance(rng)
+        terms = objective(state, problem)
         parts = (terms.graph + terms.orthogonality + terms.consistency
                  + terms.b_sparsity + terms.pc_sparsity
                  + terms.ps_sparsity + terms.entropy)
@@ -69,9 +70,10 @@ class TestObjective:
 
     def test_view_count_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        state, design, graphs = random_instance(rng)
+        state, problem, graphs = random_instance(rng)
         with pytest.raises(ValueError):
-            objective(state, design[:1], graphs)
+            objective(state, Problem.from_graphs(problem.design[:1],
+                                                 graphs[:1]))
 
 
 class TestIrlsDiag:
@@ -109,25 +111,24 @@ class TestSolveReg:
 class TestUpdateCommon:
     def test_zero_data_terms_give_zero(self):
         rng = np.random.default_rng(5)
-        state, design, graphs = random_instance(rng, alpha=0.0, beta=0.0,
+        state, problem, _ = random_instance(rng, alpha=0.0, beta=0.0,
                                                 gamma=1.0)
         state.view_weights = np.zeros(state.n_views)
-        dg = design[0].shape[1]
-        new = update_common(state, 0, design, graphs,
-                            f_diag=np.ones(dg))
+        dg = problem.design[0].shape[1]
+        new = update_common(state, 0, problem, f_diag=np.ones(dg))
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
         from mvfuzzy.solver import common_surrogate
 
         rng = np.random.default_rng(6)
-        state, design, graphs = random_instance(rng, alpha=0.5, beta=0.8,
+        state, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
                                                 gamma=0.6)
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
-        new = update_common(state, 0, design, graphs, f_diag=f_c)
+        new = update_common(state, 0, problem, f_diag=f_c)
 
         def value(p):
-            return common_surrogate(p, state, 0, design, graphs, f_c)
+            return common_surrogate(p, state, 0, problem, f_c)
 
         scale = np.abs(fd_gradient(value, state.p_common[0])).max()
         grad_at_new = np.abs(fd_gradient(value, new)).max()
@@ -135,12 +136,12 @@ class TestUpdateCommon:
 
     def test_large_gamma_shrinks_solution(self):
         rng = np.random.default_rng(7)
-        state, design, graphs = random_instance(rng)
-        dg = design[0].shape[1]
+        state, problem, _ = random_instance(rng)
+        dg = problem.design[0].shape[1]
         norms = []
         for gamma in (1e0, 1e2, 1e4):
             st = replace_gamma(state, gamma)
-            new = update_common(st, 0, design, graphs, f_diag=np.ones(dg))
+            new = update_common(st, 0, problem, f_diag=np.ones(dg))
             norms.append(np.linalg.norm(new))
         assert norms[0] > norms[1] > norms[2]
 
@@ -160,21 +161,21 @@ def replace_gamma(state, gamma):
 class TestUpdateSpecific:
     def test_zero_common_gives_zero(self):
         rng = np.random.default_rng(8)
-        state, design, graphs = random_instance(rng)
+        state, problem, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
-        new = update_specific(state, 0, design, graphs)
+        new = update_specific(state, 0, problem)
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
         from mvfuzzy.solver import specific_surrogate
 
         rng = np.random.default_rng(9)
-        state, design, graphs = random_instance(rng, alpha=0.5, gamma=0.6)
+        state, problem, _ = random_instance(rng, alpha=0.5, gamma=0.6)
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
-        new = update_specific(state, 0, design, graphs, f_diag=f_s)
+        new = update_specific(state, 0, problem, f_diag=f_s)
 
         def value(p):
-            return specific_surrogate(p, state, 0, design, graphs, f_s)
+            return specific_surrogate(p, state, 0, problem, f_s)
 
         scale = np.abs(fd_gradient(value, state.p_specific[0])).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
@@ -183,53 +184,61 @@ class TestUpdateSpecific:
 class TestUpdateConsistency:
     def test_paper_mode_single_view_gamma_zero(self):
         rng = np.random.default_rng(10)
-        state, design, graphs = random_instance(rng, n_views=1, dims=(3,),
+        state, problem, _ = random_instance(rng, n_views=1, dims=(3,),
                                                 gamma=0.0)
-        new = update_consistency(state, design)
-        expected = (design[0] @ state.p_common[0]).T
+        new = update_consistency(state, problem)
+        expected = (problem.design[0] @ state.p_common[0]).T
         np.testing.assert_allclose(new, expected, atol=0, rtol=0)
 
     def test_exact_mode_reaches_pseudoinverse(self):
         rng = np.random.default_rng(11)
-        state, design, graphs = random_instance(rng, n_views=1, dims=(3,),
+        state, problem, _ = random_instance(rng, n_views=1, dims=(3,),
                                                 gamma=0.0, b_update="exact")
-        new = update_consistency(state, design)
-        zc = design[0] @ state.p_common[0]
+        new = update_consistency(state, problem)
+        zc = problem.design[0] @ state.p_common[0]
         assert np.linalg.norm(new @ zc - np.eye(state.embed_dim)) <= 1e-8
 
     def test_exact_mode_fd_stationarity(self):
         from mvfuzzy.solver import consistency_surrogate
 
         rng = np.random.default_rng(12)
-        state, design, graphs = random_instance(
+        state, problem, _ = random_instance(
             rng, n=4, dims=(3, 4), gamma=0.7, b_update="exact")
         f_b = irls_diag(state.consistency, state.hp.eps_irls)
-        new = update_consistency(state, design, f_diag=f_b)
+        new = update_consistency(state, problem, f_diag=f_b)
 
         def value(b):
-            return consistency_surrogate(b, state, design, f_b)
+            return consistency_surrogate(b, state, problem, f_b)
 
         scale = np.abs(fd_gradient(value, state.consistency)).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
 
 
+    def test_exact_mode_non_finite_input_fails(self):
+        rng = np.random.default_rng(16)
+        state, problem, _ = random_instance(rng, b_update="exact")
+        state.p_common[0][0, 0] = np.inf
+        with pytest.raises(NumericFailure):
+            update_consistency(state, problem)
+
+
 class TestUpdateViewWeights:
     def test_equal_traces_give_uniform(self):
         rng = np.random.default_rng(13)
-        state, design, graphs = random_instance(rng)
+        state, problem, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         state.p_specific = [np.zeros_like(p) for p in state.p_specific]
-        w = update_view_weights(state, design, graphs)
+        w = update_view_weights(state, problem)
         np.testing.assert_allclose(w, 0.5, atol=1e-15)
 
     def test_hand_computed_two_view_softmax(self, monkeypatch):
         import mvfuzzy.solver as solver_mod
 
         rng = np.random.default_rng(14)
-        state, design, graphs = random_instance(rng, delta=1.7)
+        state, problem, _ = random_instance(rng, delta=1.7)
         monkeypatch.setattr(solver_mod, "graph_traces",
                             lambda *a: np.array([0.0, 1.7]))
-        w = solver_mod.update_view_weights(state, design, graphs)
+        w = solver_mod.update_view_weights(state, problem)
         expected = np.array([1.0, np.exp(-1.0)])
         expected /= expected.sum()
         np.testing.assert_allclose(w, expected, atol=1e-12)
@@ -244,9 +253,9 @@ class TestUpdateViewWeights:
                             lambda *a: traces)
         weights = {}
         for delta in (0.5, 5.0, 5e6):
-            state, design, graphs = random_instance(rng, delta=delta)
+            state, problem, _ = random_instance(rng, delta=delta)
             weights[delta] = solver_mod.update_view_weights(
-                state, design, graphs)
+                state, problem)
         np.testing.assert_allclose(weights[5e6], 0.5, atol=1e-5)
         assert weights[0.5][0] > weights[5.0][0] > 0.5
 
