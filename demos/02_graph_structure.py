@@ -24,7 +24,8 @@ print("cross-blob mass:", s[:20, 20:].sum(), "(no edges between blobs)")
 
 g = build_graph(xg, n_neighbors=4)
 print("max |row sum| of Laplacian:", np.abs(g.laplacian.sum(axis=1)).max())
-print("smallest eigenvalue:", np.linalg.eigvalsh(g.laplacian).min())
+print("smallest eigenvalue:",
+      np.linalg.eigvalsh(g.laplacian.toarray()).min())
 
 # The trace penalty is small for a cluster-respecting embedding and
 # large for one that tears neighbors apart.

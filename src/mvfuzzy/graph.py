@@ -1,24 +1,52 @@
-"""kNN similarity graphs and Laplacians in the fuzzy feature space."""
+"""kNN similarity graphs and Laplacians in the fuzzy feature space.
+
+The graphs are sparse: S holds about N*k edges, so S and L = D - S are
+scipy.sparse CSR arrays and graph memory is O(N*k). Distances are formed
+one row block at a time, so no N x N array is ever allocated.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+# Bytes of squared distances held per row block; the block's temporaries
+# take a small multiple of this.
+_BLOCK_BYTES = 16 * 2 ** 20
 
 
 @dataclass
 class GraphLaplacian:
-    """Symmetric similarity matrix with its degree vector and Laplacian."""
+    """Symmetric similarity S (CSR), its degree vector, and the Laplacian
+    L = diag(degree) - S (CSR)."""
 
-    similarity: np.ndarray
+    similarity: sp.csr_array
     degree: np.ndarray
-    laplacian: np.ndarray
+    laplacian: sp.csr_array
 
 
-def _pairwise_sq_dists(x):
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _row_blocks(n):
+    """Bounds of near-equal row blocks, each within the byte budget."""
+    n_blocks = -(-n // max(1, _BLOCK_BYTES // (8 * n)))
+    return [n * i // n_blocks for i in range(n_blocks + 1)]
+
+
+def _nearest(d2, k):
+    """Columns (ascending) and squared distances of each row's k nearest
+    columns. Ties at the k-th distance go to the lowest column indices,
+    the set a stable sort of the row would pick."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    chosen = d2 <= kth
+    extra = np.count_nonzero(chosen, axis=1) - k
+    tied = np.flatnonzero(extra)
+    if tied.size:
+        # Drop the highest-index columns at the k-th distance, as many
+        # as the row selected beyond k.
+        at_kth = d2[tied] == kth[tied]
+        rank_from_end = np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1]
+        chosen[tied] &= ~(at_kth & (rank_from_end <= extra[tied, None]))
+    cols = np.nonzero(chosen)[1].reshape(-1, k)
+    return cols, np.take_along_axis(d2, cols, axis=1)
 
 
 def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
@@ -29,18 +57,29 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     selected neighbor distances, which keeps the weights away from the
     degenerate all-0 / all-1 regimes whatever the data scale. Distance
     ties resolve to the lower index.
+
+    Returns S as an (N, N) scipy.sparse CSR array with at most 2*N*k
+    entries; squared distances are computed in row blocks, so memory is
+    O(N*k) plus one block.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if not 1 <= n_neighbors < n:
         raise ValueError(f"n_neighbors must be in [1, {n - 1}]")
-    d2 = _pairwise_sq_dists(x)
-    np.fill_diagonal(d2, np.inf)
-    # Stable sort: equal distances keep ascending index order.
-    order = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
-    rows = np.repeat(np.arange(n), n_neighbors)
-    cols = order.ravel()
-    neigh_d2 = d2[rows, cols]
+    if bandwidth != "auto" and float(bandwidth) <= 0:
+        raise ValueError("bandwidth must be positive")
+    sq = (x * x).sum(axis=1)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("x must be finite, with finite squared row norms")
+
+    cols = np.empty((n, n_neighbors), dtype=np.intp)
+    neigh_d2 = np.empty((n, n_neighbors))
+    bounds = _row_blocks(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (x[lo:hi] @ x.T)
+        np.maximum(d2, 0.0, out=d2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        cols[lo:hi], neigh_d2[lo:hi] = _nearest(d2, n_neighbors)
 
     if bandwidth == "auto":
         dists = np.sqrt(neigh_d2)
@@ -48,27 +87,26 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
         sigma = float(np.median(nonzero)) if nonzero.size else 1.0
     else:
         sigma = float(bandwidth)
-        if sigma <= 0:
-            raise ValueError("bandwidth must be positive")
 
-    s = np.zeros((n, n))
-    s[rows, cols] = np.exp(-neigh_d2 / (2.0 * sigma * sigma))
-    s = 0.5 * (s + s.T)
-    np.fill_diagonal(s, 0.0)
-    return s
+    weights = np.exp(-neigh_d2 / (2.0 * sigma * sigma))
+    s = sp.csr_array(
+        (weights.ravel(), cols.ravel(),
+         np.arange(0, n * n_neighbors + 1, n_neighbors)), shape=(n, n))
+    return 0.5 * (s + s.T)
 
 
 def laplacian(similarity):
-    """Unnormalized graph Laplacian L = D - S of a symmetric similarity."""
-    s = np.asarray(similarity, dtype=float)
+    """Unnormalized graph Laplacian L = D - S of a symmetric similarity,
+    given dense or sparse; S and L are returned as CSR arrays."""
+    s = sp.csr_array(similarity, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("similarity must be square")
-    if np.max(np.abs(s - s.T)) > 1e-10:
+    if abs(s - s.T).max() > 1e-10:
         raise ValueError("similarity must be symmetric")
-    if np.any(s < 0):
+    if np.any(s.data < 0):
         raise ValueError("similarity must be non-negative")
     degree = s.sum(axis=1)
-    lap = np.diag(degree) - s
+    lap = (sp.diags_array(degree) - s).tocsr()
     return GraphLaplacian(similarity=s, degree=degree, laplacian=lap)
 
 

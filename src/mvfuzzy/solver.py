@@ -202,8 +202,8 @@ class Problem:
 
     design[v] is the fuzzy design matrix X (N, D_v); xlx[v] is X^T L X for
     the view's kNN graph Laplacian L and gram[v] is X^T X, both (D_v, D_v).
-    The N x N graphs themselves are not kept: every graph-dependent term
-    of the objective is a quadratic form in X^T L X.
+    The graphs themselves are not kept: every graph-dependent term of the
+    objective is a quadratic form in X^T L X.
     """
 
     design: list
@@ -212,6 +212,8 @@ class Problem:
 
     @classmethod
     def from_graphs(cls, design, graphs):
+        """Form X^T L X from each graph's sparse CSR Laplacian (O(N*k)
+        entries) by a sparse x dense product, then X^T times that."""
         xlx = [x.T @ (g.laplacian @ x) for x, g in zip(design, graphs)]
         return cls(design=list(design), xlx=xlx,
                    gram=[x.T @ x for x in design])

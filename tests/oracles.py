@@ -106,6 +106,33 @@ def pairwise_smoothness(similarity, z):
     return 0.5 * total
 
 
+def dense_knn_similarity(x, n_neighbors, bandwidth="auto"):
+    """kNN Gaussian similarity from the full N x N distance matrix and a
+    stable argsort of each row (ties go to the lower index), returned
+    dense."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    sq = (x * x).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
+    rows = np.repeat(np.arange(n), n_neighbors)
+    cols = order.ravel()
+    neigh_d2 = d2[rows, cols]
+    if bandwidth == "auto":
+        dists = np.sqrt(neigh_d2)
+        nonzero = dists[dists > 0]
+        sigma = float(np.median(nonzero)) if nonzero.size else 1.0
+    else:
+        sigma = float(bandwidth)
+    s = np.zeros((n, n))
+    s[rows, cols] = np.exp(-neigh_d2 / (2.0 * sigma * sigma))
+    s = 0.5 * (s + s.T)
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
 def fd_gradient(fn, point, step=1e-6):
     """Central-difference gradient of a scalar function of a matrix."""
     point = np.array(point, dtype=float)

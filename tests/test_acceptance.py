@@ -81,15 +81,13 @@ def test_c03_laplacian_suite():
     worst_sym = worst_row = worst_eig = worst_tr = 0.0
     for n, d, k in ((20, 3, 3), (90, 10, 5), (200, 6, 7)):
         g = build_graph(rng.normal(size=(n, d)), n_neighbors=k)
-        worst_sym = max(worst_sym,
-                        float(np.abs(g.similarity - g.similarity.T).max()))
-        worst_row = max(worst_row,
-                        float(np.abs(g.laplacian.sum(axis=1)).max()))
-        worst_eig = min(worst_eig,
-                        float(np.linalg.eigvalsh(g.laplacian).min()))
+        s, lap = g.similarity.toarray(), g.laplacian.toarray()
+        worst_sym = max(worst_sym, float(np.abs(s - s.T).max()))
+        worst_row = max(worst_row, float(np.abs(lap.sum(axis=1)).max()))
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(lap).min()))
         z = rng.normal(size=(n, 3))
-        quad = float(np.trace(z.T @ g.laplacian @ z))
-        brute = pairwise_smoothness(g.similarity, z)
+        quad = float(np.trace(z.T @ lap @ z))
+        brute = pairwise_smoothness(s, z)
         worst_tr = max(worst_tr, abs(quad - brute) / abs(brute))
     ok = (worst_sym <= 1e-10 and worst_row <= 1e-10
           and worst_eig >= -1e-8 and worst_tr <= 1e-10)
@@ -112,7 +110,7 @@ def test_c04_objective_matches_scalar_oracle():
         oracle = scalar_objective(
             state.p_common, state.p_specific, state.consistency,
             state.view_weights, problem.design,
-            [g.laplacian for g in graphs],
+            [g.laplacian.toarray() for g in graphs],
             state.hp.alpha, state.hp.beta, state.hp.gamma, state.hp.delta)
         for name in ("graph", "orthogonality", "consistency", "b_sparsity",
                      "pc_sparsity", "ps_sparsity", "entropy"):

@@ -24,7 +24,7 @@ class TestKnnSimilarity:
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(1)
-        s = knn_similarity(rng.normal(size=(30, 4)), n_neighbors=4)
+        s = knn_similarity(rng.normal(size=(30, 4)), n_neighbors=4).toarray()
         np.testing.assert_allclose(s, s.T, atol=0)
         np.testing.assert_array_equal(np.diag(s), 0.0)
 
@@ -35,6 +35,13 @@ class TestKnnSimilarity:
         with pytest.raises(ValueError):
             knn_similarity(x, n_neighbors=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.random.default_rng(5).normal(size=(8, 3))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            knn_similarity(x, n_neighbors=2)
+
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             knn_similarity(np.zeros((4, 2)), n_neighbors=1, bandwidth=-1.0)
@@ -43,11 +50,11 @@ class TestKnnSimilarity:
 class TestLaplacian:
     def test_zero_similarity(self):
         g = laplacian(np.zeros((4, 4)))
-        np.testing.assert_array_equal(g.laplacian, 0.0)
+        np.testing.assert_array_equal(g.laplacian.toarray(), 0.0)
 
     def test_two_node_graph(self):
         g = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(g.laplacian,
+        np.testing.assert_array_equal(g.laplacian.toarray(),
                                       [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_trace_identity_against_bruteforce(self):
@@ -70,9 +77,10 @@ class TestLaplacian:
         rng = np.random.default_rng(3)
         for n, d, k in ((10, 2, 2), (60, 7, 5), (120, 3, 8)):
             g = build_graph(rng.normal(size=(n, d)), n_neighbors=k)
-            assert np.max(np.abs(g.similarity - g.similarity.T)) <= 1e-10
-            assert np.max(np.abs(g.laplacian.sum(axis=1))) <= 1e-10
-            assert np.linalg.eigvalsh(g.laplacian).min() >= -1e-8
+            s, lap = g.similarity.toarray(), g.laplacian.toarray()
+            assert np.max(np.abs(s - s.T)) <= 1e-10
+            assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
+            assert np.linalg.eigvalsh(lap).min() >= -1e-8
 
     def test_extra_edge_never_decreases_smoothness(self):
         rng = np.random.default_rng(4)

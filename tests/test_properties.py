@@ -1,31 +1,100 @@
-"""Solver invariants over random shapes and hyperparameters.
+"""Graph and solver invariants over random shapes and hyperparameters.
 
-Each example draws N, V, the per-view inputs, m, the rule count and the
-regularization weights, builds a random instance over real fuzzy design
-matrices and kNN graphs, and checks one invariant against a dense or
-finite-difference reference. The example sequence is derandomized, so
-every run checks the same cases.
+The graph tests draw point sets, neighbor counts and bandwidths, and
+check the sparse kNN graph against the dense stable-argsort oracle and
+the Laplacian invariants. The solver tests draw N, V, the per-view
+inputs, m, the rule count and the regularization weights, build a random
+instance over real fuzzy design matrices and kNN graphs, and check one
+invariant against a dense or finite-difference reference. The example
+sequence is derandomized, so every run checks the same cases.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
+from mvfuzzy import graph
 from mvfuzzy.solver import (VARIANTS, Problem, common_surrogate,
                             consistency_surrogate, graph_traces, irls_diag,
                             specific_surrogate, update_common,
                             update_consistency, update_specific,
                             update_view_weights)
-from oracles import dense_exact_consistency, fd_gradient
+from oracles import dense_exact_consistency, dense_knn_similarity, fd_gradient
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
 
+# The graph checks are cheap, so they draw more examples.
+GRAPH_PROPS = settings(PROPS, max_examples=200)
+
 POSITIVE_GAMMA = st.floats(0.01, 10.0)
 ANY_GAMMA = st.one_of(st.just(0.0), POSITIVE_GAMMA)
+
+
+# "dyadic", "grid" and "duplicates" points have coordinates m/16 with
+# |m| <= 1024 (or small integers), so every squared distance is exact in
+# float64 whatever order BLAS sums it in: any difference from the oracle
+# is a selection or assembly difference, not rounding. "gaussian" points
+# are only compared in one row block, where the library forms the same
+# x @ x.T product as the oracle.
+EXACT_KINDS = ("dyadic", "grid", "duplicates")
+
+
+@st.composite
+def point_sets(draw, kinds=EXACT_KINDS + ("gaussian",)):
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "gaussian":
+        x = rng.normal(size=(n, d)) * draw(st.floats(1e-3, 1e3))
+    elif kind == "grid":
+        # Few distinct values: most rows tie at their k-th distance.
+        x = rng.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        x = rng.integers(-1024, 1025, size=(n, d)) / 16.0
+        if kind == "duplicates":
+            x = x[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    k = draw(st.integers(1, n - 1))
+    bandwidth = draw(st.one_of(st.just("auto"), st.floats(0.1, 10.0)))
+    return x, k, bandwidth
+
+
+@GRAPH_PROPS
+@given(point_sets())
+def test_knn_similarity_matches_dense_oracle(points):
+    x, k, bandwidth = points
+    s = graph.knn_similarity(x, k, bandwidth)
+    np.testing.assert_array_equal(s.toarray(),
+                                  dense_knn_similarity(x, k, bandwidth))
+
+
+@GRAPH_PROPS
+@given(point_sets(kinds=EXACT_KINDS), st.data())
+def test_knn_similarity_matches_oracle_across_row_blocks(points, data):
+    x, k, bandwidth = points
+    n = len(x)
+    rows = data.draw(st.integers(1, max(1, n // 2)))
+    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows):
+        assert len(graph._row_blocks(n)) > 2
+        s = graph.knn_similarity(x, k, bandwidth)
+    np.testing.assert_array_equal(s.toarray(),
+                                  dense_knn_similarity(x, k, bandwidth))
+
+
+@GRAPH_PROPS
+@given(point_sets())
+def test_laplacian_symmetric_zero_row_sums_psd(points):
+    x, k, bandwidth = points
+    g = graph.build_graph(x, k, bandwidth)
+    lap = g.laplacian.toarray()
+    assert np.abs(lap - lap.T).max() <= 1e-10
+    assert np.abs(lap.sum(axis=1)).max() <= 1e-10
+    assert np.linalg.eigvalsh(lap).min() >= -1e-8
 
 
 @st.composite

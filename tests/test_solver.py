@@ -54,7 +54,7 @@ class TestObjective:
         oracle = scalar_objective(
             state.p_common, state.p_specific, state.consistency,
             state.view_weights, problem.design,
-            [g.laplacian for g in graphs],
+            [g.laplacian.toarray() for g in graphs],
             alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
         assert abs(terms.total - oracle["total"]) <= 1e-10 * abs(
             oracle["total"])
@@ -313,6 +313,11 @@ class TestFit:
         unlabeled = MultiViewDataset(views=list(blob_dataset.views))
         with pytest.raises(ValueError):
             fit(unlabeled, Hyperparams(max_iter=1))
+
+    def test_too_many_neighbors_rejected(self, blob_dataset):
+        hp = Hyperparams(max_iter=1, n_neighbors=blob_dataset.n_instances)
+        with pytest.raises(ValueError, match="n_neighbors"):
+            fit(blob_dataset, hp)
 
     def test_early_stop_triggers(self, blob_dataset):
         hp = Hyperparams(max_iter=400, tol_stop=1e-4, seed=5)
