@@ -186,10 +186,16 @@ def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
         n_clusters = int(np.unique(true_labels).size)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    seeds = seed.spawn(repeats)
+    return _clustering_report(
+        (kmeans(z, n_clusters, restarts=restarts, seed=ss)
+         for ss in seed.spawn(repeats)), true_labels)
+
+
+def _clustering_report(labelings, true_labels):
+    """Score each predicted labeling as it arrives; the best one (highest
+    NMI, earliest on ties) supplies the reported assignment."""
     nmis, accs, purities, assignments = [], [], [], []
-    for ss in seeds:
-        pred = kmeans(z, n_clusters, restarts=restarts, seed=ss)
+    for pred in labelings:
         nmis.append(nmi(pred, true_labels))
         accs.append(acc(pred, true_labels))
         purities.append(purity(pred, true_labels))
@@ -258,8 +264,9 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
     for gi, hp in enumerate(grid):
         try:
             if refit_per_repeat:
-                report = _refit_report(dataset, hp, repeats, restarts,
-                                       children[gi])
+                report = _clustering_report(
+                    _refit_labelings(dataset, hp, repeats, restarts,
+                                     children[gi]), dataset.labels)
             else:
                 state, _ = fit(dataset, hp)
                 z = embed(dataset, state).data
@@ -279,24 +286,11 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
     return result
 
 
-def _refit_report(dataset, hp, repeats, restarts, seed_seq):
-    seeds = seed_seq.spawn(repeats)
-    nmis, accs, purities, assignments = [], [], [], []
-    for ss in seeds:
+def _refit_labelings(dataset, hp, repeats, restarts, seed_seq):
+    """Per repeat, refit with a derived model seed, embed and cluster."""
+    for ss in seed_seq.spawn(repeats):
         fit_seed, km_seed = ss.spawn(2)
         hp_r = replace(hp, seed=int(fit_seed.generate_state(1)[0]))
         state, _ = fit(dataset, hp_r)
         z = embed(dataset, state).data
-        pred = kmeans(z, dataset.n_classes, restarts=restarts, seed=km_seed)
-        nmis.append(nmi(pred, dataset.labels))
-        accs.append(acc(pred, dataset.labels))
-        purities.append(purity(pred, dataset.labels))
-        assignments.append(pred)
-    nmis = np.array(nmis)
-    best = int(nmis.argmax())
-    return ClusteringReport(
-        nmi_runs=nmis,
-        acc_runs=np.array(accs),
-        purity_runs=np.array(purities),
-        best_assignment=assignments[best],
-    )
+        yield kmeans(z, dataset.n_classes, restarts=restarts, seed=km_seed)

@@ -17,11 +17,10 @@ _BLOCK_BYTES = 16 * 2 ** 20
 
 @dataclass
 class GraphLaplacian:
-    """Symmetric similarity S (CSR), its degree vector, and the Laplacian
-    L = diag(degree) - S (CSR)."""
+    """Symmetric similarity S (CSR) and the Laplacian L = D - S (CSR),
+    where D is the diagonal of S's row sums."""
 
     similarity: sp.csr_array
-    degree: np.ndarray
     laplacian: sp.csr_array
 
 
@@ -107,7 +106,7 @@ def laplacian(similarity):
         raise ValueError("similarity must be non-negative")
     degree = s.sum(axis=1)
     lap = (sp.diags_array(degree) - s).tocsr()
-    return GraphLaplacian(similarity=s, degree=degree, laplacian=lap)
+    return GraphLaplacian(similarity=s, laplacian=lap)
 
 
 def build_graph(x, n_neighbors=5, bandwidth="auto"):

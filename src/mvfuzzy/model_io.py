@@ -8,7 +8,7 @@ import numpy as np
 from .antecedent import AntecedentBank, Standardizer
 from .solver import Hyperparams, ModelState
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def model_to_dict(state):
@@ -27,7 +27,6 @@ def model_to_dict(state):
         "format_version": FORMAT_VERSION,
         "hyperparams": asdict(state.hp),
         "view_weights": state.view_weights.tolist(),
-        "consistency": state.consistency.tolist(),
         "views": views,
     }
 
@@ -40,7 +39,8 @@ def save_model(state, path):
 
 def model_from_dict(doc):
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # Version 1 also held the training-set consistency map, ignored here.
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version}")
     hp = Hyperparams(**doc["hyperparams"])
     standardizers, banks, p_common, p_specific = [], [], [], []
@@ -61,7 +61,6 @@ def model_from_dict(doc):
         banks=banks,
         p_common=p_common,
         p_specific=p_specific,
-        consistency=np.asarray(doc["consistency"], dtype=float),
         view_weights=np.asarray(doc["view_weights"], dtype=float),
     )
 

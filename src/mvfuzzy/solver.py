@@ -1,10 +1,11 @@
 """Joint objective and alternating optimization of the multi-view model.
 
 State per view: a common consequent matrix and a specific consequent
-matrix acting on the fuzzy design matrix, plus one shared consistency map
-and a softmax-weighted view importance vector. Row-sparsity terms are
-handled by iteratively reweighted least squares: each update freezes the
-diagonal reweighting, solves a linear system, and moves on.
+matrix acting on the fuzzy design matrix, plus a softmax-weighted view
+importance vector. The consistency map B (m, N) exists only inside `fit`.
+Row-sparsity terms are handled by iteratively reweighted least squares:
+each update freezes the diagonal reweighting, solves a linear system, and
+moves on.
 """
 
 import time
@@ -76,14 +77,14 @@ class Hyperparams:
 
 @dataclass
 class ModelState:
-    """Everything a fitted model needs to embed new data."""
+    """Everything a fitted model needs to embed new data; no field scales
+    with the training-set size."""
 
     hp: Hyperparams
     standardizers: list
     banks: list
     p_common: list
     p_specific: list
-    consistency: np.ndarray
     view_weights: np.ndarray
 
     @property
@@ -241,15 +242,15 @@ def graph_traces(state, problem):
         in zip(problem.xlx, state.p_common, state.p_specific)])
 
 
-def objective(state, problem, hp=None):
-    """Evaluate the joint objective term by term.
+def objective(state, problem, b):
+    """Evaluate the joint objective term by term at consistency map b.
 
     Frobenius terms are squared; the row-sparsity terms are plain L2,1
     norms; 0*ln(0) counts as 0. In the no_consistency variant the map
     residual and its sparsity term are absent from the objective and are
-    reported as exact zeros.
+    reported as exact zeros, and b is not read (fit passes None).
     """
-    hp = hp or state.hp
+    hp = state.hp
     if len(problem.design) != state.n_views:
         raise ValueError("problem view count does not match the state")
     for v in range(state.n_views):
@@ -267,9 +268,9 @@ def objective(state, problem, hp=None):
         b_sparse = 0.0
     else:
         consist = hp.beta * sum(
-            _map_residual(state.consistency @ x, pc)
+            _map_residual(b @ x, pc)
             for x, pc in zip(problem.design, state.p_common))
-        b_sparse = hp.gamma * l21_norm(state.consistency)
+        b_sparse = hp.gamma * l21_norm(b)
 
     pc_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_common)
     ps_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_specific)
@@ -283,9 +284,9 @@ def objective(state, problem, hp=None):
                           entropy=entropy)
 
 
-def update_common(state, view, problem, f_diag=None):
-    """Closed-form update of one view's common consequent matrix with the
-    row reweighting frozen at the current iterate."""
+def update_common(state, view, problem, b, f_diag=None):
+    """Closed-form update of one view's common consequent matrix, with the
+    row reweighting and the consistency map b frozen."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
@@ -297,7 +298,7 @@ def update_common(state, view, problem, f_diag=None):
     a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
     if hp.variant != "no_consistency":
-        bx = state.consistency @ problem.design[view]
+        bx = b @ problem.design[view]
         a = a + hp.beta * (bx.T @ bx)
         rhs = rhs + hp.beta * bx.T
     return solve_reg(a, rhs, view=view)
@@ -319,28 +320,33 @@ def update_specific(state, view, problem, f_diag=None):
     return solve_reg(a, rhs, view=view)
 
 
-def update_consistency(state, problem, f_diag=None):
-    """Update the consistency map.
+def update_consistency(state, problem, f_diag):
+    """New consistency map from the current common consequents, with the
+    row reweighting f_diag (m,) of the map frozen.
 
-    "paper" mode keeps the cheap diagonal closed form, which is the true
-    minimizer only when the summed common representations have identity
-    covariance. "exact" mode minimizes the frozen-reweighting surrogate
-    outright: row i solves b_i (U U^T + gamma f_i I) = s_i with
+    "paper" mode keeps the paper's cheap diagonal closed form, which is
+    the true minimizer of the surrogate only at beta = 1 and when the
+    summed common representations have identity covariance. "exact" mode
+    minimizes the frozen-reweighting surrogate
+    beta sum_v ||B Zc_v - I||^2 + gamma sum_i f_i ||b_i||^2 outright:
+    row i solves b_i (U U^T + (gamma / beta) f_i I) = s_i with
     U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i lies
     in the span of U, one thin SVD U = Q S W^T gives every row as
-    b_i = s_i Q diag(1 / (S^2 + gamma f_i)) Q^T, at O(N (mV)^2) per
-    iteration. Singular values below the usual rank tolerance are
-    dropped, so gamma = 0 yields the pseudo-inverse solution.
+    b_i = s_i Q diag(1 / (S^2 + (gamma / beta) f_i)) Q^T, at O(N (mV)^2)
+    per iteration. Singular values below the usual rank tolerance are
+    dropped, so gamma = 0 yields the pseudo-inverse solution; beta = 0
+    yields B = 0.
     """
     hp = state.hp
-    if f_diag is None:
-        f_diag = irls_diag(state.consistency, hp.eps_irls)
     zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
     stacked = sum(z.T for z in zcs)  # (m, N)
 
     if hp.b_update == "paper":
         return stacked / (1.0 + hp.gamma * f_diag)[:, None]
 
+    if hp.beta == 0:
+        # No map residual to fit: B = 0 is the minimum-norm minimizer.
+        return np.zeros_like(stacked)
     u = np.hstack(zcs)
     if not np.all(np.isfinite(u)):
         # LAPACK's SVD can spin forever on an infinite entry.
@@ -351,7 +357,7 @@ def update_consistency(state, problem, f_diag=None):
         raise NumericFailure("consistency SVD did not converge") from None
     keep = sigma > max(u.shape) * np.finfo(float).eps * sigma[0]
     q, sigma = q[:, keep], sigma[keep]
-    coef = (stacked @ q) / (sigma ** 2 + hp.gamma * f_diag[:, None])
+    coef = (stacked @ q) / (sigma ** 2 + hp.gamma / hp.beta * f_diag[:, None])
     return coef @ q.T
 
 
@@ -365,14 +371,14 @@ def update_view_weights(state, problem):
     return w / w.sum()
 
 
-def common_surrogate(p, state, view, problem, f_diag):
-    """Smooth objective minimized by update_common at frozen reweighting."""
+def common_surrogate(p, state, view, problem, b, f_diag):
+    """Smooth objective minimized by update_common at frozen f_diag and b."""
     hp = state.hp
     ps = state.p_specific[view]
     value = state.view_weights[view] * _smoothness(problem.xlx[view], p + ps)
     value += hp.alpha * _cross(problem.gram[view], p, ps)
     if hp.variant != "no_consistency":
-        bx = state.consistency @ problem.design[view]
+        bx = b @ problem.design[view]
         value += hp.beta * _map_residual(bx, p)
     value += hp.gamma * float((f_diag[:, None] * p * p).sum())
     return value
@@ -391,8 +397,8 @@ def specific_surrogate(p, state, view, problem, f_diag):
 def consistency_surrogate(b, state, problem, f_diag):
     """Smooth objective minimized by the exact consistency-map update."""
     hp = state.hp
-    value = sum(_map_residual(b @ x, pc)
-                for x, pc in zip(problem.design, state.p_common))
+    value = hp.beta * sum(_map_residual(b @ x, pc)
+                          for x, pc in zip(problem.design, state.p_common))
     value += hp.gamma * float((f_diag[:, None] * b * b).sum())
     return value
 
@@ -436,7 +442,6 @@ def fit(dataset, hp=None, audit_surrogates=False):
     hp = replace(hp, embed_dim=m)
 
     standardizers, banks, problem = prepare_inputs(dataset, hp)
-    n = dataset.n_instances
     rng = np.random.default_rng(hp.seed)
 
     p_common = []
@@ -457,19 +462,18 @@ def fit(dataset, hp=None, audit_surrogates=False):
         banks=banks,
         p_common=p_common,
         p_specific=p_specific,
-        consistency=np.zeros((m, n)),
         view_weights=np.full(dataset.n_views, 1.0 / dataset.n_views),
     )
+    b = None
     if hp.variant != "no_consistency":
         # The map does not exist yet; its first update uses unit reweighting.
-        state.consistency = update_consistency(state, problem,
-                                               f_diag=np.ones(m))
+        b = update_consistency(state, problem, f_diag=np.ones(m))
 
     trace = FitTrace()
     start = time.perf_counter()
     trace.entries.append(TraceEntry(
         iteration=0,
-        terms=objective(state, problem),
+        terms=objective(state, problem, b),
         weights=state.view_weights.copy(),
         elapsed=time.perf_counter() - start,
     ))
@@ -478,24 +482,23 @@ def fit(dataset, hp=None, audit_surrogates=False):
         audit = {}
         try:
             if hp.variant != "no_consistency":
-                f_b = irls_diag(state.consistency, hp.eps_irls)
+                f_b = irls_diag(b, hp.eps_irls)
                 new_b = update_consistency(state, problem, f_diag=f_b)
                 if audit_surrogates:
                     audit["consistency"] = (
-                        consistency_surrogate(state.consistency, state,
-                                              problem, f_b),
+                        consistency_surrogate(b, state, problem, f_b),
                         consistency_surrogate(new_b, state, problem, f_b),
                     )
-                state.consistency = new_b
+                b = new_b
 
             for v in range(state.n_views):
                 f_c = irls_diag(state.p_common[v], hp.eps_irls)
-                new_pc = update_common(state, v, problem, f_diag=f_c)
+                new_pc = update_common(state, v, problem, b, f_diag=f_c)
                 if audit_surrogates:
                     audit[f"common_{v}"] = (
                         common_surrogate(state.p_common[v], state, v,
-                                         problem, f_c),
-                        common_surrogate(new_pc, state, v, problem, f_c),
+                                         problem, b, f_c),
+                        common_surrogate(new_pc, state, v, problem, b, f_c),
                     )
                 state.p_common[v] = new_pc
 
@@ -518,7 +521,7 @@ def fit(dataset, hp=None, audit_surrogates=False):
 
         trace.entries.append(TraceEntry(
             iteration=t,
-            terms=objective(state, problem),
+            terms=objective(state, problem, b),
             weights=state.view_weights.copy(),
             elapsed=time.perf_counter() - start,
         ))

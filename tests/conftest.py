@@ -19,8 +19,8 @@ def fitted_blob(blob_dataset):
 
 def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
                     **hp_kwargs):
-    """A random solver state over real fuzzy design matrices and graphs,
-    with the Problem built from them."""
+    """A random solver state and consistency map over real fuzzy design
+    matrices and graphs, with the Problem built from them."""
     from mvfuzzy.antecedent import fit_antecedents, fuzzy_map
     from mvfuzzy.graph import build_graph
 
@@ -43,7 +43,7 @@ def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
         banks=[None] * n_views,
         p_common=[rng.normal(size=(xg.shape[1], m)) for xg in design],
         p_specific=[rng.normal(size=(xg.shape[1], m)) for xg in design],
-        consistency=rng.normal(size=(m, n)),
         view_weights=weights,
     )
-    return state, Problem.from_graphs(design, graphs), graphs
+    b = rng.normal(size=(m, n))
+    return state, b, Problem.from_graphs(design, graphs), graphs

@@ -100,15 +100,15 @@ def test_c04_objective_matches_scalar_oracle():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(20):
-        state, problem, graphs = random_instance(
+        state, b, problem, graphs = random_instance(
             rng, n=10, n_views=2, m=2, n_rules=2,
             alpha=float(rng.uniform(0.1, 2.0)),
             beta=float(rng.uniform(0.1, 2.0)),
             gamma=float(rng.uniform(0.1, 2.0)),
             delta=float(rng.uniform(0.5, 2.0)))
-        terms = objective(state, problem)
+        terms = objective(state, problem, b)
         oracle = scalar_objective(
-            state.p_common, state.p_specific, state.consistency,
+            state.p_common, state.p_specific, b,
             state.view_weights, problem.design,
             [g.laplacian.toarray() for g in graphs],
             state.hp.alpha, state.hp.beta, state.hp.gamma, state.hp.delta)
@@ -128,13 +128,13 @@ def test_c05_update_stationarity():
     rng = np.random.default_rng(105)
     worst = 0.0
     for trial in range(3):
-        state, problem, _ = random_instance(
+        state, b, problem, _ = random_instance(
             rng, n=8, n_views=2, m=2, n_rules=2, alpha=0.6, beta=0.9,
             gamma=0.5, b_update="exact")
 
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
-        new_pc = update_common(state, 0, problem, f_diag=f_c)
-        fn = lambda p: common_surrogate(p, state, 0, problem, f_c)
+        new_pc = update_common(state, 0, problem, b, f_diag=f_c)
+        fn = lambda p: common_surrogate(p, state, 0, problem, b, f_c)
         scale = np.abs(fd_gradient(fn, state.p_common[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_pc)).max() / scale)
 
@@ -144,10 +144,10 @@ def test_c05_update_stationarity():
         scale = np.abs(fd_gradient(fn, state.p_specific[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_ps)).max() / scale)
 
-        f_b = irls_diag(state.consistency, state.hp.eps_irls)
+        f_b = irls_diag(b, state.hp.eps_irls)
         new_b = update_consistency(state, problem, f_diag=f_b)
         fn = lambda b: consistency_surrogate(b, state, problem, f_b)
-        scale = np.abs(fd_gradient(fn, state.consistency)).max()
+        scale = np.abs(fd_gradient(fn, b)).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_b)).max() / scale)
     report(5, "frozen-reweighting updates zero their surrogate gradients",
            worst <= 1e-5, f"max rel gradient = {worst:.2e}")
@@ -158,8 +158,8 @@ def test_c06_view_weight_exactness():
     worst_gap = 0.0
     worst_sum = 0.0
     for delta in (0.3, 1.0, 4.0):
-        state, problem, _ = random_instance(rng, n_views=2,
-                                                delta=delta)
+        state, _, problem, _ = random_instance(rng, n_views=2,
+                                               delta=delta)
         w_star = update_view_weights(state, problem)
         traces = graph_traces(state, problem)
 

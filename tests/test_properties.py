@@ -20,7 +20,7 @@ from conftest import random_instance
 from mvfuzzy import graph
 from mvfuzzy.solver import (VARIANTS, Problem, common_surrogate,
                             consistency_surrogate, graph_traces, irls_diag,
-                            specific_surrogate, update_common,
+                            objective, specific_surrogate, update_common,
                             update_consistency, update_specific,
                             update_view_weights)
 from oracles import dense_exact_consistency, dense_knn_similarity, fd_gradient
@@ -128,7 +128,7 @@ def assert_stationary(surrogate, start, new):
 @PROPS
 @given(instances())
 def test_graph_traces_match_dense_trace(instance):
-    state, problem, graphs = instance
+    state, _, problem, graphs = instance
     traces = graph_traces(state, problem)
     for v, g in enumerate(graphs):
         z = problem.design[v] @ (state.p_common[v] + state.p_specific[v])
@@ -143,7 +143,7 @@ def test_graph_traces_match_dense_trace(instance):
        st.booleans())
 def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
                                                zero_column):
-    state, problem, _ = instance
+    state, b, problem, _ = instance
     if duplicate_view:
         problem = Problem(design=problem.design + problem.design[:1],
                           xlx=problem.xlx + problem.xlx[:1],
@@ -154,15 +154,18 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
     if zero_column:
         state.p_common[-1] = state.p_common[-1].copy()
         state.p_common[-1][:, 0] = 0.0
-    f_b = irls_diag(state.consistency, state.hp.eps_irls)
+    f_b = irls_diag(b, state.hp.eps_irls)
     new = update_consistency(state, problem, f_diag=f_b)
     zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
-    ref = dense_exact_consistency(zcs, f_b, state.hp.gamma)
+    # The exact update minimizes the beta-weighted map residual, so the
+    # oracle's shift is gamma / beta.
+    shift = state.hp.gamma / state.hp.beta
+    ref = dense_exact_consistency(zcs, f_b, shift)
     # The dense solve squares U's conditioning, and its own forward error
     # grows as cond(A) * eps. Above cond(A) ~ 450 the tolerance follows
     # that bound, with a 1e3 margin, instead of the flat 1e-10.
     gram = sum(z @ z.T for z in zcs)
-    kappa = max(dense_condition(gram, state.hp.gamma * f) for f in f_b)
+    kappa = max(dense_condition(gram, shift * f) for f in f_b)
     tol = max(1e-10, 1e3 * kappa * np.finfo(float).eps)
     assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
 
@@ -170,19 +173,19 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
 @PROPS
 @given(instances(), st.sampled_from(VARIANTS))
 def test_common_update_is_stationary(instance, variant):
-    state, problem, _ = instance
+    state, b, problem, _ = instance
     state = replace(state, hp=replace(state.hp, variant=variant))
     f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
-    new = update_common(state, 0, problem, f_diag=f_c)
+    new = update_common(state, 0, problem, b, f_diag=f_c)
     assert_stationary(
-        lambda p: common_surrogate(p, state, 0, problem, f_c),
+        lambda p: common_surrogate(p, state, 0, problem, b, f_c),
         state.p_common[0], new)
 
 
 @PROPS
 @given(instances())
 def test_specific_update_is_stationary(instance):
-    state, problem, _ = instance
+    state, _, problem, _ = instance
     f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
     new = update_specific(state, 0, problem, f_diag=f_s)
     assert_stationary(
@@ -193,18 +196,53 @@ def test_specific_update_is_stationary(instance):
 @PROPS
 @given(instances(gamma=ANY_GAMMA, b_update="exact"))
 def test_exact_consistency_update_is_stationary(instance):
-    state, problem, _ = instance
-    f_b = irls_diag(state.consistency, state.hp.eps_irls)
+    state, b, problem, _ = instance
+    f_b = irls_diag(b, state.hp.eps_irls)
     new = update_consistency(state, problem, f_diag=f_b)
     assert_stationary(
-        lambda b: consistency_surrogate(b, state, problem, f_b),
-        state.consistency, new)
+        lambda x: consistency_surrogate(x, state, problem, f_b), b, new)
+
+
+@PROPS
+@given(instances(), st.sampled_from(("common", "specific", "consistency")),
+       st.integers(0, 2 ** 32 - 1))
+def test_surrogate_changes_match_objective(instance, block, seed):
+    """Between two values of one block, the objective's graph,
+    orthogonality and consistency terms change by exactly as much as the
+    block's surrogate without its frozen gamma * sum_i f_i ||x_i||^2."""
+    state, b, problem, _ = instance
+    if block == "common":
+        x1 = state.p_common[0]
+        at = lambda x: (replace(state, p_common=[x] + state.p_common[1:]), b)
+        surrogate = lambda x, f: common_surrogate(x, state, 0, problem, b, f)
+    elif block == "specific":
+        x1 = state.p_specific[0]
+        at = lambda x: (replace(state, p_specific=[x] + state.p_specific[1:]),
+                        b)
+        surrogate = lambda x, f: specific_surrogate(x, state, 0, problem, f)
+    else:
+        x1 = b
+        at = lambda x: (state, x)
+        surrogate = lambda x, f: consistency_surrogate(x, state, problem, f)
+    x2 = np.random.default_rng(seed).normal(size=x1.shape)
+    f = irls_diag(x1, state.hp.eps_irls)
+
+    terms = [objective(st_x, problem, b_x)
+             for st_x, b_x in (at(x1), at(x2))]
+    smooth = [t.graph + t.orthogonality + t.consistency for t in terms]
+    full = [surrogate(x, f) for x in (x1, x2)]
+    frozen = [state.hp.gamma * float((f[:, None] * x * x).sum())
+              for x in (x1, x2)]
+    scale = sum(abs(t.graph) + abs(t.orthogonality) + abs(t.consistency)
+                for t in terms) + sum(abs(v) for v in full)
+    change = (full[1] - frozen[1]) - (full[0] - frozen[0])
+    assert abs((smooth[1] - smooth[0]) - change) <= 1e-10 * scale
 
 
 @PROPS
 @given(instances(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 def test_view_weights_stay_on_simplex(instance, delta, p_scale):
-    state, problem, _ = instance
+    state, _, problem, _ = instance
     state = replace(state, hp=replace(state.hp, delta=delta),
                     p_common=[p_scale * p for p in state.p_common])
     w = update_view_weights(state, problem)

@@ -21,7 +21,6 @@ def zeroed(state):
         banks=state.banks,
         p_common=[np.zeros_like(p) for p in state.p_common],
         p_specific=[np.zeros_like(p) for p in state.p_specific],
-        consistency=np.zeros_like(state.consistency),
         view_weights=np.full_like(state.view_weights,
                                   1.0 / state.view_weights.size),
     )
@@ -30,9 +29,9 @@ def zeroed(state):
 class TestObjective:
     def test_all_zero_state_closed_form(self):
         rng = np.random.default_rng(0)
-        state, problem, _ = random_instance(rng, beta=1.5, delta=2.0)
+        state, b, problem, _ = random_instance(rng, beta=1.5, delta=2.0)
         state = zeroed(state)
-        terms = objective(state, problem)
+        terms = objective(state, problem, np.zeros_like(b))
         v = state.n_views
         m = state.embed_dim
         expected = 1.5 * v * m + 2.0 * v * (1 / v) * math.log(1 / v)
@@ -41,18 +40,18 @@ class TestObjective:
 
     def test_uniform_entropy_two_views(self):
         rng = np.random.default_rng(1)
-        state, problem, _ = random_instance(rng, delta=3.0)
+        state, b, problem, _ = random_instance(rng, delta=3.0)
         state = zeroed(state)
-        terms = objective(state, problem)
+        terms = objective(state, problem, np.zeros_like(b))
         assert abs(terms.entropy - (-3.0 * math.log(2.0))) < 1e-12
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
-        state, problem, graphs = random_instance(
+        state, b, problem, graphs = random_instance(
             rng, alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
-        terms = objective(state, problem)
+        terms = objective(state, problem, b)
         oracle = scalar_objective(
-            state.p_common, state.p_specific, state.consistency,
+            state.p_common, state.p_specific, b,
             state.view_weights, problem.design,
             [g.laplacian.toarray() for g in graphs],
             alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
@@ -61,8 +60,8 @@ class TestObjective:
 
     def test_total_is_sum_of_breakdown(self):
         rng = np.random.default_rng(3)
-        state, problem, _ = random_instance(rng)
-        terms = objective(state, problem)
+        state, b, problem, _ = random_instance(rng)
+        terms = objective(state, problem, b)
         parts = (terms.graph + terms.orthogonality + terms.consistency
                  + terms.b_sparsity + terms.pc_sparsity
                  + terms.ps_sparsity + terms.entropy)
@@ -70,10 +69,10 @@ class TestObjective:
 
     def test_view_count_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        state, problem, graphs = random_instance(rng)
+        state, b, problem, graphs = random_instance(rng)
         with pytest.raises(ValueError):
             objective(state, Problem.from_graphs(problem.design[:1],
-                                                 graphs[:1]))
+                                                 graphs[:1]), b)
 
 
 class TestIrlsDiag:
@@ -111,24 +110,24 @@ class TestSolveReg:
 class TestUpdateCommon:
     def test_zero_data_terms_give_zero(self):
         rng = np.random.default_rng(5)
-        state, problem, _ = random_instance(rng, alpha=0.0, beta=0.0,
-                                                gamma=1.0)
+        state, b, problem, _ = random_instance(rng, alpha=0.0, beta=0.0,
+                                               gamma=1.0)
         state.view_weights = np.zeros(state.n_views)
         dg = problem.design[0].shape[1]
-        new = update_common(state, 0, problem, f_diag=np.ones(dg))
+        new = update_common(state, 0, problem, b, f_diag=np.ones(dg))
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
         from mvfuzzy.solver import common_surrogate
 
         rng = np.random.default_rng(6)
-        state, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
-                                                gamma=0.6)
+        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
+                                               gamma=0.6)
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
-        new = update_common(state, 0, problem, f_diag=f_c)
+        new = update_common(state, 0, problem, b, f_diag=f_c)
 
         def value(p):
-            return common_surrogate(p, state, 0, problem, f_c)
+            return common_surrogate(p, state, 0, problem, b, f_c)
 
         scale = np.abs(fd_gradient(value, state.p_common[0])).max()
         grad_at_new = np.abs(fd_gradient(value, new)).max()
@@ -136,12 +135,12 @@ class TestUpdateCommon:
 
     def test_large_gamma_shrinks_solution(self):
         rng = np.random.default_rng(7)
-        state, problem, _ = random_instance(rng)
+        state, b, problem, _ = random_instance(rng)
         dg = problem.design[0].shape[1]
         norms = []
         for gamma in (1e0, 1e2, 1e4):
             st = replace_gamma(state, gamma)
-            new = update_common(st, 0, problem, f_diag=np.ones(dg))
+            new = update_common(st, 0, problem, b, f_diag=np.ones(dg))
             norms.append(np.linalg.norm(new))
         assert norms[0] > norms[1] > norms[2]
 
@@ -153,7 +152,6 @@ def replace_gamma(state, gamma):
         banks=state.banks,
         p_common=state.p_common,
         p_specific=state.p_specific,
-        consistency=state.consistency,
         view_weights=state.view_weights,
     )
 
@@ -161,7 +159,7 @@ def replace_gamma(state, gamma):
 class TestUpdateSpecific:
     def test_zero_common_gives_zero(self):
         rng = np.random.default_rng(8)
-        state, problem, _ = random_instance(rng)
+        state, _, problem, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         new = update_specific(state, 0, problem)
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
@@ -170,7 +168,7 @@ class TestUpdateSpecific:
         from mvfuzzy.solver import specific_surrogate
 
         rng = np.random.default_rng(9)
-        state, problem, _ = random_instance(rng, alpha=0.5, gamma=0.6)
+        state, _, problem, _ = random_instance(rng, alpha=0.5, gamma=0.6)
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
         new = update_specific(state, 0, problem, f_diag=f_s)
 
@@ -184,17 +182,19 @@ class TestUpdateSpecific:
 class TestUpdateConsistency:
     def test_paper_mode_single_view_gamma_zero(self):
         rng = np.random.default_rng(10)
-        state, problem, _ = random_instance(rng, n_views=1, dims=(3,),
-                                                gamma=0.0)
-        new = update_consistency(state, problem)
+        state, b, problem, _ = random_instance(rng, n_views=1, dims=(3,),
+                                               gamma=0.0)
+        new = update_consistency(state, problem,
+                                 irls_diag(b, state.hp.eps_irls))
         expected = (problem.design[0] @ state.p_common[0]).T
         np.testing.assert_allclose(new, expected, atol=0, rtol=0)
 
     def test_exact_mode_reaches_pseudoinverse(self):
         rng = np.random.default_rng(11)
-        state, problem, _ = random_instance(rng, n_views=1, dims=(3,),
-                                                gamma=0.0, b_update="exact")
-        new = update_consistency(state, problem)
+        state, b, problem, _ = random_instance(rng, n_views=1, dims=(3,),
+                                               gamma=0.0, b_update="exact")
+        new = update_consistency(state, problem,
+                                 irls_diag(b, state.hp.eps_irls))
         zc = problem.design[0] @ state.p_common[0]
         assert np.linalg.norm(new @ zc - np.eye(state.embed_dim)) <= 1e-8
 
@@ -202,30 +202,39 @@ class TestUpdateConsistency:
         from mvfuzzy.solver import consistency_surrogate
 
         rng = np.random.default_rng(12)
-        state, problem, _ = random_instance(
+        state, b, problem, _ = random_instance(
             rng, n=4, dims=(3, 4), gamma=0.7, b_update="exact")
-        f_b = irls_diag(state.consistency, state.hp.eps_irls)
+        f_b = irls_diag(b, state.hp.eps_irls)
         new = update_consistency(state, problem, f_diag=f_b)
 
         def value(b):
             return consistency_surrogate(b, state, problem, f_b)
 
-        scale = np.abs(fd_gradient(value, state.consistency)).max()
+        scale = np.abs(fd_gradient(value, b)).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
 
+    def test_exact_mode_beta_zero_gives_zero_map(self):
+        rng = np.random.default_rng(17)
+        for gamma in (0.0, 0.7):
+            state, b, problem, _ = random_instance(
+                rng, beta=0.0, gamma=gamma, b_update="exact")
+            new = update_consistency(state, problem,
+                                     irls_diag(b, state.hp.eps_irls))
+            np.testing.assert_array_equal(new, 0.0)
 
     def test_exact_mode_non_finite_input_fails(self):
         rng = np.random.default_rng(16)
-        state, problem, _ = random_instance(rng, b_update="exact")
+        state, b, problem, _ = random_instance(rng, b_update="exact")
         state.p_common[0][0, 0] = np.inf
         with pytest.raises(NumericFailure):
-            update_consistency(state, problem)
+            update_consistency(state, problem,
+                               irls_diag(b, state.hp.eps_irls))
 
 
 class TestUpdateViewWeights:
     def test_equal_traces_give_uniform(self):
         rng = np.random.default_rng(13)
-        state, problem, _ = random_instance(rng)
+        state, _, problem, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         state.p_specific = [np.zeros_like(p) for p in state.p_specific]
         w = update_view_weights(state, problem)
@@ -235,7 +244,7 @@ class TestUpdateViewWeights:
         import mvfuzzy.solver as solver_mod
 
         rng = np.random.default_rng(14)
-        state, problem, _ = random_instance(rng, delta=1.7)
+        state, _, problem, _ = random_instance(rng, delta=1.7)
         monkeypatch.setattr(solver_mod, "graph_traces",
                             lambda *a: np.array([0.0, 1.7]))
         w = solver_mod.update_view_weights(state, problem)
@@ -253,7 +262,7 @@ class TestUpdateViewWeights:
                             lambda *a: traces)
         weights = {}
         for delta in (0.5, 5.0, 5e6):
-            state, problem, _ = random_instance(rng, delta=delta)
+            state, _, problem, _ = random_instance(rng, delta=delta)
             weights[delta] = solver_mod.update_view_weights(
                 state, problem)
         np.testing.assert_allclose(weights[5e6], 0.5, atol=1e-5)
@@ -300,7 +309,6 @@ class TestFit:
         state, trace = fit(blob_dataset, hp)
         assert np.all(trace.term_values("consistency") == 0.0)
         assert np.all(trace.term_values("b_sparsity") == 0.0)
-        np.testing.assert_array_equal(state.consistency, 0.0)
 
     def test_embed_dim_defaults_to_class_count(self, blob_dataset):
         hp = Hyperparams(max_iter=2)
