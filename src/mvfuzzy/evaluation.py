@@ -31,24 +31,44 @@ def _kmeanspp_init(points, k, rng):
 
 def _lloyd(points, centers, max_iter=300):
     """Lloyd iterations; an emptied cluster is re-seeded at the point
-    farthest from its assigned center."""
+    farthest from its assigned center.
+
+    Each iteration costs one (N, m) x (m, k) product: points go to the
+    center with the least ||c||^2 - 2 x.c, formed on mean-centred
+    coordinates so that a large common offset does not cancel. Centers
+    are per-column `bincount` sums over the counts. They add each
+    cluster's rows in index order, as a masked `.mean(axis=0)` over two
+    or more columns does, so those centers are bit-identical to it; on
+    one column numpy's mean sums pairwise and may differ in the last
+    bit. The final labels and SSE use direct squared distances.
+    """
     n, k = points.shape[0], centers.shape[0]
+    mean = points.mean(axis=0)
+    shifted = points - mean
+    columns = np.ascontiguousarray(points.T)
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        own = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(own.argmax())
-                centers[c] = points[far]
-                new_labels[far] = c
-                own[far] = -np.inf
+        rel = centers - mean
+        scores = shifted @ (-2.0 * rel.T)
+        scores += (rel * rel).sum(axis=1)
+        new_labels = scores.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            own = ((points - centers[new_labels]) ** 2).sum(axis=1)
+            for c in range(k):
+                if counts[c] == 0:
+                    far = int(own.argmax())
+                    centers[c] = points[far]
+                    counts[new_labels[far]] -= 1
+                    counts[c] = 1
+                    new_labels[far] = c
+                    own[far] = -np.inf
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+        for j, column in enumerate(columns):
+            centers[:, j] = np.bincount(labels, weights=column,
+                                        minlength=k) / counts
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     sse = float(d2[np.arange(n), labels].sum())
@@ -58,9 +78,12 @@ def _lloyd(points, centers, max_iter=300):
 def kmeans(points, n_clusters, restarts=10, seed=0):
     """Best-of-restarts K-means labels, deterministic given the seed.
 
+    Each Lloyd iteration costs one (N, d) x (d, k) product for the
+    assignment and one `bincount` per column for the centers.
+
     Parameters
     ----------
-    points : (N, d) array to cluster.
+    points : (N, d) finite array to cluster.
     n_clusters : number of clusters, 1 <= n_clusters <= N.
     restarts : independent k-means++ initializations to try; the run with
         the lowest within-cluster SSE wins (ties keep the earliest run).
@@ -70,6 +93,8 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     n = points.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}]")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite (no NaN or inf)")
     rng = np.random.default_rng(seed)
     best_labels, best_sse = None, np.inf
     for _ in range(max(1, restarts)):

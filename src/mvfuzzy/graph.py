@@ -30,11 +30,14 @@ def _row_blocks(n):
     return [n * i // n_blocks for i in range(n_blocks + 1)]
 
 
-def _nearest(d2, k):
+def _nearest(d2, k, scratch):
     """Columns (ascending) and squared distances of each row's k nearest
     columns. Ties at the k-th distance go to the lowest column indices,
-    the set a stable sort of the row would pick."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    the set a stable sort of the row would pick. `scratch`, an array of
+    d2's shape, holds the partitioned copy."""
+    np.copyto(scratch, d2)
+    scratch.partition(k - 1, axis=1)
+    kth = scratch[:, k - 1:k]
     chosen = d2 <= kth
     extra = np.count_nonzero(chosen, axis=1) - k
     tied = np.flatnonzero(extra)
@@ -74,11 +77,21 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))
     bounds = _row_blocks(n)
+    # One Gram and one distance buffer serve every block, the Gram one
+    # again as the partition scratch: fresh 16 MB temporaries per block
+    # cost page faults until malloc reuses them.
+    rows = max(np.diff(bounds))
+    gram_buf = np.empty((rows, n))
+    d2_buf = np.empty((rows, n))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (x[lo:hi] @ x.T)
+        gram, d2 = gram_buf[:hi - lo], d2_buf[:hi - lo]
+        np.matmul(x[lo:hi], x.T, out=gram)
+        gram *= 2.0
+        np.add(sq[lo:hi, None], sq[None, :], out=d2)
+        d2 -= gram
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        cols[lo:hi], neigh_d2[lo:hi] = _nearest(d2, n_neighbors)
+        cols[lo:hi], neigh_d2[lo:hi] = _nearest(d2, n_neighbors, gram)
 
     if bandwidth == "auto":
         dists = np.sqrt(neigh_d2)

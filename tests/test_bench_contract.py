@@ -1,9 +1,17 @@
 """The benchmark's tracer records nothing for a target it cannot find, so
-every traced name must resolve to a function of the library."""
+every traced name must resolve to a function of the library, and the
+library must reach it through that module attribute."""
 
 import ast
 import importlib
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from mvfuzzy import evaluation
+from mvfuzzy.solver import Hyperparams
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -28,3 +36,22 @@ def test_traced_targets_resolve_to_library_functions():
         if not callable(getattr(module, attr, None)):
             missing.append(target)
     assert not missing, f"traced targets not found: {missing}"
+
+
+def test_evaluate_embedding_calls_kmeans_through_module():
+    z = np.random.default_rng(0).normal(size=(20, 2))
+    with mock.patch.object(evaluation, "kmeans",
+                           wraps=evaluation.kmeans) as traced:
+        evaluation.evaluate_embedding(z, np.arange(20) % 2, repeats=3,
+                                      restarts=1)
+    assert traced.call_count == 3
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_grid_search_calls_kmeans_through_module(blob_dataset, refit):
+    grid = [Hyperparams(alpha=a, max_iter=3, seed=1) for a in (0.5, 2.0)]
+    with mock.patch.object(evaluation, "kmeans",
+                           wraps=evaluation.kmeans) as traced:
+        evaluation.grid_search(blob_dataset, grid, repeats=3, restarts=1,
+                               refit_per_repeat=refit)
+    assert traced.call_count == 3 * len(grid)

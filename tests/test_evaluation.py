@@ -4,7 +4,9 @@ import pytest
 from mvfuzzy.evaluation import (acc, evaluate_embedding, grid_search, kmeans,
                                 nmi, purity)
 from mvfuzzy.solver import Hyperparams
-from oracles import acc_oracle, kmeans_best_sse, nmi_oracle
+from oracles import acc_oracle, kmeans_best_sse, lloyd_oracle, nmi_oracle
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def sse_of(points, labels):
@@ -59,6 +61,39 @@ class TestKmeans:
         labels, sse = _lloyd(points, centers)
         assert len(np.unique(labels)) == 3
         assert sse == 0.0
+
+    def test_reseed_that_empties_a_later_cluster_reseeds_it(self):
+        from mvfuzzy.evaluation import _lloyd
+
+        points = np.array([[0.0], [0.1], [0.2], [5.0]])
+        # Center 0 attracts nobody. Its reseed takes the farthest point,
+        # 5.0, the only member of center 1, which must then be reseeded
+        # in the same pass, at 0.0.
+        centers = np.array([[100.0], [8.0], [0.1]])
+        ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
+        labels, sse = _lloyd(points, centers)
+        np.testing.assert_array_equal(labels, [1, 2, 2, 0])
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert sse == ref_sse == pytest.approx(0.005)
+
+    def test_large_common_offset_keeps_labels(self):
+        from mvfuzzy.evaluation import _lloyd
+
+        rng = np.random.default_rng(12)
+        points = np.vstack([rng.normal(c, 0.4, size=(30, 2))
+                            for c in ((0, 0), (3, 0), (0, 3))])
+        centers = points[[0, 1, 2]]
+        labels, _ = _lloyd(points, centers.copy())
+        shifted, _ = _lloyd(points + 1e8, centers + 1e8)
+        assert len(np.unique(labels)) == 3
+        np.testing.assert_array_equal(shifted, labels)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_points_rejected(self, bad):
+        points = np.random.default_rng(13).normal(size=(10, 2))
+        points[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(points, 2)
 
 
 class TestNmi:
@@ -168,6 +203,13 @@ class TestEvaluateEmbedding:
                            (report.purity_runs, report.purity)):
             assert runs.min() <= mean <= runs.max()
             assert runs.std() >= 0.0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_embedding_rejected(self, bad):
+        z = np.random.default_rng(14).normal(size=(12, 2))
+        z[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_embedding(z, np.arange(12) % 2, repeats=2, restarts=1)
 
 
 class TestGridSearch:

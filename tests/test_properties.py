@@ -1,8 +1,10 @@
-"""Graph and solver invariants over random shapes and hyperparameters.
+"""Graph, solver and k-means invariants over random shapes and
+hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
-the Laplacian invariants. The solver tests draw N, V, the per-view
+the Laplacian invariants. The k-means test checks the Lloyd loop against
+the direct-distance loop. The solver tests draw N, V, the per-view
 inputs, m, the rule count and the regularization weights, build a random
 instance over real fuzzy design matrices and kNN graphs, and check one
 invariant against a dense or finite-difference reference. The example
@@ -18,17 +20,19 @@ from hypothesis import strategies as st
 
 from conftest import random_instance
 from mvfuzzy import graph
+from mvfuzzy.evaluation import _kmeanspp_init, _lloyd
 from mvfuzzy.solver import (VARIANTS, Problem, common_surrogate,
                             consistency_surrogate, graph_traces, irls_diag,
                             objective, specific_surrogate, update_common,
                             update_consistency, update_specific,
                             update_view_weights)
-from oracles import dense_exact_consistency, dense_knn_similarity, fd_gradient
+from oracles import (dense_exact_consistency, dense_knn_similarity,
+                     fd_gradient, lloyd_oracle)
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
 
-# The graph checks are cheap, so they draw more examples.
+# The graph and k-means checks are cheap, so they draw more examples.
 GRAPH_PROPS = settings(PROPS, max_examples=200)
 
 POSITIVE_GAMMA = st.floats(0.01, 10.0)
@@ -95,6 +99,32 @@ def test_laplacian_symmetric_zero_row_sums_psd(points):
     assert np.abs(lap - lap.T).max() <= 1e-10
     assert np.abs(lap.sum(axis=1)).max() <= 1e-10
     assert np.linalg.eigvalsh(lap).min() >= -1e-8
+
+
+@GRAPH_PROPS
+@given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_lloyd_matches_direct_distance_oracle(n, m, k, seed, spread_init):
+    # Gaussian points have no exact distance ties, so the matrix-product
+    # assignment must pick the same centers as the direct distances.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+    if spread_init:
+        # Centers far outside the data leave clusters empty, so the
+        # reseed path runs.
+        centers = rng.normal(size=(k, m)) * 3.0 * points.std()
+    else:
+        centers = _kmeanspp_init(points, k, rng)
+    ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
+    labels, sse = _lloyd(points, centers)
+    np.testing.assert_array_equal(labels, ref_labels)
+    if m > 1:
+        assert sse == ref_sse
+    else:
+        # On one column numpy's masked mean sums pairwise, not in index
+        # order, so the centers and the SSE may differ in the last bits.
+        assert abs(sse - ref_sse) <= 1e-12 * ref_sse
 
 
 @st.composite
