@@ -83,7 +83,8 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
 
     Parameters
     ----------
-    points : (N, d) finite array to cluster.
+    points : (N, d) finite array to cluster, small enough that its
+        squared distances do not overflow.
     n_clusters : number of clusters, 1 <= n_clusters <= N.
     restarts : independent k-means++ initializations to try; the run with
         the lowest within-cluster SSE wins (ties keep the earliest run).
@@ -95,6 +96,13 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
         raise ValueError(f"n_clusters must be in [1, {n}]")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite (no NaN or inf)")
+    # A squared distance is at most 4 max ||x - mean||^2, and k-means++
+    # sums N of them: all of that must stay finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = points - points.mean(axis=0)
+        bound = 4.0 * n * (centred * centred).sum(axis=1).max()
+    if not np.isfinite(bound):
+        raise ValueError("points are too large: squared distances overflow")
     rng = np.random.default_rng(seed)
     best_labels, best_sse = None, np.inf
     for _ in range(max(1, restarts)):

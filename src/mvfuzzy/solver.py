@@ -6,14 +6,17 @@ importance vector. The consistency map B (m, N) exists only inside `fit`.
 Row-sparsity terms are handled by iteratively reweighted least squares:
 each update freezes the diagonal reweighting, solves a linear system, and
 moves on.
+
+Every dense factorization in the fit goes through numpy's LAPACK. numpy
+and scipy each ship their own OpenBLAS, each with its own thread pool; a
+scipy solve between numpy products makes the two pools contend for the
+same cores and can double the fit's CPU time.
 """
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .antecedent import Standardizer, fit_antecedents, fuzzy_map
 from .graph import build_graph
@@ -164,18 +167,21 @@ def irls_diag(m, eps=1e-8):
 
 
 def solve_reg(a, rhs, view=None):
-    """Direct symmetric solve with a single ridge retry.
+    """Direct solve with a single ridge retry.
 
-    Never forms an explicit inverse. A solve whose relative residual
-    betrays a singular or inconsistent system gets one shot with RIDGE
-    added to the diagonal before NumericFailure is raised.
+    Never forms an explicit inverse. It factors with `np.linalg.solve`,
+    not scipy's solvers, so the fit stays on numpy's one BLAS (see the
+    module note); the solution comes back C-ordered, as `embed` needs for
+    bit-identical output after a save and load. A solve whose relative
+    residual betrays a singular or inconsistent system gets one retry
+    with RIDGE * max(1, max |diag(a)|) added to the diagonal, a ridge
+    scaled to the system so that it still acts when IRLS weights push
+    the diagonal to 1e8 and beyond, before NumericFailure is raised.
     """
     def attempt(mat):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                out = scipy.linalg.solve(mat, rhs, assume_a="sym")
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+            out = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(out)):
             return None
@@ -190,8 +196,8 @@ def solve_reg(a, rhs, view=None):
 
     out = attempt(a)
     if out is None:
-        ridged = a + RIDGE * np.eye(a.shape[0])
-        out = attempt(ridged)
+        ridge = RIDGE * max(1.0, float(np.abs(np.diag(a)).max()))
+        out = attempt(a + ridge * np.eye(a.shape[0]))
     if out is None:
         raise NumericFailure("linear system is singular", view=view)
     return out

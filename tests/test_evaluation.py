@@ -95,6 +95,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match="finite"):
             kmeans(points, 2)
 
+    def test_overflowing_squared_distances_rejected(self):
+        points = np.random.default_rng(14).normal(size=(20, 2)) * 1e160
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans(points, 3)
+
 
 class TestNmi:
     def test_identical_partitions(self):

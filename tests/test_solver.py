@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_instance
+from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.model_io import model_to_dict
-from mvfuzzy.solver import (Hyperparams, ModelState, NumericFailure, Problem,
-                            fit, irls_diag, objective, solve_reg,
-                            update_common, update_consistency,
-                            update_specific, update_view_weights)
+from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
+                            ModelState, NumericFailure, Problem, fit,
+                            irls_diag, objective, solve_reg, update_common,
+                            update_consistency, update_specific,
+                            update_view_weights)
 from oracles import fd_gradient, scalar_objective
 
 
@@ -105,6 +108,21 @@ class TestSolveReg:
     def test_non_finite_matrix_fails(self):
         with pytest.raises(NumericFailure):
             solve_reg(np.full((2, 2), np.nan), np.ones(2))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+    def test_ridge_retry_scales_with_the_diagonal(self, scale):
+        # Singular but consistent at every scale. The ridged system's
+        # condition number is about 1/RIDGE, so its solution is good to
+        # about eps/RIDGE ~ 2e-6 whatever the scale.
+        x = solve_reg(scale * np.ones((2, 2)), scale * np.ones(2))
+        np.testing.assert_allclose(x, [0.5, 0.5], rtol=1e-5)
+
+    def test_solution_is_c_ordered(self):
+        # embed is bit-reproducible across save/load only for C-ordered P.
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(7, 7))
+        x = solve_reg(z @ z.T + np.eye(7), rng.normal(size=(7, 3)))
+        assert x.flags.c_contiguous
 
 
 class TestUpdateCommon:
@@ -331,6 +349,33 @@ class TestFit:
         hp = Hyperparams(max_iter=400, tol_stop=1e-4, seed=5)
         _, trace = fit(blob_dataset, hp)
         assert len(trace.entries) - 1 < 400
+
+
+SCIPY_DENSE = ("solve", "cho_factor", "cho_solve", "lu_factor", "lstsq",
+               "svd")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("b_update", B_UPDATE_MODES)
+def test_fit_runs_on_numpy_linalg_only(blob_dataset, variant, b_update,
+                                       monkeypatch):
+    """numpy and scipy each load their own OpenBLAS, each with its own
+    thread pool; a scipy factorization inside the fit makes the two pools
+    contend for the cores."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called a scipy.linalg solver")
+
+    originals = [getattr(scipy.linalg, name) for name in SCIPY_DENSE]
+    for name in SCIPY_DENSE:
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    # Names imported with `from scipy.linalg import ...` too.
+    for module in (antecedent, graph, solver):
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    hp = Hyperparams(max_iter=3, seed=2, variant=variant, b_update=b_update)
+    _, trace = fit(blob_dataset, hp)
+    assert np.all(np.isfinite(trace.totals()))
 
 
 class TestHyperparams:
