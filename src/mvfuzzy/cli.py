@@ -17,7 +17,7 @@ from .data import (DataError, load_dataset, make_synthetic, save_dataset)
 from .evaluation import evaluate_embedding, grid_search
 from .model_io import load_model, save_model
 from .representation import embed, export_rules, rules_to_dict, rules_to_text
-from .solver import Hyperparams, NumericFailure, fit
+from .solver import Hyperparams, NumericFailure, fit, prepare_inputs
 
 DEFAULT_SWEEP_RANGE = [float(2.0 ** e) for e in range(-5, 6)]
 
@@ -338,9 +338,12 @@ def cmd_ablate(args):
     dataset = _load_cli_dataset(args, labels_required=True)
     rows = []
     artifacts = []
+    # The variants share every preprocessing field, so one preparation
+    # serves all three fits.
+    prepared = prepare_inputs(dataset, base_hp)
     for variant in ("full", "common_only", "no_consistency"):
         hp = replace(base_hp, variant=variant)
-        state, trace = fit(dataset, hp)
+        state, trace = fit(dataset, hp, prepared=prepared)
         trace_path = out / f"trace_{variant}.csv"
         trace.write_csv(trace_path)
         artifacts.append(trace_path)

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .representation import embed
-from .solver import NumericFailure, fit
+from .solver import NumericFailure, fit, prep_key, prepare_inputs
 
 
 def _kmeanspp_init(points, k, rng):
@@ -283,8 +283,12 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
 
     Each point fits once and re-clusters `repeats` times with derived
     seeds (set refit_per_repeat to also redraw the model initialization
-    per repeat). The best point is chosen independently per metric by the
-    highest mean, earliest index on ties.
+    per repeat). Points that agree on the preprocessing fields (see
+    solver.prep_key) share one prepare_inputs call; one Prepared is held
+    at a time, and a failed preparation is recorded for every point of
+    its group. Points, seeds and results stay in grid order. The best
+    point is chosen independently per metric by the highest mean,
+    earliest index on ties.
     """
     grid = list(grid)
     if not grid:
@@ -293,22 +297,36 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
         raise ValueError("grid search needs ground-truth labels")
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(grid))
-    result = GridSearchResult()
+    groups = {}
     for gi, hp in enumerate(grid):
+        groups.setdefault(prep_key(hp), []).append(gi)
+    points = {}
+    for indices in groups.values():
         try:
-            if refit_per_repeat:
-                report = _clustering_report(
-                    _refit_labelings(dataset, hp, repeats, restarts,
-                                     children[gi]), dataset.labels)
-            else:
-                state, _ = fit(dataset, hp)
-                z = embed(dataset, state).data
-                report = evaluate_embedding(
-                    z, dataset.labels, repeats=repeats, restarts=restarts,
-                    seed=children[gi])
-            result.points.append(GridPointResult(gi, hp, report=report))
+            prepared = prepare_inputs(dataset, grid[indices[0]])
         except (NumericFailure, ValueError) as err:
-            result.points.append(GridPointResult(gi, hp, error=str(err)))
+            for gi in indices:
+                points[gi] = GridPointResult(gi, grid[gi], error=str(err))
+            continue
+        for gi in indices:
+            hp = grid[gi]
+            try:
+                if refit_per_repeat:
+                    report = _clustering_report(
+                        _refit_labelings(dataset, hp, prepared, repeats,
+                                         restarts, children[gi]),
+                        dataset.labels)
+                else:
+                    state, _ = fit(dataset, hp, prepared=prepared)
+                    z = embed(dataset, state).data
+                    report = evaluate_embedding(
+                        z, dataset.labels, repeats=repeats,
+                        restarts=restarts, seed=children[gi])
+                points[gi] = GridPointResult(gi, hp, report=report)
+            except (NumericFailure, ValueError) as err:
+                points[gi] = GridPointResult(gi, hp, error=str(err))
+        del prepared
+    result = GridSearchResult(points=[points[gi] for gi in range(len(grid))])
     for metric in ("nmi", "acc", "purity"):
         scored = [(getattr(p.report, metric), p.index)
                   for p in result.points if p.report is not None]
@@ -319,11 +337,12 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
     return result
 
 
-def _refit_labelings(dataset, hp, repeats, restarts, seed_seq):
-    """Per repeat, refit with a derived model seed, embed and cluster."""
+def _refit_labelings(dataset, hp, prepared, repeats, restarts, seed_seq):
+    """Per repeat, refit from `prepared` with a derived model seed, embed
+    and cluster."""
     for ss in seed_seq.spawn(repeats):
         fit_seed, km_seed = ss.spawn(2)
         hp_r = replace(hp, seed=int(fit_seed.generate_state(1)[0]))
-        state, _ = fit(dataset, hp_r)
+        state, _ = fit(dataset, hp_r, prepared=prepared)
         z = embed(dataset, state).data
         yield kmeans(z, dataset.n_classes, restarts=restarts, seed=km_seed)

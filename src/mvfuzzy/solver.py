@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .antecedent import Standardizer, fit_antecedents, fuzzy_map
+from .data import DataError
 from .graph import build_graph
 
 VARIANTS = ("full", "common_only", "no_consistency")
@@ -135,10 +136,15 @@ class TraceEntry:
 
 @dataclass
 class FitTrace:
-    """Per-iteration objective breakdown; entry 0 is the initialization."""
+    """Per-iteration objective breakdown; entry 0 is the initialization.
+
+    stop_reason is "tolerance" when the early-stop test ended the fit and
+    "max_iter" when the iteration cap did; it is not part of the CSV.
+    """
 
     entries: list = field(default_factory=list)
     surrogate_audit: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def totals(self):
         return np.array([e.total for e in self.entries])
@@ -409,32 +415,95 @@ def consistency_surrogate(b, state, problem, f_diag):
     return value
 
 
+# The Hyperparams fields prepare_inputs reads; no other field changes
+# what it builds.
+PREP_FIELDS = ("n_rules", "n_neighbors", "bandwidth")
+
+
+def prep_key(hp):
+    """The values of PREP_FIELDS in hp: fits whose keys are equal can
+    share one Prepared."""
+    return tuple(getattr(hp, name) for name in PREP_FIELDS)
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """What fit derives from the data alone: per view the standardizer
+    and rule bank, and the Problem. It records the preprocessing fields
+    (key, see prep_key) and the data shape (N, view widths) it was built
+    for. fit only reads it, so any number of fits may share one."""
+
+    key: tuple
+    shape: tuple
+    standardizers: list
+    banks: list
+    problem: Problem
+
+    def check(self, dataset, hp):
+        """Raise ValueError unless this was built for hp's preprocessing
+        fields and for data of dataset's shape."""
+        if prep_key(hp) != self.key:
+            got = dict(zip(PREP_FIELDS, prep_key(hp)))
+            built = dict(zip(PREP_FIELDS, self.key))
+            raise ValueError(
+                f"prepared inputs were built for {built}, not {got}")
+        if _data_shape(dataset) != self.shape:
+            raise ValueError(
+                f"prepared inputs were built for data of shape {self.shape}"
+                f" (N, view widths), not {_data_shape(dataset)}")
+
+
+def _data_shape(dataset):
+    return dataset.n_instances, tuple(dataset.view_dims)
+
+
 def prepare_inputs(dataset, hp):
     """Standardize, estimate antecedents, map to fuzzy space, build graphs,
-    and derive the Problem every iteration reads.
+    and derive the Problem every iteration reads; returns a Prepared.
 
     These are the deterministic preprocessing steps shared by every
-    variant; the graphs enter the fit only through X^T L X, so they are
-    dropped once that is formed.
+    variant. They read only the data and hp's PREP_FIELDS, so one
+    Prepared serves every fit that agrees on those. The graphs enter the
+    fit only through X^T L X, so they are dropped once that is formed.
+    Raises DataError naming the first view whose features are all
+    constant: such a view has no structure to embed.
     """
+    for v, view in enumerate(dataset.views):
+        if np.all(view.min(axis=0) == view.max(axis=0)):
+            raise DataError(
+                f"view {v}: every feature is constant; a view with no "
+                "variance has nothing to embed")
     standardizers = [Standardizer.fit(v) for v in dataset.views]
     xs = [s.transform(v) for s, v in zip(standardizers, dataset.views)]
     banks = [fit_antecedents(x, hp.n_rules) for x in xs]
     design = [fuzzy_map(x, bank) for x, bank in zip(xs, banks)]
     graphs = [build_graph(xg, hp.n_neighbors, hp.bandwidth) for xg in design]
-    return standardizers, banks, Problem.from_graphs(design, graphs)
+    return Prepared(key=prep_key(hp), shape=_data_shape(dataset),
+                    standardizers=standardizers, banks=banks,
+                    problem=Problem.from_graphs(design, graphs))
 
 
 def _resolve_embed_dim(dataset, hp):
-    if hp.embed_dim is not None:
-        return hp.embed_dim
-    if dataset.labels is None:
+    """The embedding width m: hp.embed_dim, else the class count. B Zc_v
+    = I_m needs m <= D_v = n_rules (d_v + 1), the width of every view's
+    fuzzy design, so a wider m is rejected."""
+    m = hp.embed_dim
+    if m is None:
+        if dataset.labels is None:
+            raise ValueError(
+                "embed_dim not set and dataset has no labels to infer it "
+                "from")
+        m = dataset.n_classes
+    widths = [hp.n_rules * (d + 1) for d in dataset.view_dims]
+    if m > min(widths):
         raise ValueError(
-            "embed_dim not set and dataset has no labels to infer it from")
-    return dataset.n_classes
+            f"embed_dim {m} exceeds the fuzzy design width of a view "
+            f"(n_rules * (d_v + 1) = {widths}); the common representations "
+            f"have rank at most {min(widths)}")
+    return m
 
 
-def fit(dataset, hp=None, audit_surrogates=False):
+def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     """Run the full alternating optimization.
 
     Per iteration: consistency map first, then per view the common and
@@ -442,12 +511,22 @@ def fit(dataset, hp=None, audit_surrogates=False):
     then the view weights. Stops early once the relative objective change
     stays below tol_stop for 5 consecutive iterations. Returns the fitted
     state and the per-iteration trace.
+
+    prepared, from prepare_inputs(dataset, hp') with prep_key(hp') equal
+    to prep_key(hp), skips the preprocessing; fit only reads it, and the
+    result is the same as without it. A ValueError is raised if it was
+    built for other preprocessing fields or another data shape, and, before
+    any preparation, if the embedding width exceeds a view's fuzzy width.
     """
     hp = hp or Hyperparams()
     m = _resolve_embed_dim(dataset, hp)
     hp = replace(hp, embed_dim=m)
 
-    standardizers, banks, problem = prepare_inputs(dataset, hp)
+    if prepared is None:
+        prepared = prepare_inputs(dataset, hp)
+    else:
+        prepared.check(dataset, hp)
+    problem = prepared.problem
     rng = np.random.default_rng(hp.seed)
 
     p_common = []
@@ -464,8 +543,8 @@ def fit(dataset, hp=None, audit_surrogates=False):
 
     state = ModelState(
         hp=hp,
-        standardizers=standardizers,
-        banks=banks,
+        standardizers=list(prepared.standardizers),
+        banks=list(prepared.banks),
         p_common=p_common,
         p_specific=p_specific,
         view_weights=np.full(dataset.n_views, 1.0 / dataset.n_views),
@@ -475,7 +554,7 @@ def fit(dataset, hp=None, audit_surrogates=False):
         # The map does not exist yet; its first update uses unit reweighting.
         b = update_consistency(state, problem, f_diag=np.ones(m))
 
-    trace = FitTrace()
+    trace = FitTrace(stop_reason="max_iter")
     start = time.perf_counter()
     trace.entries.append(TraceEntry(
         iteration=0,
@@ -540,6 +619,7 @@ def fit(dataset, hp=None, audit_surrogates=False):
             curr = totals[-5:]
             rel = np.abs(curr - prev) / np.maximum(np.abs(prev), 1e-12)
             if np.all(rel < hp.tol_stop):
+                trace.stop_reason = "tolerance"
                 break
 
     return state, trace

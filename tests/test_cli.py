@@ -183,6 +183,34 @@ class TestAblate:
         idx_o = trace_c[0].split(",").index("orthogonality")
         assert {float(r.split(",")[idx_o]) for r in trace_c[1:]} == {0.0}
 
+    def test_variants_share_one_preparation(self, synth_dir, tmp_path,
+                                            monkeypatch):
+        calls = []
+        real = cli.prepare_inputs
+
+        def counting(dataset, hp):
+            calls.append(hp.variant)
+            return real(dataset, hp)
+
+        monkeypatch.setattr(cli, "prepare_inputs", counting)
+        rc = cli.main(["ablate", *data_args(synth_dir),
+                       "--out", str(tmp_path / "a"), "--iters", "2",
+                       "--repeats", "1"])
+        assert rc == 0
+        assert len(calls) == 1
+
+    def test_constant_view_is_config_error(self, synth_dir, tmp_path):
+        rows = len((synth_dir / "view_1.csv").read_text().splitlines())
+        constant = tmp_path / "constant.csv"
+        constant.write_text("1.0,2.0\n" * rows)
+        out = tmp_path / "a"
+        rc = cli.main(["ablate", "--views", str(synth_dir / "view_0.csv"),
+                       str(constant), "--labels",
+                       str(synth_dir / "labels.csv"), "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["message"].startswith("view 1:")
+
 
 class TestErrorPaths:
     def test_missing_view_file(self, tmp_path):

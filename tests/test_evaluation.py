@@ -263,11 +263,11 @@ class TestGridSearch:
         real_fit = eval_mod.fit
         calls = {"n": 0}
 
-        def flaky_fit(dataset, hp):
+        def flaky_fit(dataset, hp, prepared=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NumericFailure("singular", view=0, iteration=1)
-            return real_fit(dataset, hp)
+            return real_fit(dataset, hp, prepared=prepared)
 
         monkeypatch.setattr(eval_mod, "fit", flaky_fit)
         grid = [Hyperparams(max_iter=4, seed=1),
@@ -278,6 +278,66 @@ class TestGridSearch:
         assert result.points[0].report is None
         assert result.points[1].report is not None
         assert result.best["nmi"] == 1
+
+    def test_points_fit_as_fresh_fits_in_grid_order(self, blob_dataset,
+                                                    monkeypatch):
+        """Shared preparation changes nothing: each point's model equals a
+        fresh fit bit for bit, and its report and seeds are those of the
+        point-by-point loop, in grid order even when groups interleave."""
+        import mvfuzzy.evaluation as eval_mod
+        from mvfuzzy.representation import embed
+        from mvfuzzy.solver import fit
+
+        grid = [Hyperparams(alpha=a, n_rules=r, max_iter=5, seed=2)
+                for a, r in ((0.5, 2), (1.0, 3), (2.0, 2), (4.0, 3))]
+        fits = []
+
+        def recording_fit(dataset, hp, prepared=None):
+            result = fit(dataset, hp, prepared=prepared)
+            fits.append((hp, result))
+            return result
+
+        monkeypatch.setattr(eval_mod, "fit", recording_fit)
+        result = grid_search(blob_dataset, grid, repeats=2, restarts=2,
+                             seed=8)
+        assert [p.index for p in result.points] == [0, 1, 2, 3]
+        assert [hp.n_rules for hp, _ in fits] == [2, 2, 3, 3]
+        for hp, (state, trace) in fits:
+            fresh_state, fresh_trace = fit(blob_dataset, hp)
+            for a, b in zip(state.p_common + state.p_specific,
+                            fresh_state.p_common + fresh_state.p_specific):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(state.view_weights,
+                                          fresh_state.view_weights)
+            assert trace.totals().tolist() == fresh_trace.totals().tolist()
+
+        children = np.random.SeedSequence(8).spawn(len(grid))
+        for gi, hp in enumerate(grid):
+            state, _ = fit(blob_dataset, hp)
+            expected = evaluate_embedding(
+                embed(blob_dataset, state).data, blob_dataset.labels,
+                repeats=2, restarts=2, seed=children[gi])
+            assert result.points[gi].hp is hp
+            assert (result.points[gi].report.to_dict()
+                    == expected.to_dict())
+
+    def test_constant_view_fails_each_group_once(self, blob_dataset):
+        from unittest import mock
+
+        import mvfuzzy.evaluation as eval_mod
+        from mvfuzzy.data import MultiViewDataset
+
+        views = [blob_dataset.views[0], np.zeros_like(blob_dataset.views[1])]
+        ds = MultiViewDataset(views=views, labels=blob_dataset.labels)
+        grid = [Hyperparams(alpha=a, n_rules=r, max_iter=2)
+                for a in (0.5, 2.0) for r in (2, 3)]
+        with mock.patch.object(eval_mod, "prepare_inputs",
+                               wraps=eval_mod.prepare_inputs) as prep:
+            result = grid_search(ds, grid, repeats=2, restarts=1)
+        assert prep.call_count == 2
+        assert all(p.report is None and "view 1:" in p.error
+                   for p in result.points)
+        assert result.best == {}
 
     def test_metric_larger_than_five_clusters(self):
         rng = np.random.default_rng(12)

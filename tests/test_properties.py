@@ -1,5 +1,5 @@
-"""Graph, solver and k-means invariants over random shapes and
-hyperparameters.
+"""Graph, solver, k-means, fuzzy-mapping and rule-export invariants over
+random shapes and hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
@@ -7,23 +7,32 @@ the Laplacian invariants. The k-means test checks the Lloyd loop against
 the direct-distance loop. The solver tests draw N, V, the per-view
 inputs, m, the rule count and the regularization weights, build a random
 instance over real fuzzy design matrices and kNN graphs, and check one
-invariant against a dense or finite-difference reference. The example
-sequence is derandomized, so every run checks the same cases.
+invariant against a dense or finite-difference reference. The fuzzy
+mapping tests draw data shapes, scales and rule counts and check the
+normalizations; the rule-export test fits small random models and replays
+the exported rule bases against `embed`. The example sequence is
+derandomized, so every run checks the same cases.
 """
 
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
 from mvfuzzy import graph
+from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
+                                fuzzy_map)
+from mvfuzzy.data import MultiViewDataset
 from mvfuzzy.evaluation import _kmeanspp_init, _lloyd
-from mvfuzzy.solver import (VARIANTS, Problem, common_surrogate,
-                            consistency_surrogate, graph_traces, irls_diag,
-                            objective, specific_surrogate, update_common,
+from mvfuzzy.representation import embed, export_rules, rules_predict
+from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
+                            common_surrogate, consistency_surrogate, fit,
+                            graph_traces, irls_diag, objective,
+                            specific_surrogate, update_common,
                             update_consistency, update_specific,
                             update_view_weights)
 from oracles import (dense_exact_consistency, dense_knn_similarity,
@@ -278,3 +287,71 @@ def test_view_weights_stay_on_simplex(instance, delta, p_scale):
     w = update_view_weights(state, problem)
     assert np.all(np.isfinite(w)) and np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def mapped_views(draw):
+    """A view, a bank fitted on it and a batch to map: the training rows,
+    or fresh rows at another scale and offset."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    n_rules = draw(st.integers(1, min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, d)) * draw(st.floats(1e-3, 1e3))
+    bank = fit_antecedents(x, n_rules)
+    if draw(st.booleans()):
+        x = (rng.normal(size=(draw(st.integers(1, 20)), d))
+             * draw(st.floats(1e-2, 1e2)) + draw(st.floats(-50, 50)))
+    return x, bank
+
+
+# One row, or rows that leave a feature without scatter, floor the widths
+# with a RuntimeWarning; the normalizations must hold all the same.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@GRAPH_PROPS
+@given(mapped_views())
+def test_widths_firing_levels_and_constant_slots_sum_to_one(mapped):
+    x, bank = mapped
+    # Each feature's widths sum to 1 across rules, up to the floor, or sit
+    # at the floor when the feature has no scatter.
+    floored = np.all(bank.widths == EPS_WIDTH, axis=0)
+    sums = bank.widths.sum(axis=0)[~floored]
+    assert np.all(np.abs(sums - 1.0) <= bank.n_rules * EPS_WIDTH + 1e-12)
+    levels = firing_levels(x, bank)
+    assert np.all(levels >= 0)
+    np.testing.assert_allclose(levels.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    out = fuzzy_map(x, bank)
+    d = x.shape[1]
+    assert out.shape == (x.shape[0], bank.n_rules * (d + 1))
+    constants = out[:, ::d + 1]
+    np.testing.assert_array_equal(constants, levels)
+    np.testing.assert_allclose(constants.sum(axis=1), 1.0, rtol=0,
+                               atol=1e-12)
+
+
+@PROPS
+@given(st.data())
+def test_rule_replay_equals_embed(data):
+    n_views = data.draw(st.integers(1, 3))
+    dims = data.draw(st.lists(st.integers(1, 5), min_size=n_views,
+                              max_size=n_views))
+    n = data.draw(st.integers(8, 30))
+    n_rules = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, min(4, n_rules * (min(dims) + 1))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    train = MultiViewDataset(views=[rng.normal(size=(n, d)) for d in dims])
+    hp = Hyperparams(n_rules=n_rules, embed_dim=m,
+                     max_iter=data.draw(st.integers(0, 3)),
+                     n_neighbors=data.draw(st.integers(1, 5)),
+                     variant=data.draw(st.sampled_from(VARIANTS)),
+                     b_update=data.draw(st.sampled_from(B_UPDATE_MODES)),
+                     seed=data.draw(st.integers(0, 1000)))
+    state, _ = fit(train, hp)
+    export = export_rules(state)
+    fresh = MultiViewDataset(views=[3.0 * rng.normal(size=(5, d))
+                                    for d in dims])
+    for ds in (train, fresh):
+        z = embed(ds, state).data
+        replay = rules_predict(export, ds.views).data
+        assert replay.shape == z.shape
+        assert np.abs(replay - z).max() <= 1e-9

@@ -7,12 +7,14 @@ import scipy.linalg
 
 from conftest import random_instance
 from mvfuzzy import antecedent, graph, solver
+from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
+from mvfuzzy.representation import embed
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             ModelState, NumericFailure, Problem, fit,
-                            irls_diag, objective, solve_reg, update_common,
-                            update_consistency, update_specific,
-                            update_view_weights)
+                            irls_diag, objective, prepare_inputs, solve_reg,
+                            update_common, update_consistency,
+                            update_specific, update_view_weights)
 from oracles import fd_gradient, scalar_objective
 
 
@@ -349,6 +351,127 @@ class TestFit:
         hp = Hyperparams(max_iter=400, tol_stop=1e-4, seed=5)
         _, trace = fit(blob_dataset, hp)
         assert len(trace.entries) - 1 < 400
+        assert trace.stop_reason == "tolerance"
+
+    @pytest.mark.parametrize("max_iter", [0, 7])
+    def test_iteration_cap_is_the_stop_reason(self, blob_dataset, max_iter):
+        hp = Hyperparams(max_iter=max_iter, tol_stop=0.0, seed=5)
+        _, trace = fit(blob_dataset, hp)
+        assert len(trace.entries) - 1 == max_iter
+        assert trace.stop_reason == "max_iter"
+
+    def test_embed_dim_above_fuzzy_width_rejected(self, monkeypatch):
+        # 8/12-dim views with 3 rules: fuzzy widths 27 and 39.
+        ds = make_synthetic(n_instances=40, n_views=2, n_clusters=3,
+                            seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("prepared before checking embed_dim")
+
+        monkeypatch.setattr(solver, "prepare_inputs", refuse)
+        with pytest.raises(ValueError, match=r"embed_dim 28 .*\[27, 39\]"):
+            fit(ds, Hyperparams(embed_dim=28, max_iter=1))
+        with pytest.raises(ValueError, match="embed_dim 60"):
+            fit(ds, Hyperparams(embed_dim=60, max_iter=1),
+                prepared=object())
+        monkeypatch.undo()
+        state, _ = fit(ds, Hyperparams(embed_dim=27, max_iter=1))
+        assert state.embed_dim == 27
+
+    def test_default_embed_dim_checked_against_fuzzy_width(self):
+        # One rule on a 1-dim view: width 2, but 3 classes.
+        ds = make_synthetic(n_instances=30, n_views=1, n_clusters=3,
+                            seed=4, dims=[1])
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            fit(ds, Hyperparams(n_rules=1, max_iter=1))
+
+
+class TestConstantViews:
+    @pytest.mark.parametrize("constant", [[1], [0, 1]])
+    def test_constant_training_view_rejected(self, blob_dataset, constant):
+        views = [np.full_like(v, 2.5) if i in constant else v
+                 for i, v in enumerate(blob_dataset.views)]
+        ds = MultiViewDataset(views=views, labels=blob_dataset.labels)
+        with pytest.raises(DataError, match=f"view {constant[0]}:"):
+            prepare_inputs(ds, Hyperparams())
+        with pytest.raises(DataError, match=f"view {constant[0]}:"):
+            fit(ds, Hyperparams(max_iter=2))
+
+    @pytest.mark.filterwarnings("ignore:zero total scatter")
+    def test_one_varying_feature_is_enough(self, blob_dataset):
+        views = [v.copy() for v in blob_dataset.views]
+        views[0][:, 1:] = 0.0
+        ds = MultiViewDataset(views=views, labels=blob_dataset.labels)
+        _, trace = fit(ds, Hyperparams(max_iter=2))
+        assert np.all(np.isfinite(trace.totals()))
+
+    def test_constant_batch_still_embeds(self, fitted_blob):
+        state, _ = fitted_blob
+        batch = MultiViewDataset(views=[np.ones((2, v.n_features))
+                                        for v in state.banks])
+        z = embed(batch, state).data
+        assert z.shape[0] == 2 and np.all(np.isfinite(z))
+
+
+def _prepared_arrays(prepared):
+    out = [a for s in prepared.standardizers for a in (s.mean, s.scale)]
+    out += [a for b in prepared.banks for a in (b.centers, b.widths)]
+    problem = prepared.problem
+    return out + problem.design + problem.xlx + problem.gram
+
+
+class TestPrepared:
+    def test_records_what_it_was_built_for(self, blob_dataset):
+        prepared = prepare_inputs(blob_dataset,
+                                  Hyperparams(n_rules=2, bandwidth=1.5))
+        assert prepared.key == (2, 5, 1.5)
+        assert prepared.shape == (blob_dataset.n_instances,
+                                  tuple(blob_dataset.view_dims))
+
+    def test_fits_leave_it_unchanged(self, blob_dataset):
+        prepared = prepare_inputs(blob_dataset, Hyperparams())
+        before = [a.copy() for a in _prepared_arrays(prepared)]
+        for variant in VARIANTS:
+            for b_update in B_UPDATE_MODES:
+                hp = Hyperparams(max_iter=3, seed=1, variant=variant,
+                                 b_update=b_update)
+                state, _ = fit(blob_dataset, hp, prepared=prepared)
+                state.banks.clear()
+        after = _prepared_arrays(prepared)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_shared_fit_equals_fresh_fit(self, blob_dataset):
+        prepared = prepare_inputs(blob_dataset, Hyperparams())
+        for hp in (Hyperparams(max_iter=6, seed=3, alpha=0.5),
+                   Hyperparams(max_iter=6, seed=4, b_update="exact")):
+            shared_state, shared_trace = fit(blob_dataset, hp,
+                                             prepared=prepared)
+            state, trace = fit(blob_dataset, hp)
+            assert model_to_dict(shared_state) == model_to_dict(state)
+            assert shared_trace.totals().tolist() == trace.totals().tolist()
+
+    @pytest.mark.parametrize("change", [
+        {"n_rules": 2}, {"n_neighbors": 4}, {"bandwidth": 2.0}])
+    def test_other_preprocessing_fields_rejected(self, blob_dataset,
+                                                 change):
+        prepared = prepare_inputs(blob_dataset, Hyperparams())
+        hp = Hyperparams(max_iter=1, **change)
+        with pytest.raises(ValueError, match="built for"):
+            fit(blob_dataset, hp, prepared=prepared)
+
+    def test_other_data_shape_rejected(self, blob_dataset):
+        prepared = prepare_inputs(blob_dataset, Hyperparams())
+        fewer = MultiViewDataset(
+            views=[v[:-1] for v in blob_dataset.views],
+            labels=blob_dataset.labels[:-1])
+        narrower = MultiViewDataset(
+            views=[blob_dataset.views[0], blob_dataset.views[1][:, :-1]],
+            labels=blob_dataset.labels)
+        for ds in (fewer, narrower):
+            with pytest.raises(ValueError, match="shape"):
+                fit(ds, Hyperparams(max_iter=1), prepared=prepared)
 
 
 SCIPY_DENSE = ("solve", "cho_factor", "cho_solve", "lu_factor", "lstsq",
