@@ -18,7 +18,8 @@ EPS_WIDTH = 1e-8
 class Standardizer:
     """Per-feature zero-mean unit-variance scaling fitted on training data.
 
-    Constant features map to zero (scale forced to 1 so no division blows up).
+    Constant features (min == max) get the value as mean and a scale of
+    1, so they map to exactly zero and a new value v maps to v - mean.
     """
 
     mean: np.ndarray
@@ -27,9 +28,10 @@ class Standardizer:
     @classmethod
     def fit(cls, x):
         x = np.asarray(x, dtype=float)
-        mean = x.mean(axis=0)
+        constant = x.min(axis=0) == x.max(axis=0)
+        mean = np.where(constant, x[0], x.mean(axis=0))
         std = x.std(axis=0)
-        scale = np.where(std > 0, std, 1.0)
+        scale = np.where((std > 0) & ~constant, std, 1.0)
         return cls(mean=mean, scale=scale)
 
     def transform(self, x):

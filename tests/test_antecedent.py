@@ -189,3 +189,15 @@ class TestStandardizer:
         x = np.column_stack([np.arange(5.0), np.full(5, 2.5)])
         z = Standardizer.fit(x).transform(x)
         np.testing.assert_array_equal(z[:, 1], 0.0)
+
+    def test_inexact_constant_column_maps_to_zero_with_unit_scale(self):
+        # The mean of [0.1, 0.1, 0.1] rounds away from 0.1, so the std is
+        # a rounding residue, not 0; the column must still be treated as
+        # constant rather than divided by that residue.
+        x = np.column_stack([np.arange(3.0), np.full(3, 0.1)])
+        std = Standardizer.fit(x)
+        assert std.mean[1] == 0.1
+        assert std.scale[1] == 1.0
+        np.testing.assert_array_equal(std.transform(x)[:, 1], 0.0)
+        z_new = std.transform(np.array([[1.0, 0.1000001]]))
+        assert z_new[0, 1] == pytest.approx(1e-7, rel=1e-6)

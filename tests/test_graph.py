@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mvfuzzy import graph
 from mvfuzzy.graph import build_graph, knn_similarity, laplacian
-from oracles import pairwise_smoothness
+from oracles import dense_knn_similarity, pairwise_smoothness
 
 
 class TestKnnSimilarity:
@@ -45,6 +46,35 @@ class TestKnnSimilarity:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             knn_similarity(np.zeros((4, 2)), n_neighbors=1, bandwidth=-1.0)
+
+    def test_next_distance_ties_the_kth(self):
+        # Row 0's distances are 1, 9, 36, 36, ...: the 4th ties the 3rd
+        # while the nearer ones are distinct, so with k = 3 the tie must
+        # go to column 3, not 4. Rows 1-3 pick row 0 and rows 4-7 pick
+        # only among themselves.
+        x = np.array([[0.0], [1.0], [3.0], [6.0], [-6.0], [-6.5], [-7.0],
+                      [-7.5]])
+        s = knn_similarity(x, n_neighbors=3, bandwidth=1.0)
+        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 2, 3])
+        np.testing.assert_array_equal(
+            s.toarray(), dense_knn_similarity(x, 3, bandwidth=1.0))
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "grid"])
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_default_block_budget_matches_dense_oracle(kind, k):
+    # At N = 1500 the unpatched 16 MB budget splits the rows into two
+    # blocks. Dyadic and small-integer coordinates make every squared
+    # distance exact, so S must equal the oracle bit for bit; the integer
+    # grid has few distinct distances, so most rows tie at the k-th.
+    rng = np.random.default_rng(17)
+    if kind == "dyadic":
+        x = rng.integers(-1024, 1025, size=(1500, 6)) / 16.0
+    else:
+        x = rng.integers(-2, 3, size=(1500, 3)).astype(float)
+    assert len(graph._row_blocks(len(x))) == 3
+    np.testing.assert_array_equal(knn_similarity(x, k).toarray(),
+                                  dense_knn_similarity(x, k))
 
 
 class TestLaplacian:

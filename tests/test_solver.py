@@ -9,7 +9,7 @@ from conftest import random_instance
 from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
-from mvfuzzy.representation import embed
+from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             ModelState, NumericFailure, Problem, fit,
                             irls_diag, objective, prepare_inputs, solve_reg,
@@ -472,6 +472,39 @@ class TestPrepared:
         for ds in (fewer, narrower):
             with pytest.raises(ValueError, match="shape"):
                 fit(ds, Hyperparams(max_iter=1), prepared=prepared)
+
+
+def assert_finite_fit_replays(dataset, hp):
+    """Fit, then check a finite trace and a rule replay equal to embed."""
+    state, trace = fit(dataset, hp)
+    assert np.all(np.isfinite(trace.totals()))
+    z = embed(dataset, state).data
+    replay = rules_predict(export_rules(state), dataset.views).data
+    assert np.abs(replay - z).max() <= 1e-9
+
+
+class TestDegenerateDesigns:
+    @pytest.mark.parametrize("b_update", B_UPDATE_MODES)
+    def test_single_view(self, blob_dataset, b_update):
+        single = MultiViewDataset(views=[blob_dataset.views[0]],
+                                  labels=blob_dataset.labels)
+        assert_finite_fit_replays(
+            single, Hyperparams(max_iter=10, seed=3, b_update=b_update))
+
+    @pytest.mark.parametrize("b_update", B_UPDATE_MODES)
+    def test_gamma_zero_with_duplicated_feature_columns(self, blob_dataset,
+                                                        b_update):
+        # Duplicated features give duplicated fuzzy design columns, so
+        # the view's design is rank-deficient; with gamma = 0 no L2,1
+        # weight props the consequent systems up.
+        v0 = blob_dataset.views[0]
+        dup = MultiViewDataset(views=[np.hstack([v0, v0]),
+                                      blob_dataset.views[1]],
+                               labels=blob_dataset.labels)
+        hp = Hyperparams(max_iter=10, seed=3, gamma=0.0, b_update=b_update)
+        design = prepare_inputs(dup, hp).problem.design[0]
+        assert np.linalg.matrix_rank(design) < design.shape[1]
+        assert_finite_fit_replays(dup, hp)
 
 
 SCIPY_DENSE = ("solve", "cho_factor", "cho_solve", "lu_factor", "lstsq",
