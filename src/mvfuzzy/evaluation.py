@@ -29,9 +29,18 @@ def _kmeanspp_init(points, k, rng):
     return points[chosen].copy()
 
 
-def _lloyd(points, centers, max_iter=300):
-    """Lloyd iterations; an emptied cluster is re-seeded at the point
-    farthest from its assigned center.
+def _lloyd_inputs(points):
+    """The column mean, the mean-centred points and the C-ordered columns
+    of `points`: what `_lloyd` reads besides the points, derived once for
+    every restart."""
+    mean = points.mean(axis=0)
+    return mean, points - mean, np.ascontiguousarray(points.T)
+
+
+def _lloyd(points, centers, mean, centred, columns, max_iter=300):
+    """Lloyd iterations; each emptied cluster, lowest index first, is
+    re-seeded at the point farthest from its assigned center. `mean`,
+    `centred` and `columns` come from `_lloyd_inputs(points)`.
 
     Each iteration costs one (N, m) x (m, k) product: points go to the
     center with the least ||c||^2 - 2 x.c, formed on mean-centred
@@ -43,26 +52,25 @@ def _lloyd(points, centers, max_iter=300):
     bit. The final labels and SSE use direct squared distances.
     """
     n, k = points.shape[0], centers.shape[0]
-    mean = points.mean(axis=0)
-    shifted = points - mean
-    columns = np.ascontiguousarray(points.T)
     labels = np.full(n, -1)
     for _ in range(max_iter):
         rel = centers - mean
-        scores = shifted @ (-2.0 * rel.T)
+        scores = centred @ (-2.0 * rel.T)
         scores += (rel * rel).sum(axis=1)
         new_labels = scores.argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():
             own = ((points - centers[new_labels]) ** 2).sum(axis=1)
-            for c in range(k):
-                if counts[c] == 0:
-                    far = int(own.argmax())
-                    centers[c] = points[far]
-                    counts[new_labels[far]] -= 1
-                    counts[c] = 1
-                    new_labels[far] = c
-                    own[far] = -np.inf
+            # Lowest empty cluster first, until none is empty: a reseed
+            # may empty a cluster on either side of it.
+            while not counts.all():
+                c = int(counts.argmin())
+                far = int(own.argmax())
+                centers[c] = points[far]
+                counts[new_labels[far]] -= 1
+                counts[c] = 1
+                new_labels[far] = c
+                own[far] = -np.inf
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -99,7 +107,7 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     # A squared distance is at most 4 max ||x - mean||^2, and k-means++
     # sums N of them: all of that must stay finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        centred = points - points.mean(axis=0)
+        mean, centred, columns = _lloyd_inputs(points)
         bound = 4.0 * n * (centred * centred).sum(axis=1).max()
     if not np.isfinite(bound):
         raise ValueError("points are too large: squared distances overflow")
@@ -107,7 +115,7 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     best_labels, best_sse = None, np.inf
     for _ in range(max(1, restarts)):
         centers = _kmeanspp_init(points, n_clusters, rng)
-        labels, sse = _lloyd(points, centers)
+        labels, sse = _lloyd(points, centers, mean, centred, columns)
         if sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels

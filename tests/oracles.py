@@ -240,20 +240,21 @@ def kmeans_best_sse(points, k):
 
 def lloyd_oracle(points, centers, max_iter=300):
     """Lloyd iterations by the direct N x k x m distance broadcast and
-    masked means; an emptied cluster is re-seeded at the point farthest
-    from its assigned center."""
+    masked means; each emptied cluster, lowest index first, is re-seeded
+    at the point farthest from its assigned center."""
     n, k = points.shape[0], centers.shape[0]
     labels = np.full(n, -1)
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         own = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(own.argmax())
-                centers[c] = points[far]
-                new_labels[far] = c
-                own[far] = -np.inf
+        empty = [c for c in range(k) if not np.any(new_labels == c)]
+        while empty:
+            far = int(own.argmax())
+            centers[empty[0]] = points[far]
+            new_labels[far] = empty[0]
+            own[far] = -np.inf
+            empty = [c for c in range(k) if not np.any(new_labels == c)]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

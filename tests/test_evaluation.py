@@ -53,17 +53,17 @@ class TestKmeans:
         np.testing.assert_array_equal(a, b)
 
     def test_empty_cluster_reseeded_at_farthest_point(self):
-        from mvfuzzy.evaluation import _lloyd
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
 
         points = np.array([[0.0], [0.1], [10.0]])
         # Third center attracts nobody on the first assignment.
         centers = np.array([[0.0], [0.05], [100.0]])
-        labels, sse = _lloyd(points, centers)
+        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
         assert len(np.unique(labels)) == 3
         assert sse == 0.0
 
     def test_reseed_that_empties_a_later_cluster_reseeds_it(self):
-        from mvfuzzy.evaluation import _lloyd
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
 
         points = np.array([[0.0], [0.1], [0.2], [5.0]])
         # Center 0 attracts nobody. Its reseed takes the farthest point,
@@ -71,20 +71,35 @@ class TestKmeans:
         # in the same pass, at 0.0.
         centers = np.array([[100.0], [8.0], [0.1]])
         ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
-        labels, sse = _lloyd(points, centers)
+        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
         np.testing.assert_array_equal(labels, [1, 2, 2, 0])
         np.testing.assert_array_equal(labels, ref_labels)
         assert sse == ref_sse == pytest.approx(0.005)
 
+    def test_reseed_that_empties_an_earlier_cluster_reseeds_it(self):
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
+
+        points = np.array([[1.5], [-1.5], [8.0]])
+        # Center 2 attracts nobody. Its reseed takes the farthest point,
+        # -1.5, the only member of center 0, which must then be reseeded
+        # too, at 8.0: every center ends on its own point.
+        centers = np.array([[-6.5], [4.5], [16.0]])
+        ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
+        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
+        np.testing.assert_array_equal(labels, [1, 2, 0])
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert sse == ref_sse == 0.0
+
     def test_large_common_offset_keeps_labels(self):
-        from mvfuzzy.evaluation import _lloyd
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
 
         rng = np.random.default_rng(12)
         points = np.vstack([rng.normal(c, 0.4, size=(30, 2))
                             for c in ((0, 0), (3, 0), (0, 3))])
         centers = points[[0, 1, 2]]
-        labels, _ = _lloyd(points, centers.copy())
-        shifted, _ = _lloyd(points + 1e8, centers + 1e8)
+        labels, _ = _lloyd(points, centers.copy(), *_lloyd_inputs(points))
+        shifted, _ = _lloyd(points + 1e8, centers + 1e8,
+                            *_lloyd_inputs(points + 1e8))
         assert len(np.unique(labels)) == 3
         np.testing.assert_array_equal(shifted, labels)
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,33 @@ class TestKnnSimilarity:
         np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 2, 3])
         np.testing.assert_array_equal(
             s.toarray(), dense_knn_similarity(x, 3, bandwidth=1.0))
+
+    def test_bound_set_by_a_group_minimum_outside_the_k_nearest(self):
+        # With 3 column groups, row 0's group minima are 100 (column 3),
+        # 1 (column 1) and 4 (column 5), so for k = 2 the bound is 4, set
+        # by column 5. Columns 4 and 5 tie at 4 and the tie goes to
+        # column 4, so the column that sets the bound is not selected.
+        # Rows 1, 3, 4 and 5 all pick row 0, so S[0, 5] holds only
+        # row 5's half.
+        x = np.array([[0.0], [1.0], [10.0], [-10.0], [2.0], [-2.0], [20.0],
+                      [-20.0], [30.0], [-30.0], [40.0], [-40.0]])
+        with mock.patch.object(graph, "_GROUPS", 3):
+            s = knn_similarity(x, n_neighbors=2, bandwidth=1.0)
+        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 3, 4, 5])
+        assert s[0, 4] == np.exp(-2.0) and s[0, 5] == 0.5 * np.exp(-2.0)
+        np.testing.assert_array_equal(
+            s.toarray(), dense_knn_similarity(x, 2, bandwidth=1.0))
+
+    def test_every_group_ties_at_the_bound(self):
+        # Row 0 is at distance 1 from every other point, so all 4 group
+        # minima equal the bound and the candidates are the whole row:
+        # the lowest columns, 1 and 2, must win the tie.
+        x = np.array([[0.0]] + [[(-1.0) ** i] for i in range(1, 17)])
+        with mock.patch.object(graph, "_GROUPS", 4):
+            s = knn_similarity(x, n_neighbors=2, bandwidth=1.0)
+        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 2])
+        np.testing.assert_array_equal(
+            s.toarray(), dense_knn_similarity(x, 2, bandwidth=1.0))
 
 
 @pytest.mark.parametrize("kind", ["dyadic", "grid"])

@@ -27,7 +27,7 @@ from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
 from mvfuzzy.data import MultiViewDataset
-from mvfuzzy.evaluation import _kmeanspp_init, _lloyd
+from mvfuzzy.evaluation import _kmeanspp_init, _lloyd, _lloyd_inputs
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
                             common_surrogate, consistency_surrogate, fit,
@@ -99,6 +99,34 @@ def test_knn_similarity_matches_oracle_across_row_blocks(points, data):
                                   dense_knn_similarity(x, k, bandwidth))
 
 
+# N <= 40 leaves at most 10 column groups, so the k-th-distance bound of
+# `graph._nearest` is checked again with 1 to 8 groups, where it binds on
+# ties, duplicates and remainder columns.
+@GRAPH_PROPS
+@given(point_sets(), st.integers(1, 8))
+def test_knn_similarity_matches_dense_oracle_with_few_groups(points, groups):
+    x, k, bandwidth = points
+    with mock.patch.object(graph, "_GROUPS", groups):
+        s = graph.knn_similarity(x, k, bandwidth)
+    np.testing.assert_array_equal(s.toarray(),
+                                  dense_knn_similarity(x, k, bandwidth))
+
+
+@GRAPH_PROPS
+@given(point_sets(kinds=EXACT_KINDS), st.integers(1, 8), st.data())
+def test_knn_similarity_matches_oracle_across_row_blocks_with_few_groups(
+        points, groups, data):
+    x, k, bandwidth = points
+    n = len(x)
+    rows = data.draw(st.integers(1, max(1, n // 2)))
+    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows), \
+            mock.patch.object(graph, "_GROUPS", groups):
+        assert len(graph._row_blocks(n)) > 2
+        s = graph.knn_similarity(x, k, bandwidth)
+    np.testing.assert_array_equal(s.toarray(),
+                                  dense_knn_similarity(x, k, bandwidth))
+
+
 @GRAPH_PROPS
 @given(point_sets())
 def test_laplacian_symmetric_zero_row_sums_psd(points):
@@ -126,7 +154,7 @@ def test_lloyd_matches_direct_distance_oracle(n, m, k, seed, spread_init):
     else:
         centers = _kmeanspp_init(points, k, rng)
     ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
-    labels, sse = _lloyd(points, centers)
+    labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
     np.testing.assert_array_equal(labels, ref_labels)
     if m > 1:
         assert sse == ref_sse
