@@ -221,6 +221,8 @@ def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
     """Cluster an embedding `repeats` times with derived seeds and score
     each run; the best run (highest NMI, earliest on ties) supplies the
     reported assignment."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     z = np.asarray(z, dtype=float)
     true_labels = np.asarray(true_labels)
     if n_clusters is None:
@@ -298,6 +300,8 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
     point is chosen independently per metric by the highest mean,
     earliest index on ties.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty")

@@ -122,7 +122,9 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     bandwidth="auto" sets the kernel scale to the median of the nonzero
     selected neighbor distances, which keeps the weights away from the
     degenerate all-0 / all-1 regimes whatever the data scale. Distance
-    ties resolve to the lower index.
+    ties resolve to the lower index. A numeric bandwidth must be finite
+    and positive, and x finite with 4 max ||x||^2 finite, so that no
+    squared distance overflows; ValueError otherwise.
 
     Returns S as an (N, N) scipy.sparse CSR array with at most 2*N*k
     entries; squared distances are computed in row blocks, so memory is
@@ -132,11 +134,17 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     n = x.shape[0]
     if not 1 <= n_neighbors < n:
         raise ValueError(f"n_neighbors must be in [1, {n - 1}]")
-    if bandwidth != "auto" and float(bandwidth) <= 0:
-        raise ValueError("bandwidth must be positive")
-    sq = (x * x).sum(axis=1)
+    if bandwidth != "auto" and not 0 < float(bandwidth) < np.inf:
+        raise ValueError("bandwidth must be finite and positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (x * x).sum(axis=1)
+        # Every squared distance, and every sum the blocks form on the
+        # way to it, is at most 4 max ||x||^2.
+        bound = 4.0 * sq.max()
     if not np.all(np.isfinite(sq)):
         raise ValueError("x must be finite, with finite squared row norms")
+    if not np.isfinite(bound):
+        raise ValueError("x is too large: squared distances overflow")
 
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))

@@ -63,6 +63,9 @@ class Hyperparams:
     variant: str = "full"
 
     def __post_init__(self):
+        if not np.all(np.isfinite(
+                [self.alpha, self.beta, self.gamma, self.delta])):
+            raise ValueError("alpha, beta, gamma, delta must be finite")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
         if self.delta <= 0:
@@ -258,9 +261,9 @@ def objective(state, problem, b):
     """Evaluate the joint objective term by term at consistency map b.
 
     Frobenius terms are squared; the row-sparsity terms are plain L2,1
-    norms; 0*ln(0) counts as 0. In the no_consistency variant the map
-    residual and its sparsity term are absent from the objective and are
-    reported as exact zeros, and b is not read (fit passes None).
+    norms; 0*ln(0) counts as 0. b=None means there is no map (fit passes
+    it under the no_consistency variant): the map residual and its
+    sparsity term are then absent and reported as exact zeros.
     """
     hp = state.hp
     if len(problem.design) != state.n_views:
@@ -275,7 +278,7 @@ def objective(state, problem, b):
         _cross(g, pc, ps) for g, pc, ps
         in zip(problem.gram, state.p_common, state.p_specific))
 
-    if hp.variant == "no_consistency":
+    if b is None:
         consist = 0.0
         b_sparse = 0.0
     else:
@@ -296,35 +299,32 @@ def objective(state, problem, b):
                           entropy=entropy)
 
 
-def update_common(state, view, problem, b, f_diag=None):
+def update_common(state, view, problem, b, f_diag):
     """Closed-form update of one view's common consequent matrix, with the
-    row reweighting and the consistency map b frozen."""
+    row reweighting f_diag and the consistency map b frozen; b=None means
+    there is no map, so no map residual enters the system."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     ps = state.p_specific[view]
-    if f_diag is None:
-        f_diag = irls_diag(state.p_common[view], hp.eps_irls)
 
     gps = problem.gram[view] @ ps
     a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
-    if hp.variant != "no_consistency":
+    if b is not None:
         bx = b @ problem.design[view]
         a = a + hp.beta * (bx.T @ bx)
         rhs = rhs + hp.beta * bx.T
     return solve_reg(a, rhs, view=view)
 
 
-def update_specific(state, view, problem, f_diag=None):
+def update_specific(state, view, problem, f_diag):
     """Closed-form update of one view's specific consequent matrix; the
     common_only variant never calls this (the matrix stays zero)."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     pc = state.p_common[view]
-    if f_diag is None:
-        f_diag = irls_diag(state.p_specific[view], hp.eps_irls)
 
     gpc = problem.gram[view] @ pc
     a = wv * xlx + hp.alpha * (gpc @ gpc.T) + hp.gamma * np.diag(f_diag)
@@ -383,35 +383,28 @@ def update_view_weights(state, problem):
     return w / w.sum()
 
 
-def common_surrogate(p, state, view, problem, b, f_diag):
-    """Smooth objective minimized by update_common at frozen f_diag and b."""
+def surrogate(block, x, state, problem, b, f_diag):
+    """Smooth objective that one block's update minimizes at frozen f_diag.
+
+    block is ("common", v), ("specific", v) or ("consistency", None): the
+    objective's graph, orthogonality and map-residual terms that involve
+    the block, with the block set to x, plus gamma * sum_i f_i ||x_i||^2.
+    b is the frozen map the common block is fitted against (None: there is
+    no map); the consistency block reads x in its place.
+    """
     hp = state.hp
-    ps = state.p_specific[view]
-    value = state.view_weights[view] * _smoothness(problem.xlx[view], p + ps)
-    value += hp.alpha * _cross(problem.gram[view], p, ps)
-    if hp.variant != "no_consistency":
-        bx = b @ problem.design[view]
-        value += hp.beta * _map_residual(bx, p)
-    value += hp.gamma * float((f_diag[:, None] * p * p).sum())
-    return value
-
-
-def specific_surrogate(p, state, view, problem, f_diag):
-    """Smooth objective minimized by update_specific at frozen reweighting."""
-    hp = state.hp
-    pc = state.p_common[view]
-    value = state.view_weights[view] * _smoothness(problem.xlx[view], pc + p)
-    value += hp.alpha * _cross(problem.gram[view], pc, p)
-    value += hp.gamma * float((f_diag[:, None] * p * p).sum())
-    return value
-
-
-def consistency_surrogate(b, state, problem, f_diag):
-    """Smooth objective minimized by the exact consistency-map update."""
-    hp = state.hp
-    value = hp.beta * sum(_map_residual(b @ x, pc)
-                          for x, pc in zip(problem.design, state.p_common))
-    value += hp.gamma * float((f_diag[:, None] * b * b).sum())
+    kind, v = block
+    if kind == "consistency":
+        value = hp.beta * sum(_map_residual(x @ xv, pc) for xv, pc
+                              in zip(problem.design, state.p_common))
+    else:
+        pc, ps = ((x, state.p_specific[v]) if kind == "common"
+                  else (state.p_common[v], x))
+        value = state.view_weights[v] * _smoothness(problem.xlx[v], pc + ps)
+        value += hp.alpha * _cross(problem.gram[v], pc, ps)
+        if kind == "common" and b is not None:
+            value += hp.beta * _map_residual(b @ problem.design[v], x)
+    value += hp.gamma * float((f_diag[:, None] * x * x).sum())
     return value
 
 
@@ -563,42 +556,28 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
         elapsed=time.perf_counter() - start,
     ))
 
+    def step(block, old, update, *args):
+        """IRLS update of one block, reweighted at its old value."""
+        f_diag = irls_diag(old, hp.eps_irls)
+        new = update(*args, f_diag=f_diag)
+        if audit_surrogates:
+            audit[block] = tuple(surrogate(block, x, state, problem, b, f_diag)
+                                 for x in (old, new))
+        return new
+
     for t in range(1, hp.max_iter + 1):
         audit = {}
         try:
-            if hp.variant != "no_consistency":
-                f_b = irls_diag(b, hp.eps_irls)
-                new_b = update_consistency(state, problem, f_diag=f_b)
-                if audit_surrogates:
-                    audit["consistency"] = (
-                        consistency_surrogate(b, state, problem, f_b),
-                        consistency_surrogate(new_b, state, problem, f_b),
-                    )
-                b = new_b
-
+            if b is not None:
+                b = step(("consistency", None), b, update_consistency,
+                         state, problem)
             for v in range(state.n_views):
-                f_c = irls_diag(state.p_common[v], hp.eps_irls)
-                new_pc = update_common(state, v, problem, b, f_diag=f_c)
-                if audit_surrogates:
-                    audit[f"common_{v}"] = (
-                        common_surrogate(state.p_common[v], state, v,
-                                         problem, b, f_c),
-                        common_surrogate(new_pc, state, v, problem, b, f_c),
-                    )
-                state.p_common[v] = new_pc
-
+                state.p_common[v] = step(("common", v), state.p_common[v],
+                                         update_common, state, v, problem, b)
                 if hp.variant != "common_only":
-                    f_s = irls_diag(state.p_specific[v], hp.eps_irls)
-                    new_ps = update_specific(state, v, problem, f_diag=f_s)
-                    if audit_surrogates:
-                        audit[f"specific_{v}"] = (
-                            specific_surrogate(state.p_specific[v], state,
-                                               v, problem, f_s),
-                            specific_surrogate(new_ps, state, v, problem,
-                                               f_s),
-                        )
-                    state.p_specific[v] = new_ps
-
+                    state.p_specific[v] = step(
+                        ("specific", v), state.p_specific[v],
+                        update_specific, state, v, problem)
             state.view_weights = update_view_weights(state, problem)
         except NumericFailure as err:
             err.iteration = t

@@ -18,11 +18,10 @@ from mvfuzzy.evaluation import acc, evaluate_embedding, nmi, purity
 from mvfuzzy.graph import build_graph
 from mvfuzzy.representation import (_linguistic_labels, embed, export_rules,
                                     rules_predict)
-from mvfuzzy.solver import (Hyperparams, common_surrogate,
-                            consistency_surrogate, fit, graph_traces,
-                            irls_diag, objective, specific_surrogate,
-                            update_common, update_consistency,
-                            update_specific, update_view_weights)
+from mvfuzzy.solver import (Hyperparams, fit, graph_traces, irls_diag,
+                            objective, surrogate, update_common,
+                            update_consistency, update_specific,
+                            update_view_weights)
 from oracles import (acc_oracle, fd_gradient, nmi_oracle,
                      pairwise_smoothness, purity_oracle, scalar_objective)
 
@@ -134,19 +133,20 @@ def test_c05_update_stationarity():
 
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
         new_pc = update_common(state, 0, problem, b, f_diag=f_c)
-        fn = lambda p: common_surrogate(p, state, 0, problem, b, f_c)
+        fn = lambda p: surrogate(("common", 0), p, state, problem, b, f_c)
         scale = np.abs(fd_gradient(fn, state.p_common[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_pc)).max() / scale)
 
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
         new_ps = update_specific(state, 0, problem, f_diag=f_s)
-        fn = lambda p: specific_surrogate(p, state, 0, problem, f_s)
+        fn = lambda p: surrogate(("specific", 0), p, state, problem, b, f_s)
         scale = np.abs(fd_gradient(fn, state.p_specific[0])).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_ps)).max() / scale)
 
         f_b = irls_diag(b, state.hp.eps_irls)
         new_b = update_consistency(state, problem, f_diag=f_b)
-        fn = lambda b: consistency_surrogate(b, state, problem, f_b)
+        fn = lambda b: surrogate(("consistency", None), b, state, problem,
+                                 None, f_b)
         scale = np.abs(fd_gradient(fn, b)).max()
         worst = max(worst, np.abs(fd_gradient(fn, new_b)).max() / scale)
     report(5, "frozen-reweighting updates zero their surrogate gradients",

@@ -246,6 +246,37 @@ class TestErrorPaths:
                        "--bandwidth", "2.5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("flag", [["--alpha", "nan"],
+                                      ["--bandwidth", "nan"],
+                                      ["--delta", "inf"]])
+    def test_non_finite_hyperparameter_is_config_error(self, synth_dir,
+                                                       tmp_path, flag):
+        out = tmp_path / "o"
+        rc = cli.main(["fit", *data_args(synth_dir), "--out", str(out),
+                       "--iters", "2", *flag])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_is_config_error(self, synth_dir, tmp_path,
+                                               repeats):
+        run = tmp_path / "run"
+        assert cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+                         "--iters", "2"]) == 0
+        out = tmp_path / "eval"
+        rc = cli.main(["evaluate", "--model", str(run / "model.json"),
+                       *data_args(synth_dir), "--out", str(out),
+                       "--repeats", repeats])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and "repeats" in err["message"]
+        rc = cli.main(["grid", *data_args(synth_dir), "--out",
+                       str(tmp_path / "grid"), "--grid", "alpha",
+                       "--repeats", repeats])
+        assert rc == 2
+
     def test_bad_bandwidth_rejected(self, synth_dir, tmp_path):
         rc = cli.main(["fit", *data_args(synth_dir),
                        "--out", str(tmp_path / "o"), "--iters", "2",

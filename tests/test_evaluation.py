@@ -224,6 +224,18 @@ class TestEvaluateEmbedding:
             assert runs.min() <= mean <= runs.max()
             assert runs.std() >= 0.0
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, repeats, monkeypatch):
+        import mvfuzzy.evaluation as eval_mod
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("kmeans called")
+
+        monkeypatch.setattr(eval_mod, "kmeans", no_kmeans)
+        z = np.random.default_rng(15).normal(size=(12, 2))
+        with pytest.raises(ValueError, match="repeats"):
+            evaluate_embedding(z, np.arange(12) % 2, repeats=repeats)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_embedding_rejected(self, bad):
         z = np.random.default_rng(14).normal(size=(12, 2))
@@ -335,6 +347,20 @@ class TestGridSearch:
             assert result.points[gi].hp is hp
             assert (result.points[gi].report.to_dict()
                     == expected.to_dict())
+
+    @pytest.mark.parametrize("refit", [False, True])
+    def test_repeats_below_one_rejected(self, blob_dataset, refit,
+                                        monkeypatch):
+        import mvfuzzy.evaluation as eval_mod
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("prepared or fitted")
+
+        monkeypatch.setattr(eval_mod, "prepare_inputs", no_call)
+        monkeypatch.setattr(eval_mod, "fit", no_call)
+        with pytest.raises(ValueError, match="repeats"):
+            grid_search(blob_dataset, [Hyperparams(max_iter=2)], repeats=0,
+                        refit_per_repeat=refit)
 
     def test_constant_view_fails_each_group_once(self, blob_dataset):
         from unittest import mock

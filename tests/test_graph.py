@@ -48,6 +48,19 @@ class TestKnnSimilarity:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             knn_similarity(np.zeros((4, 2)), n_neighbors=1, bandwidth=-1.0)
+        x = np.random.default_rng(6).normal(size=(8, 3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                knn_similarity(x, n_neighbors=2, bandwidth=bad)
+
+    def test_overflowing_distances_rejected(self):
+        # Every squared row norm is finite (the largest is 1.44e308), but
+        # the distance between rows 1 and 2 is not.
+        x = np.random.default_rng(7).normal(size=(20, 3))
+        x[:3, 0] = [1e154, 1.1e154, -1.2e154]
+        assert np.all(np.isfinite((x * x).sum(axis=1)))
+        with pytest.raises(ValueError, match="overflow"):
+            knn_similarity(x, n_neighbors=3)
 
     def test_next_distance_ties_the_kth(self):
         # Row 0's distances are 1, 9, 36, 36, ...: the 4th ties the 3rd

@@ -30,11 +30,9 @@ from mvfuzzy.data import MultiViewDataset
 from mvfuzzy.evaluation import _kmeanspp_init, _lloyd, _lloyd_inputs
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
-                            common_surrogate, consistency_surrogate, fit,
-                            graph_traces, irls_diag, objective,
-                            specific_surrogate, update_common,
-                            update_consistency, update_specific,
-                            update_view_weights)
+                            fit, graph_traces, irls_diag, objective,
+                            surrogate, update_common, update_consistency,
+                            update_specific, update_view_weights)
 from oracles import (dense_exact_consistency, dense_knn_similarity,
                      fd_gradient, lloyd_oracle)
 
@@ -242,10 +240,12 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
 def test_common_update_is_stationary(instance, variant):
     state, b, problem, _ = instance
     state = replace(state, hp=replace(state.hp, variant=variant))
+    if variant == "no_consistency":
+        b = None
     f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
     new = update_common(state, 0, problem, b, f_diag=f_c)
     assert_stationary(
-        lambda p: common_surrogate(p, state, 0, problem, b, f_c),
+        lambda p: surrogate(("common", 0), p, state, problem, b, f_c),
         state.p_common[0], new)
 
 
@@ -256,7 +256,7 @@ def test_specific_update_is_stationary(instance):
     f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
     new = update_specific(state, 0, problem, f_diag=f_s)
     assert_stationary(
-        lambda p: specific_surrogate(p, state, 0, problem, f_s),
+        lambda p: surrogate(("specific", 0), p, state, problem, None, f_s),
         state.p_specific[0], new)
 
 
@@ -267,7 +267,9 @@ def test_exact_consistency_update_is_stationary(instance):
     f_b = irls_diag(b, state.hp.eps_irls)
     new = update_consistency(state, problem, f_diag=f_b)
     assert_stationary(
-        lambda x: consistency_surrogate(x, state, problem, f_b), b, new)
+        lambda x: surrogate(("consistency", None), x, state, problem, b,
+                            f_b),
+        b, new)
 
 
 @PROPS
@@ -281,23 +283,23 @@ def test_surrogate_changes_match_objective(instance, block, seed):
     if block == "common":
         x1 = state.p_common[0]
         at = lambda x: (replace(state, p_common=[x] + state.p_common[1:]), b)
-        surrogate = lambda x, f: common_surrogate(x, state, 0, problem, b, f)
+        blk = ("common", 0)
     elif block == "specific":
         x1 = state.p_specific[0]
         at = lambda x: (replace(state, p_specific=[x] + state.p_specific[1:]),
                         b)
-        surrogate = lambda x, f: specific_surrogate(x, state, 0, problem, f)
+        blk = ("specific", 0)
     else:
         x1 = b
         at = lambda x: (state, x)
-        surrogate = lambda x, f: consistency_surrogate(x, state, problem, f)
+        blk = ("consistency", None)
     x2 = np.random.default_rng(seed).normal(size=x1.shape)
     f = irls_diag(x1, state.hp.eps_irls)
 
     terms = [objective(st_x, problem, b_x)
              for st_x, b_x in (at(x1), at(x2))]
     smooth = [t.graph + t.orthogonality + t.consistency for t in terms]
-    full = [surrogate(x, f) for x in (x1, x2)]
+    full = [surrogate(blk, x, state, problem, b, f) for x in (x1, x2)]
     frozen = [state.hp.gamma * float((f[:, None] * x * x).sum())
               for x in (x1, x2)]
     scale = sum(abs(t.graph) + abs(t.orthogonality) + abs(t.consistency)

@@ -13,7 +13,7 @@ from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             ModelState, NumericFailure, Problem, fit,
                             irls_diag, objective, prepare_inputs, solve_reg,
-                            update_common, update_consistency,
+                            surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
 from oracles import fd_gradient, scalar_objective
 
@@ -138,8 +138,6 @@ class TestUpdateCommon:
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
-        from mvfuzzy.solver import common_surrogate
-
         rng = np.random.default_rng(6)
         state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
                                                gamma=0.6)
@@ -147,7 +145,7 @@ class TestUpdateCommon:
         new = update_common(state, 0, problem, b, f_diag=f_c)
 
         def value(p):
-            return common_surrogate(p, state, 0, problem, b, f_c)
+            return surrogate(("common", 0), p, state, problem, b, f_c)
 
         scale = np.abs(fd_gradient(value, state.p_common[0])).max()
         grad_at_new = np.abs(fd_gradient(value, new)).max()
@@ -163,6 +161,18 @@ class TestUpdateCommon:
             new = update_common(st, 0, problem, b, f_diag=np.ones(dg))
             norms.append(np.linalg.norm(new))
         assert norms[0] > norms[1] > norms[2]
+
+    def test_no_map_equals_beta_zero_bit_for_bit(self):
+        # b=None leaves the map residual out of the system; at beta = 0 a
+        # map adds 0.0 times finite terms, which changes no entry.
+        rng = np.random.default_rng(18)
+        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.0,
+                                               gamma=0.6)
+        for v in range(state.n_views):
+            f_c = irls_diag(state.p_common[v], state.hp.eps_irls)
+            np.testing.assert_array_equal(
+                update_common(state, v, problem, None, f_c),
+                update_common(state, v, problem, b, f_c))
 
 
 def replace_gamma(state, gamma):
@@ -181,19 +191,18 @@ class TestUpdateSpecific:
         rng = np.random.default_rng(8)
         state, _, problem, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
-        new = update_specific(state, 0, problem)
+        f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
+        new = update_specific(state, 0, problem, f_diag=f_s)
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
-        from mvfuzzy.solver import specific_surrogate
-
         rng = np.random.default_rng(9)
         state, _, problem, _ = random_instance(rng, alpha=0.5, gamma=0.6)
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
         new = update_specific(state, 0, problem, f_diag=f_s)
 
         def value(p):
-            return specific_surrogate(p, state, 0, problem, f_s)
+            return surrogate(("specific", 0), p, state, problem, None, f_s)
 
         scale = np.abs(fd_gradient(value, state.p_specific[0])).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
@@ -219,8 +228,6 @@ class TestUpdateConsistency:
         assert np.linalg.norm(new @ zc - np.eye(state.embed_dim)) <= 1e-8
 
     def test_exact_mode_fd_stationarity(self):
-        from mvfuzzy.solver import consistency_surrogate
-
         rng = np.random.default_rng(12)
         state, b, problem, _ = random_instance(
             rng, n=4, dims=(3, 4), gamma=0.7, b_update="exact")
@@ -228,7 +235,8 @@ class TestUpdateConsistency:
         new = update_consistency(state, problem, f_diag=f_b)
 
         def value(b):
-            return consistency_surrogate(b, state, problem, f_b)
+            return surrogate(("consistency", None), b, state, problem,
+                             None, f_b)
 
         scale = np.abs(fd_gradient(value, b)).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
@@ -546,3 +554,7 @@ class TestHyperparams:
             Hyperparams(b_update="bogus")
         with pytest.raises(ValueError):
             Hyperparams(n_rules=0)
+        for name in ("alpha", "beta", "gamma", "delta"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    Hyperparams(**{name: bad})
