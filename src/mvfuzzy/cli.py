@@ -14,7 +14,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .data import (DataError, load_dataset, make_synthetic, save_dataset)
-from .evaluation import evaluate_embedding, grid_search
+from .evaluation import check_protocol, evaluate_embedding, grid_search
 from .model_io import load_model, save_model
 from .representation import embed, export_rules, rules_to_dict, rules_to_text
 from .solver import Hyperparams, NumericFailure, fit, prepare_inputs
@@ -333,6 +333,8 @@ def cmd_grid(args):
 
 
 def cmd_ablate(args):
+    # Fail before the preparation and the fits, not at the first scoring.
+    check_protocol(args.repeats, args.restarts)
     out = _out_dir(args)
     base_hp, _ = resolve_hyperparams(args)
     dataset = _load_cli_dataset(args, labels_required=True)

@@ -12,11 +12,15 @@ from .solver import NumericFailure, fit, prep_key, prepare_inputs
 def _kmeanspp_init(points, k, rng):
     """Seed k centers by squared-distance-proportional sampling; if every
     remaining distance is zero (duplicate points) fall back to the lowest
-    unchosen index."""
+    unchosen index. Each pick but the first reads the least squared
+    distance to the centers chosen so far, so the init makes k - 1
+    distance passes."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = None
     for _ in range(1, k):
+        last = ((points - points[chosen[-1]]) ** 2).sum(axis=1)
+        d2 = last if d2 is None else np.minimum(d2, last)
         total = d2.sum()
         if total > 0:
             probs = d2 / total
@@ -25,79 +29,125 @@ def _kmeanspp_init(points, k, rng):
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
     return points[chosen].copy()
 
 
 def _lloyd_inputs(points):
-    """The column mean, the mean-centred points and the C-ordered columns
-    of `points`: what `_lloyd` reads besides the points, derived once for
-    every restart."""
+    """The column mean, the mean-centred columns and the columns of
+    `points`, each C-ordered (m, N): what `_lloyd` reads besides the
+    points, derived once for every restart."""
     mean = points.mean(axis=0)
-    return mean, points - mean, np.ascontiguousarray(points.T)
+    columns = np.ascontiguousarray(points.T)
+    return mean, columns - mean[:, None], columns
 
 
-def _lloyd(points, centers, mean, centred, columns, max_iter=300):
-    """Lloyd iterations; each emptied cluster, lowest index first, is
-    re-seeded at the point farthest from its assigned center. `mean`,
-    `centred` and `columns` come from `_lloyd_inputs(points)`.
+def _first_argmin(scores):
+    """`scores.argmin(axis=1)` for (R, k, N) scores, as k passes over
+    contiguous N-length rows; the strict `<` keeps the first minimum, as
+    `argmin` does."""
+    best = scores[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, scores.shape[1]):
+        closer = scores[:, c] < best
+        np.minimum(best, scores[:, c], out=best)
+        labels += closer * (c - labels)
+    return labels
 
-    Each iteration costs one (N, m) x (m, k) product: points go to the
-    center with the least ||c||^2 - 2 x.c, formed on mean-centred
-    coordinates so that a large common offset does not cancel. Centers
-    are per-column `bincount` sums over the counts. They add each
+
+def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
+    """Lloyd iterations of R restarts in lockstep; returns the (R, N)
+    labels and the R SSEs. `centers` is (R, k, m) and is updated in place;
+    `mean`, `centred_t` and `columns` come from `_lloyd_inputs(points)`.
+    Each restart's result is the one it would reach alone: each emptied
+    cluster, lowest index first, is re-seeded at the point farthest from
+    its assigned center, and a restart stops when its labels repeat.
+
+    Each step runs over the restarts still moving. A restart's points go
+    to the center with the least ||c||^2 - 2 x.c, formed on mean-centred
+    coordinates so that a large common offset does not cancel, as one
+    (k, m) x (m, N) product per restart: one stacked product over all
+    restarts is large enough to start a second, spinning BLAS thread.
+    Centers are per-column `bincount` sums over the counts. They add each
     cluster's rows in index order, as a masked `.mean(axis=0)` over two
     or more columns does, so those centers are bit-identical to it; on
     one column numpy's mean sums pairwise and may differ in the last
-    bit. The final labels and SSE use direct squared distances.
+    bit. The final labels and SSE use direct squared distances, formed
+    once per distinct center vector among the R restarts (restarts often
+    end on the same partition, whose centers are then equal bit for bit).
     """
-    n, k = points.shape[0], centers.shape[0]
-    labels = np.full(n, -1)
+    r, k, _ = centers.shape
+    n = points.shape[0]
+    labels = np.full((r, n), -1)
+    scores = np.empty((r, k, n))
+    active = list(range(r))
     for _ in range(max_iter):
-        rel = centers - mean
-        scores = centred @ (-2.0 * rel.T)
-        scores += (rel * rel).sum(axis=1)
-        new_labels = scores.argmin(axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        if not counts.all():
-            own = ((points - centers[new_labels]) ** 2).sum(axis=1)
-            # Lowest empty cluster first, until none is empty: a reseed
-            # may empty a cluster on either side of it.
-            while not counts.all():
-                c = int(counts.argmin())
-                far = int(own.argmax())
-                centers[c] = points[far]
-                counts[new_labels[far]] -= 1
-                counts[c] = 1
-                new_labels[far] = c
-                own[far] = -np.inf
-        if np.array_equal(new_labels, labels):
+        if not active:
             break
-        labels = new_labels
-        for j, column in enumerate(columns):
-            centers[:, j] = np.bincount(labels, weights=column,
-                                        minlength=k) / counts
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    sse = float(d2[np.arange(n), labels].sum())
-    return labels, sse
+        rel = centers[active] - mean
+        step = scores[:len(active)]
+        for s, rel_s in zip(step, rel):
+            np.matmul(-2.0 * rel_s, centred_t, out=s)
+        step += (rel * rel).sum(axis=2)[:, :, None]
+        moving = []
+        for i, new_labels in zip(active, _first_argmin(step)):
+            centers_i = centers[i]
+            counts = np.bincount(new_labels, minlength=k)
+            if not counts.all():
+                own = ((points - centers_i[new_labels]) ** 2).sum(axis=1)
+                # Lowest empty cluster first, until none is empty: a
+                # reseed may empty a cluster on either side of it.
+                while not counts.all():
+                    c = int(counts.argmin())
+                    far = int(own.argmax())
+                    centers_i[c] = points[far]
+                    counts[new_labels[far]] -= 1
+                    counts[c] = 1
+                    new_labels[far] = c
+                    own[far] = -np.inf
+            if np.array_equal(new_labels, labels[i]):
+                continue
+            labels[i] = new_labels
+            for j, column in enumerate(columns):
+                centers_i[:, j] = np.bincount(new_labels, weights=column,
+                                              minlength=k) / counts
+            moving.append(i)
+        active = moving
+    distances = {}
+    sses = []
+    for i, centers_i in enumerate(centers):
+        d2 = np.empty((n, k))
+        for c, center in enumerate(centers_i):
+            key = center.tobytes()
+            if key not in distances:
+                distances[key] = ((points - center) ** 2).sum(axis=1)
+            d2[:, c] = distances[key]
+        labels[i] = d2.argmin(axis=1)
+        sses.append(float(d2[np.arange(n), labels[i]].sum()))
+    return labels, sses
 
 
 def kmeans(points, n_clusters, restarts=10, seed=0):
     """Best-of-restarts K-means labels, deterministic given the seed.
 
-    Each Lloyd iteration costs one (N, d) x (d, k) product for the
-    assignment and one `bincount` per column for the centers.
+    The call draws every restart's k-means++ init first, in order (Lloyd
+    draws nothing, so the generator's stream is that of restarts run one
+    after another), then runs all restarts' Lloyd steps in lockstep (see
+    `_lloyd`): per step, one (k, d) x (d, N) product per restart still
+    moving and one `bincount` per column for its centers. Each restart's
+    labels and SSE equal those of the restart run alone.
 
     Parameters
     ----------
     points : (N, d) finite array to cluster, small enough that its
         squared distances do not overflow.
     n_clusters : number of clusters, 1 <= n_clusters <= N.
-    restarts : independent k-means++ initializations to try; the run with
-        the lowest within-cluster SSE wins (ties keep the earliest run).
+    restarts : independent k-means++ initializations to try, at least 1;
+        the run with the lowest within-cluster SSE wins (ties keep the
+        earliest run).
     seed : int or SeedSequence feeding a fresh generator.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= n_clusters <= n:
@@ -107,18 +157,15 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     # A squared distance is at most 4 max ||x - mean||^2, and k-means++
     # sums N of them: all of that must stay finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, centred, columns = _lloyd_inputs(points)
-        bound = 4.0 * n * (centred * centred).sum(axis=1).max()
+        mean, centred_t, columns = _lloyd_inputs(points)
+        bound = 4.0 * n * (centred_t * centred_t).sum(axis=0).max()
     if not np.isfinite(bound):
         raise ValueError("points are too large: squared distances overflow")
     rng = np.random.default_rng(seed)
-    best_labels, best_sse = None, np.inf
-    for _ in range(max(1, restarts)):
-        centers = _kmeanspp_init(points, n_clusters, rng)
-        labels, sse = _lloyd(points, centers, mean, centred, columns)
-        if sse < best_sse:
-            best_labels, best_sse = labels, sse
-    return best_labels
+    centers = np.stack([_kmeanspp_init(points, n_clusters, rng)
+                        for _ in range(restarts)])
+    labels, sses = _lloyd(points, centers, mean, centred_t, columns)
+    return labels[int(np.argmin(sses))].copy()
 
 
 def _contingency(pred, true):
@@ -216,13 +263,21 @@ class ClusteringReport:
         }
 
 
+def check_protocol(repeats, restarts):
+    """Raise ValueError unless the protocol clusters at least once:
+    `repeats` and `restarts` must both be >= 1."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
                        restarts=10, seed=0):
     """Cluster an embedding `repeats` times with derived seeds and score
     each run; the best run (highest NMI, earliest on ties) supplies the
     reported assignment."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_protocol(repeats, restarts)
     z = np.asarray(z, dtype=float)
     true_labels = np.asarray(true_labels)
     if n_clusters is None:
@@ -300,8 +355,7 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
     point is chosen independently per metric by the highest mean,
     earliest index on ties.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_protocol(repeats, restarts)
     grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty")

@@ -264,3 +264,35 @@ def lloyd_oracle(points, centers, max_iter=300):
     labels = d2.argmin(axis=1)
     sse = float(d2[np.arange(n), labels].sum())
     return labels, sse
+
+
+def kmeanspp_oracle(points, k, rng):
+    """k-means++ seeding that updates the least squared distance after
+    every pick, the last one included (k distance passes); duplicate
+    points with no distance left fall back to the lowest unchosen
+    index."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = min(set(range(n)) - set(chosen))
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def kmeans_oracle(points, k, restarts, seed):
+    """Best of `restarts` sequential runs of `kmeanspp_oracle` then
+    `lloyd_oracle` on one generator: the lowest SSE wins, the earliest
+    run on ties."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_sse = None, math.inf
+    for _ in range(restarts):
+        labels, sse = lloyd_oracle(points, kmeanspp_oracle(points, k, rng))
+        if sse < best_sse:
+            best_labels, best_sse = labels, sse
+    return best_labels

@@ -199,6 +199,22 @@ class TestAblate:
         assert rc == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flag", [["--repeats", "0"],
+                                      ["--restarts", "0"]])
+    def test_protocol_checked_before_preparing(self, synth_dir, tmp_path,
+                                               monkeypatch, flag):
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("prepared before the protocol check")
+
+        monkeypatch.setattr(cli, "prepare_inputs", no_prepare)
+        out = tmp_path / "a"
+        rc = cli.main(["ablate", *data_args(synth_dir), "--out", str(out),
+                       *flag])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert flag[0][2:] in err["message"]
+
     def test_constant_view_is_config_error(self, synth_dir, tmp_path):
         rows = len((synth_dir / "view_1.csv").read_text().splitlines())
         constant = tmp_path / "constant.csv"
@@ -276,6 +292,28 @@ class TestErrorPaths:
                        str(tmp_path / "grid"), "--grid", "alpha",
                        "--repeats", repeats])
         assert rc == 2
+
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_restarts_below_one_is_config_error(self, synth_dir, tmp_path,
+                                                restarts):
+        run = tmp_path / "run"
+        assert cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+                         "--iters", "2"]) == 0
+        out = tmp_path / "eval"
+        rc = cli.main(["evaluate", "--model", str(run / "model.json"),
+                       *data_args(synth_dir), "--out", str(out),
+                       "--restarts", restarts])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert "restarts must be >= 1" in err["message"]
+        assert not (out / "run_manifest.json").exists()
+        for command, extra in (("grid", ["--grid", "alpha"]),
+                               ("ablate", [])):
+            rc = cli.main([command, *data_args(synth_dir), "--out",
+                           str(tmp_path / command), *extra,
+                           "--restarts", restarts])
+            assert rc == 2
 
     def test_bad_bandwidth_rejected(self, synth_dir, tmp_path):
         rc = cli.main(["fit", *data_args(synth_dir),

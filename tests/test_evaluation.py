@@ -45,6 +45,34 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 1)), 4)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts):
+        points = np.random.default_rng(16).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            kmeans(points, 2, restarts=restarts)
+
+    def test_lockstep_restarts_stop_at_different_steps(self):
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
+
+        points = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0],
+                           [7.0], [8.0], [20.0]])
+        centers = np.array([
+            [[0.5], [6.0], [20.0]],   # at its partition after one step
+            [[0.0], [0.5], [100.0]],  # center 2 empty: reseeded at once
+            [[0.0], [1.0], [2.0]],    # walks right for six steps
+        ])
+        refs = [lloyd_oracle(points, c.copy()) for c in centers]
+        cut = [lloyd_oracle(points, c.copy(), max_iter=2) for c in centers]
+        labels, sses = _lloyd(points, centers, *_lloyd_inputs(points))
+        for (ref_labels, ref_sse), restart_labels, sse in zip(refs, labels,
+                                                              sses):
+            np.testing.assert_array_equal(restart_labels, ref_labels)
+            assert sse == ref_sse
+        # All three end on one partition, but only the first has reached
+        # it by step 2.
+        np.testing.assert_array_equal(cut[0][0], refs[0][0])
+        assert cut[2][1] > refs[2][1]
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         points = rng.normal(size=(30, 3))
@@ -58,7 +86,8 @@ class TestKmeans:
         points = np.array([[0.0], [0.1], [10.0]])
         # Third center attracts nobody on the first assignment.
         centers = np.array([[0.0], [0.05], [100.0]])
-        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
+        (labels,), (sse,) = _lloyd(points, centers[None],
+                                   *_lloyd_inputs(points))
         assert len(np.unique(labels)) == 3
         assert sse == 0.0
 
@@ -71,7 +100,8 @@ class TestKmeans:
         # in the same pass, at 0.0.
         centers = np.array([[100.0], [8.0], [0.1]])
         ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
-        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
+        (labels,), (sse,) = _lloyd(points, centers[None],
+                                   *_lloyd_inputs(points))
         np.testing.assert_array_equal(labels, [1, 2, 2, 0])
         np.testing.assert_array_equal(labels, ref_labels)
         assert sse == ref_sse == pytest.approx(0.005)
@@ -85,7 +115,8 @@ class TestKmeans:
         # too, at 8.0: every center ends on its own point.
         centers = np.array([[-6.5], [4.5], [16.0]])
         ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
-        labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
+        (labels,), (sse,) = _lloyd(points, centers[None],
+                                   *_lloyd_inputs(points))
         np.testing.assert_array_equal(labels, [1, 2, 0])
         np.testing.assert_array_equal(labels, ref_labels)
         assert sse == ref_sse == 0.0
@@ -97,9 +128,10 @@ class TestKmeans:
         points = np.vstack([rng.normal(c, 0.4, size=(30, 2))
                             for c in ((0, 0), (3, 0), (0, 3))])
         centers = points[[0, 1, 2]]
-        labels, _ = _lloyd(points, centers.copy(), *_lloyd_inputs(points))
-        shifted, _ = _lloyd(points + 1e8, centers + 1e8,
-                            *_lloyd_inputs(points + 1e8))
+        (labels,), _ = _lloyd(points, centers.copy()[None],
+                              *_lloyd_inputs(points))
+        (shifted,), _ = _lloyd(points + 1e8, (centers + 1e8)[None],
+                               *_lloyd_inputs(points + 1e8))
         assert len(np.unique(labels)) == 3
         np.testing.assert_array_equal(shifted, labels)
 
@@ -236,6 +268,18 @@ class TestEvaluateEmbedding:
         with pytest.raises(ValueError, match="repeats"):
             evaluate_embedding(z, np.arange(12) % 2, repeats=repeats)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts, monkeypatch):
+        import mvfuzzy.evaluation as eval_mod
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("kmeans called")
+
+        monkeypatch.setattr(eval_mod, "kmeans", no_kmeans)
+        z = np.random.default_rng(15).normal(size=(12, 2))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            evaluate_embedding(z, np.arange(12) % 2, restarts=restarts)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_embedding_rejected(self, bad):
         z = np.random.default_rng(14).normal(size=(12, 2))
@@ -360,6 +404,20 @@ class TestGridSearch:
         monkeypatch.setattr(eval_mod, "fit", no_call)
         with pytest.raises(ValueError, match="repeats"):
             grid_search(blob_dataset, [Hyperparams(max_iter=2)], repeats=0,
+                        refit_per_repeat=refit)
+
+    @pytest.mark.parametrize("refit", [False, True])
+    def test_restarts_below_one_rejected(self, blob_dataset, refit,
+                                         monkeypatch):
+        import mvfuzzy.evaluation as eval_mod
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("prepared or fitted")
+
+        monkeypatch.setattr(eval_mod, "prepare_inputs", no_call)
+        monkeypatch.setattr(eval_mod, "fit", no_call)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            grid_search(blob_dataset, [Hyperparams(max_iter=2)], restarts=0,
                         refit_per_repeat=refit)
 
     def test_constant_view_fails_each_group_once(self, blob_dataset):

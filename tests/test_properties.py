@@ -3,15 +3,16 @@ random shapes and hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
-the Laplacian invariants. The k-means test checks the Lloyd loop against
-the direct-distance loop. The solver tests draw N, V, the per-view
-inputs, m, the rule count and the regularization weights, build a random
-instance over real fuzzy design matrices and kNN graphs, and check one
-invariant against a dense or finite-difference reference. The fuzzy
-mapping tests draw data shapes, scales and rule counts and check the
-normalizations; the rule-export test fits small random models and replays
-the exported rule bases against `embed`. The example sequence is
-derandomized, so every run checks the same cases.
+the Laplacian invariants. The k-means tests check each restart of the
+lockstep Lloyd loop against the direct-distance loop, and the k-means++
+init and `kmeans` against sequential oracles. The solver tests draw N,
+V, the per-view inputs, m, the rule count and the regularization
+weights, build a random instance over real fuzzy design matrices and kNN
+graphs, and check one invariant against a dense or finite-difference
+reference. The fuzzy mapping tests draw data shapes, scales and rule
+counts and check the normalizations; the rule-export test fits small
+random models and replays the exported rule bases against `embed`. The
+example sequence is derandomized, so every run checks the same cases.
 """
 
 from dataclasses import replace
@@ -27,14 +28,15 @@ from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
 from mvfuzzy.data import MultiViewDataset
-from mvfuzzy.evaluation import _kmeanspp_init, _lloyd, _lloyd_inputs
+from mvfuzzy.evaluation import _kmeanspp_init, _lloyd, _lloyd_inputs, kmeans
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
                             fit, graph_traces, irls_diag, objective,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
 from oracles import (dense_exact_consistency, dense_knn_similarity,
-                     fd_gradient, lloyd_oracle)
+                     fd_gradient, kmeans_oracle, kmeanspp_oracle,
+                     lloyd_oracle)
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
@@ -152,7 +154,7 @@ def test_lloyd_matches_direct_distance_oracle(n, m, k, seed, spread_init):
     else:
         centers = _kmeanspp_init(points, k, rng)
     ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
-    labels, sse = _lloyd(points, centers, *_lloyd_inputs(points))
+    (labels,), (sse,) = _lloyd(points, centers[None], *_lloyd_inputs(points))
     np.testing.assert_array_equal(labels, ref_labels)
     if m > 1:
         assert sse == ref_sse
@@ -160,6 +162,79 @@ def test_lloyd_matches_direct_distance_oracle(n, m, k, seed, spread_init):
         # On one column numpy's masked mean sums pairwise, not in index
         # order, so the centers and the SSE may differ in the last bits.
         assert abs(sse - ref_sse) <= 1e-12 * ref_sse
+
+
+@GRAPH_PROPS
+@given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
+       st.lists(st.booleans(), min_size=2, max_size=6),
+       st.one_of(st.integers(1, 6), st.just(300)),
+       st.integers(0, 2 ** 32 - 1))
+def test_lockstep_lloyd_matches_oracle_per_restart(n, m, k, spread_inits,
+                                                   max_iter, seed):
+    # Each restart of one lockstep call must end where it would alone:
+    # the batch mixes restarts that need reseeds (centers far outside the
+    # data) with k-means++ ones, the restarts stop at different steps,
+    # and a small max_iter cuts some of them off while others have
+    # stopped.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+    centers = np.stack([
+        rng.normal(size=(k, m)) * 3.0 * points.std() if spread
+        else _kmeanspp_init(points, k, rng) for spread in spread_inits])
+    refs = [lloyd_oracle(points, c.copy(), max_iter) for c in centers]
+    labels, sses = _lloyd(points, centers, *_lloyd_inputs(points),
+                          max_iter=max_iter)
+    for (ref_labels, ref_sse), restart_labels, sse in zip(refs, labels,
+                                                          sses):
+        np.testing.assert_array_equal(restart_labels, ref_labels)
+        if m > 1:
+            assert sse == ref_sse
+        else:
+            # As in test_lloyd_matches_direct_distance_oracle.
+            assert abs(sse - ref_sse) <= 1e-12 * ref_sse
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points and k, some sets with rows repeated (k may exceed the
+    distinct rows, so the init's fallback and the reseeds run).
+
+    Coordinates are Gaussian draws rounded to 20 fractional bits and
+    scaled by a power of two, so every sum of up to 40 of them is exact:
+    a center is the correctly rounded mean in any summation order, and a
+    cluster of copies has its center on the copies. The library assigns
+    points by a matrix product and the oracle by direct distances, so a
+    center one ulp off its copies could draw them either way.
+    """
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = np.round(rng.normal(size=(n, m)) * 2.0 ** 20) * 2.0 ** (
+        draw(st.integers(-30, 10)) - 20)
+    if draw(st.booleans()):
+        points = points[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    return points, draw(st.integers(1, min(n, 8)))
+
+
+@GRAPH_PROPS
+@given(kmeans_inputs(), st.integers(0, 2 ** 32 - 1))
+def test_kmeanspp_init_matches_oracle(inputs, seed):
+    points, k = inputs
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(_kmeanspp_init(points, k, rng),
+                                  kmeanspp_oracle(points, k, ref_rng))
+    # The skipped last distance pass draws nothing: the streams agree.
+    assert rng.random() == ref_rng.random()
+
+
+@GRAPH_PROPS
+@given(kmeans_inputs(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_kmeans_matches_sequential_oracle(inputs, restarts, seed):
+    points, k = inputs
+    np.testing.assert_array_equal(
+        kmeans(points, k, restarts=restarts, seed=seed),
+        kmeans_oracle(points, k, restarts, seed))
 
 
 @st.composite
