@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,48 +68,68 @@ class MultiViewDataset:
 def _read_numeric_csv(path, header=False):
     """Parse a numeric CSV into a 2-D float array.
 
-    Reports row/column (1-based, after any skipped header) on the first
-    non-numeric cell instead of failing with a bare float() error.
+    Blank lines are skipped, and a byte-order mark at the start of the
+    file is dropped. Every cell is converted by `float()` in one
+    `np.fromiter` pass over the rows, split one row at a time. Only when
+    a cell fails are the rows scanned again, to report the row and column
+    (1-based, after any skipped header) of the first non-numeric cell
+    instead of a bare float() error. Errors come in file order: a row of
+    the wrong width is reported only if no cell before it is non-numeric.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if header:
         lines = lines[1:]
+    numbered = []
+    width = short = None
     for r, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cells = line.split(",")
+        n_cells = line.count(",") + 1
         if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(
-                f"{path}: row {r} has {len(cells)} columns, expected {width}"
+            width = n_cells
+        elif n_cells != width:
+            short = DataError(
+                f"{path}: row {r} has {n_cells} columns, expected {width}"
             )
-        parsed = []
-        for c, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}"
-                ) from None
-        rows.append(parsed)
-    if not rows:
+            break
+        numbered.append((r, line))
+    if not numbered:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    cells = chain.from_iterable(line.split(",") for _, line in numbered)
+    try:
+        values = np.fromiter(map(float, cells), dtype=float,
+                             count=len(numbered) * width)
+    except ValueError:
+        raise _first_bad_cell(path, numbered) from None
+    if short is not None:
+        raise short
+    return values.reshape(len(numbered), width)
+
+
+def _first_bad_cell(path, numbered):
+    """The DataError naming the first cell of the (row number, line)
+    pairs that `float()` rejects."""
+    for r, line in numbered:
+        for c, cell in enumerate(line.split(","), start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return DataError(
+                    f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}"
+                )
 
 
 def load_labels(path, header=False):
-    """Read a single-column CSV of class identifiers (numeric or strings)."""
+    """Read a single-column CSV of class identifiers (numeric or strings);
+    a byte-order mark before the first label is dropped."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh.read().splitlines()]
     if header:
         lines = lines[1:]
@@ -176,17 +197,14 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
     return MultiViewDataset(views=views, labels=labels)
 
 
-def _format_float(x):
-    return repr(float(x))
-
-
 def write_matrix_csv(matrix, path):
-    """Write a 2-D array as a headerless CSV at full round-trip precision."""
-    matrix = np.asarray(matrix)
+    """Write a 2-D array as a headerless CSV at full round-trip precision:
+    each cell is `repr(float(x))`, and the rows go to one `writelines`
+    call, converted to Python floats one row at a time."""
+    matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(_format_float(x) for x in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n"
+                      for row in matrix)
 
 
 def save_dataset(dataset, out_dir, seed=None):

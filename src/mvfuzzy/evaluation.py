@@ -9,27 +9,32 @@ from .representation import embed
 from .solver import NumericFailure, fit, prep_key, prepare_inputs
 
 
-def _kmeanspp_init(points, k, rng):
-    """Seed k centers by squared-distance-proportional sampling; if every
+def _kmeanspp_init(columns, k, rng):
+    """Seed k centers, as a (k, m) array, from the C-ordered (m, N)
+    `columns` by squared-distance-proportional sampling; if every
     remaining distance is zero (duplicate points) fall back to the lowest
     unchosen index. Each pick but the first reads the least squared
     distance to the centers chosen so far, so the init makes k - 1
-    distance passes."""
-    n = points.shape[0]
+    distance passes. Each pass subtracts a center's column into one
+    reused (m, N) buffer and sums the squares over the columns, in column
+    order; `rng.choice` draws each pick from the normalized distances."""
+    n = columns.shape[1]
     chosen = [int(rng.integers(n))]
+    diff = np.empty_like(columns)
     d2 = None
     for _ in range(1, k):
-        last = ((points - points[chosen[-1]]) ** 2).sum(axis=1)
-        d2 = last if d2 is None else np.minimum(d2, last)
+        np.subtract(columns, columns[:, chosen[-1], None], out=diff)
+        diff *= diff
+        last = diff.sum(axis=0)
+        d2 = last if d2 is None else np.minimum(d2, last, out=d2)
         total = d2.sum()
         if total > 0:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
+            idx = int(rng.choice(n, p=d2 / total))
         else:
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-    return points[chosen].copy()
+    return columns[:, chosen].T.copy()
 
 
 def _lloyd_inputs(points):
@@ -67,18 +72,24 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
     coordinates so that a large common offset does not cancel, as one
     (k, m) x (m, N) product per restart: one stacked product over all
     restarts is large enough to start a second, spinning BLAS thread.
-    Centers are per-column `bincount` sums over the counts. They add each
-    cluster's rows in index order, as a masked `.mean(axis=0)` over two
-    or more columns does, so those centers are bit-identical to it; on
-    one column numpy's mean sums pairwise and may differ in the last
-    bit. The final labels and SSE use direct squared distances, formed
-    once per distinct center vector among the R restarts (restarts often
-    end on the same partition, whose centers are then equal bit for bit).
+    The centers of a step are one (k, N) x (N, m) product of the 0/1
+    assignment and the points over the counts; they only steer the next
+    assignment. After the last step each restart's centers are formed
+    once more from its final labels, as per-column `bincount` sums over
+    the counts. Those add each cluster's rows in index order, as a masked
+    `.mean(axis=0)` over two or more columns does, so the final centers
+    are bit-identical to it; on one column numpy's mean sums pairwise
+    and may differ in the last bit. The final labels and SSE use direct
+    squared distances, formed once per distinct center vector among the
+    R restarts (restarts often end on the same partition, whose centers
+    are then equal bit for bit).
     """
     r, k, _ = centers.shape
     n = points.shape[0]
     labels = np.full((r, n), -1)
     scores = np.empty((r, k, n))
+    ks = np.arange(k)[:, None]
+    onehot = np.empty((k, n))
     active = list(range(r))
     for _ in range(max_iter):
         if not active:
@@ -107,22 +118,28 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
             if np.array_equal(new_labels, labels[i]):
                 continue
             labels[i] = new_labels
-            for j, column in enumerate(columns):
-                centers_i[:, j] = np.bincount(new_labels, weights=column,
-                                              minlength=k) / counts
+            np.equal(ks, new_labels, out=onehot)
+            np.divide(onehot @ points, counts[:, None], out=centers_i)
             moving.append(i)
         active = moving
+    for centers_i, labels_i in zip(centers, labels):
+        if labels_i[0] < 0:
+            continue  # never assigned (max_iter=0): the init stands
+        counts = np.bincount(labels_i, minlength=k)
+        for j, column in enumerate(columns):
+            centers_i[:, j] = np.bincount(labels_i, weights=column,
+                                          minlength=k) / counts
     distances = {}
+    d2 = np.empty((1, k, n))
     sses = []
     for i, centers_i in enumerate(centers):
-        d2 = np.empty((n, k))
         for c, center in enumerate(centers_i):
             key = center.tobytes()
             if key not in distances:
                 distances[key] = ((points - center) ** 2).sum(axis=1)
-            d2[:, c] = distances[key]
-        labels[i] = d2.argmin(axis=1)
-        sses.append(float(d2[np.arange(n), labels[i]].sum()))
+            d2[0, c] = distances[key]
+        labels[i] = _first_argmin(d2)[0]
+        sses.append(float(d2[0, labels[i], np.arange(n)].sum()))
     return labels, sses
 
 
@@ -131,10 +148,13 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
 
     The call draws every restart's k-means++ init first, in order (Lloyd
     draws nothing, so the generator's stream is that of restarts run one
-    after another), then runs all restarts' Lloyd steps in lockstep (see
-    `_lloyd`): per step, one (k, d) x (d, N) product per restart still
-    moving and one `bincount` per column for its centers. Each restart's
-    labels and SSE equal those of the restart run alone.
+    after another); the init's distances sum over the columns of the
+    (d, N) layout. It then runs all restarts' Lloyd steps in lockstep
+    (see `_lloyd`): per step, one (k, d) x (d, N) score product and one
+    (k, N) x (N, d) center product per restart still moving. Only each
+    restart's final centers are per-column `bincount` means, formed once
+    after the last step. Each restart's labels and SSE equal those of the
+    restart run alone.
 
     Parameters
     ----------
@@ -162,7 +182,7 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     if not np.isfinite(bound):
         raise ValueError("points are too large: squared distances overflow")
     rng = np.random.default_rng(seed)
-    centers = np.stack([_kmeanspp_init(points, n_clusters, rng)
+    centers = np.stack([_kmeanspp_init(columns, n_clusters, rng)
                         for _ in range(restarts)])
     labels, sses = _lloyd(points, centers, mean, centred_t, columns)
     return labels[int(np.argmin(sses))].copy()

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from mvfuzzy.data import (DataError, MultiViewDataset, load_dataset,
-                          make_synthetic, save_dataset, write_matrix_csv)
+                          load_labels, make_synthetic, save_dataset,
+                          write_matrix_csv)
+
+BOM = "\ufeff"
 
 
 def write_csv(path, rows):
@@ -53,6 +56,57 @@ class TestLoadDataset:
             fh.write("f1,f2\n1.0,2.0\n3.0,4.0\n")
         ds = load_dataset([tmp_path / "a.csv"], header=True)
         assert ds.n_instances == 2
+
+    def test_first_error_in_file_order(self, tmp_path):
+        # A non-numeric cell on row 2 comes before a short row 5.
+        with open(tmp_path / "a.csv", "w", encoding="utf-8") as fh:
+            fh.write("1,2\n3,x\n5,6\n7,8\n9\n")
+        with pytest.raises(DataError,
+                           match="row 2, column 2: 'x'"):
+            load_dataset([tmp_path / "a.csv"])
+        with open(tmp_path / "b.csv", "w", encoding="utf-8") as fh:
+            fh.write("1,2\n3,4\n5,6\n7,8\n9\n10,y\n")
+        with pytest.raises(DataError, match="row 5 has 1 columns, expected 2"):
+            load_dataset([tmp_path / "b.csv"])
+
+    def test_row_numbers_count_blank_lines_after_header(self, tmp_path):
+        with open(tmp_path / "a.csv", "w", encoding="utf-8") as fh:
+            fh.write("f1,f2\n1,2\n\n   \n3,4\n\n5,bad\n")
+        with pytest.raises(DataError, match="row 6, column 2: 'bad'"):
+            load_dataset([tmp_path / "a.csv"], header=True)
+        with open(tmp_path / "b.csv", "w", encoding="utf-8") as fh:
+            fh.write("f1,f2\n1,2\n\n3,4,5\n")
+        with pytest.raises(DataError, match="row 3 has 3 columns"):
+            load_dataset([tmp_path / "b.csv"], header=True)
+        with open(tmp_path / "c.csv", "w", encoding="utf-8") as fh:
+            fh.write("f1,f2\n\n1,2\n\n3,4\n")
+        np.testing.assert_array_equal(
+            load_dataset([tmp_path / "c.csv"], header=True).views[0],
+            [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "1.5,2\n3,4.25\n"
+        for name, prefix in (("plain", ""), ("bom", BOM)):
+            with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write(prefix + text)
+            with open(tmp_path / f"{name}_y.csv", "w",
+                      encoding="utf-8") as fh:
+                fh.write(prefix + "0\n1\n")
+        plain = load_dataset([tmp_path / "plain.csv"],
+                             tmp_path / "plain_y.csv")
+        bom = load_dataset([tmp_path / "bom.csv"], tmp_path / "bom_y.csv")
+        np.testing.assert_array_equal(bom.views[0], plain.views[0])
+        np.testing.assert_array_equal(bom.labels, plain.labels)
+        assert bom.n_classes == plain.n_classes == 2
+
+    def test_byte_order_mark_labels_keep_their_classes(self, tmp_path):
+        for name, prefix in (("plain", ""), ("bom", BOM)):
+            with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write(prefix + "0\n1\n0\n1\n")
+        plain = load_labels(tmp_path / "plain.csv")
+        bom = load_labels(tmp_path / "bom.csv")
+        np.testing.assert_array_equal(bom, plain)
+        np.testing.assert_array_equal(bom, [0, 1, 0, 1])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -108,6 +162,18 @@ class TestMakeSynthetic:
         ds = make_synthetic(n_instances=20, n_views=3, dims=[2, 3, 4],
                             seed=0)
         assert ds.view_dims == [2, 3, 4]
+
+    @pytest.mark.parametrize("matrix", [
+        np.random.default_rng(5).normal(size=(7, 4))
+        * 10.0 ** np.random.default_rng(6).uniform(-300, 300, size=(7, 4)),
+        np.array([[-0.0, 1e16, 5e-324], [0.1, 1 / 3, -2.5e-310]]),
+        np.arange(-6, 6).reshape(3, 4) * 10 ** 15,
+    ], ids=["random", "edge", "integer"])
+    def test_writer_bytes_are_repr_of_each_float(self, tmp_path, matrix):
+        write_matrix_csv(matrix, tmp_path / "m.csv")
+        expected = "".join(",".join(repr(float(x)) for x in row) + "\n"
+                           for row in matrix)
+        assert (tmp_path / "m.csv").read_bytes() == expected.encode()
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         ds = make_synthetic(n_instances=20, n_views=2, seed=9)

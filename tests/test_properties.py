@@ -4,8 +4,9 @@ random shapes and hyperparameters.
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
 the Laplacian invariants. The k-means tests check each restart of the
-lockstep Lloyd loop against the direct-distance loop, and the k-means++
-init and `kmeans` against sequential oracles. The solver tests draw N,
+lockstep Lloyd loop against the direct-distance loop, its final centers
+against masked means, and the k-means++ init (on rounded and unrounded
+points) and `kmeans` against sequential oracles. The solver tests draw N,
 V, the per-view inputs, m, the rule count and the regularization
 weights, build a random instance over real fuzzy design matrices and kNN
 graphs, and check one invariant against a dense or finite-difference
@@ -138,6 +139,11 @@ def test_laplacian_symmetric_zero_row_sums_psd(points):
     assert np.linalg.eigvalsh(lap).min() >= -1e-8
 
 
+def kmeanspp_init(points, k, rng):
+    """`_kmeanspp_init` on the (m, N) columns that `kmeans` passes it."""
+    return _kmeanspp_init(np.ascontiguousarray(points.T), k, rng)
+
+
 @GRAPH_PROPS
 @given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
        st.integers(0, 2 ** 32 - 1), st.booleans())
@@ -152,7 +158,7 @@ def test_lloyd_matches_direct_distance_oracle(n, m, k, seed, spread_init):
         # reseed path runs.
         centers = rng.normal(size=(k, m)) * 3.0 * points.std()
     else:
-        centers = _kmeanspp_init(points, k, rng)
+        centers = kmeanspp_init(points, k, rng)
     ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
     (labels,), (sse,) = _lloyd(points, centers[None], *_lloyd_inputs(points))
     np.testing.assert_array_equal(labels, ref_labels)
@@ -181,7 +187,7 @@ def test_lockstep_lloyd_matches_oracle_per_restart(n, m, k, spread_inits,
     points = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
     centers = np.stack([
         rng.normal(size=(k, m)) * 3.0 * points.std() if spread
-        else _kmeanspp_init(points, k, rng) for spread in spread_inits])
+        else kmeanspp_init(points, k, rng) for spread in spread_inits])
     refs = [lloyd_oracle(points, c.copy(), max_iter) for c in centers]
     labels, sses = _lloyd(points, centers, *_lloyd_inputs(points),
                           max_iter=max_iter)
@@ -193,6 +199,44 @@ def test_lockstep_lloyd_matches_oracle_per_restart(n, m, k, spread_inits,
         else:
             # As in test_lloyd_matches_direct_distance_oracle.
             assert abs(sse - ref_sse) <= 1e-12 * ref_sse
+
+
+@GRAPH_PROPS
+@given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
+       st.lists(st.booleans(), min_size=1, max_size=6),
+       st.one_of(st.integers(0, 6), st.just(300)),
+       st.integers(0, 2 ** 32 - 1))
+def test_lloyd_final_centers_are_masked_means(n, m, k, spread_inits,
+                                              max_iter, seed):
+    # Only the final centers must be exact: each restart's centers are the
+    # masked means of the labels it last assigned, which the oracle leaves
+    # in its own centers. A restart that converged (max_iter = 300 always
+    # suffices here) returns those labels; one cut off by max_iter returns
+    # the next assignment, and max_iter = 0 leaves the init.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+    centers = np.stack([
+        rng.normal(size=(k, m)) * 3.0 * points.std() if spread
+        else kmeanspp_init(points, k, rng) for spread in spread_inits])
+    refs = centers.copy()
+    for ref in refs:
+        lloyd_oracle(points, ref, max_iter)
+    labels, _ = _lloyd(points, centers, *_lloyd_inputs(points),
+                       max_iter=max_iter)
+    for centers_i, ref, labels_i in zip(centers, refs, labels):
+        expected = [ref]
+        if max_iter == 300:
+            expected.append([points[labels_i == c].mean(axis=0)
+                             for c in range(k)])
+        for want in expected:
+            if m > 1:
+                np.testing.assert_array_equal(centers_i, want)
+            else:
+                # As in test_lloyd_matches_direct_distance_oracle.
+                np.testing.assert_allclose(
+                    centers_i, want, rtol=0,
+                    atol=1e-12 * np.abs(points).max())
 
 
 @st.composite
@@ -222,9 +266,28 @@ def kmeans_inputs(draw):
 def test_kmeanspp_init_matches_oracle(inputs, seed):
     points, k = inputs
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    np.testing.assert_array_equal(_kmeanspp_init(points, k, rng),
+    np.testing.assert_array_equal(kmeanspp_init(points, k, rng),
                                   kmeanspp_oracle(points, k, ref_rng))
     # The skipped last distance pass draws nothing: the streams agree.
+    assert rng.random() == ref_rng.random()
+
+
+@GRAPH_PROPS
+@given(st.integers(1, 60), st.integers(1, 16), st.integers(1, 8),
+       st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_kmeanspp_init_matches_oracle_on_unrounded_points(n, m, k, scale,
+                                                          offset, seed):
+    # Unrounded Gaussian coordinates: from m = 8 on, the init's column-order
+    # distance sums and the oracle's pairwise row sums may differ in the
+    # last bits, which must not move a pick or the generator's stream.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) * 10.0 ** scale
+    if offset:
+        points += 1e3 * points.std() * rng.normal(size=m)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(kmeanspp_init(points, k, rng),
+                                  kmeanspp_oracle(points, k, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
