@@ -2,7 +2,10 @@
 
 State per view: a common consequent matrix and a specific consequent
 matrix acting on the fuzzy design matrix, plus a softmax-weighted view
-importance vector. The consistency map B (m, N) exists only inside `fit`.
+importance vector. The consistency map B (m, N) exists only inside `fit`,
+which carries it as coordinates E = B Q (m, sum_v D_v) in the basis Q of one
+thin QR of the stacked designs whenever 2 sum_v D_v <= N (see `Problem`),
+so that no iteration touches N; otherwise it carries B itself.
 Row-sparsity terms are handled by iteratively reweighted least squares:
 each update freezes the diagonal reweighting, solves a linear system, and
 moves on.
@@ -13,6 +16,7 @@ scipy solve between numpy products makes the two pools contend for the
 same cores and can double the fit's CPU time.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,7 +48,11 @@ class Hyperparams:
     embed_dim=None defers to the number of label classes at fit time.
     b_update "paper" uses the one-shot diagonal closed form for the
     consistency map; "exact" solves its stationarity system outright
-    through one thin SVD, at O(N (mV)^2) per iteration.
+    through one thin SVD, at O(K (mV)^2) per iteration, where K is the
+    width of the map's coordinates (see `Problem`).
+
+    n_rules, embed_dim, max_iter, n_neighbors and seed must be integers;
+    eps_irls must be finite and positive, tol_stop finite.
     """
 
     alpha: float = 1.0
@@ -70,6 +78,17 @@ class Hyperparams:
             raise ValueError("alpha, beta, gamma must be non-negative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        for name in ("n_rules", "embed_dim", "max_iter", "n_neighbors",
+                     "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) or name == "embed_dim" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (_is_real(self.eps_irls) and np.isfinite(self.eps_irls)
+                and self.eps_irls > 0):
+            raise ValueError(
+                f"eps_irls must be finite and positive, got {self.eps_irls!r}")
+        if not (_is_real(self.tol_stop) and np.isfinite(self.tol_stop)):
+            raise ValueError(f"tol_stop must be finite, got {self.tol_stop!r}")
         if self.n_rules < 1:
             raise ValueError("n_rules must be >= 1")
         if self.embed_dim is not None and self.embed_dim < 1:
@@ -80,6 +99,14 @@ class Hyperparams:
             raise ValueError(f"b_update must be one of {B_UPDATE_MODES}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -220,11 +247,34 @@ class Problem:
     the view's kNN graph Laplacian L and gram[v] is X^T X, both (D_v, D_v).
     The graphs themselves are not kept: every graph-dependent term of the
     objective is a quadratic form in X^T L X.
+
+    coords[v] (K, D_v) is the view's design in the coordinates that `fit`
+    carries the consistency map in, and n_instances is N. When
+    2 sum_v D_v <= N they are the column blocks R_v of the R factor of one
+    thin QR [X_1 ... X_V] = Q R, with K = sum_v D_v; Q is never formed.
+    The map is then held as E = B Q (m, K): B X_v = E R_v, and the rows
+    of E have the norms of B's, since every map the fit forms has its rows
+    in the span of Q. QR, not a Cholesky factor of the stacked Gram
+    matrix, because the stacked designs are rank-deficient (the firing
+    levels of every view sum to one). Otherwise coords[v] is X_v itself,
+    K = N and the map is B, which is cheaper when the designs are wide.
     """
 
     design: list
     xlx: list
     gram: list
+    coords: list = field(init=False)
+    n_instances: int = field(init=False)
+
+    def __post_init__(self):
+        self.n_instances = self.design[0].shape[0]
+        widths = np.cumsum([0] + [x.shape[1] for x in self.design])
+        if 2 * widths[-1] > self.n_instances:
+            self.coords = list(self.design)
+            return
+        r = np.linalg.qr(np.hstack(self.design), mode="r")
+        self.coords = [np.ascontiguousarray(r[:, a:b])
+                       for a, b in zip(widths[:-1], widths[1:])]
 
     @classmethod
     def from_graphs(cls, design, graphs):
@@ -246,7 +296,7 @@ def _cross(gram, pc, ps):
 
 
 def _map_residual(bx, pc):
-    """||B Zc - I||_F^2 for Zc = X Pc, given B X."""
+    """||B Zc - I||_F^2 for Zc = X Pc, given B X (= E R in coordinates)."""
     return float(((bx @ pc - np.eye(pc.shape[1])) ** 2).sum())
 
 
@@ -257,23 +307,29 @@ def graph_traces(state, problem):
         in zip(problem.xlx, state.p_common, state.p_specific)])
 
 
-def objective(state, problem, b):
+def objective(state, problem, b, *, _traces=None):
     """Evaluate the joint objective term by term at consistency map b.
 
+    b is held in problem.coords: it is E = B Q (m, K) when those are the
+    R blocks of the stacked designs' QR and B (m, N) itself otherwise; B
+    X_v = b R_v and the L2,1 norm of b is that of B either way.
     Frobenius terms are squared; the row-sparsity terms are plain L2,1
     norms; 0*ln(0) counts as 0. b=None means there is no map (fit passes
     it under the no_consistency variant): the map residual and its
-    sparsity term are then absent and reported as exact zeros.
+    sparsity term are then absent and reported as exact zeros. fit passes
+    the iteration's graph_traces as _traces, so they are evaluated once.
     """
     hp = state.hp
-    if len(problem.design) != state.n_views:
+    if len(problem.coords) != state.n_views:
         raise ValueError("problem view count does not match the state")
     for v in range(state.n_views):
-        if problem.design[v].shape[1] != state.p_common[v].shape[0]:
+        if problem.coords[v].shape[1] != state.p_common[v].shape[0]:
             raise ValueError(f"view {v}: design width mismatch")
 
     w = state.view_weights
-    graph_term = float(w @ graph_traces(state, problem))
+    if _traces is None:
+        _traces = graph_traces(state, problem)
+    graph_term = float(w @ _traces)
     orth = hp.alpha * sum(
         _cross(g, pc, ps) for g, pc, ps
         in zip(problem.gram, state.p_common, state.p_specific))
@@ -283,8 +339,8 @@ def objective(state, problem, b):
         b_sparse = 0.0
     else:
         consist = hp.beta * sum(
-            _map_residual(b @ x, pc)
-            for x, pc in zip(problem.design, state.p_common))
+            _map_residual(b @ r, pc)
+            for r, pc in zip(problem.coords, state.p_common))
         b_sparse = hp.gamma * l21_norm(b)
 
     pc_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_common)
@@ -301,8 +357,9 @@ def objective(state, problem, b):
 
 def update_common(state, view, problem, b, f_diag):
     """Closed-form update of one view's common consequent matrix, with the
-    row reweighting f_diag and the consistency map b frozen; b=None means
-    there is no map, so no map residual enters the system."""
+    row reweighting f_diag and the consistency map b (held in
+    problem.coords) frozen; b=None means there is no map, so no map
+    residual enters the system."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
@@ -312,7 +369,7 @@ def update_common(state, view, problem, b, f_diag):
     a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
     if b is not None:
-        bx = b @ problem.design[view]
+        bx = b @ problem.coords[view]
         a = a + hp.beta * (bx.T @ bx)
         rhs = rhs + hp.beta * bx.T
     return solve_reg(a, rhs, view=view)
@@ -334,7 +391,10 @@ def update_specific(state, view, problem, f_diag):
 
 def update_consistency(state, problem, f_diag):
     """New consistency map from the current common consequents, with the
-    row reweighting f_diag (m,) of the map frozen.
+    row reweighting f_diag (m,) of the map frozen. The map is returned in
+    problem.coords: as E = B Q (m, K) when those are R blocks, as B
+    (m, N) otherwise; below, Zc_v = X_v Pc_v may be read as R_v Pc_v and
+    N as K, with the same result in those coordinates.
 
     "paper" mode keeps the paper's cheap diagonal closed form, which is
     the true minimizer of the surrogate only at beta = 1 and when the
@@ -344,14 +404,14 @@ def update_consistency(state, problem, f_diag):
     row i solves b_i (U U^T + (gamma / beta) f_i I) = s_i with
     U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i lies
     in the span of U, one thin SVD U = Q S W^T gives every row as
-    b_i = s_i Q diag(1 / (S^2 + (gamma / beta) f_i)) Q^T, at O(N (mV)^2)
-    per iteration. Singular values below the usual rank tolerance are
-    dropped, so gamma = 0 yields the pseudo-inverse solution; beta = 0
-    yields B = 0.
+    b_i = s_i Q diag(1 / (S^2 + (gamma / beta) f_i)) Q^T, at O(K (mV)^2)
+    per iteration. Singular values below the usual rank tolerance for an
+    (N, mV) matrix are dropped, so gamma = 0 yields the pseudo-inverse
+    solution; beta = 0 yields B = 0.
     """
     hp = state.hp
-    zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
-    stacked = sum(z.T for z in zcs)  # (m, N)
+    zcs = [r @ pc for r, pc in zip(problem.coords, state.p_common)]
+    stacked = sum(z.T for z in zcs)  # (m, K)
 
     if hp.b_update == "paper":
         return stacked / (1.0 + hp.gamma * f_diag)[:, None]
@@ -367,17 +427,20 @@ def update_consistency(state, problem, f_diag):
         q, sigma, _ = np.linalg.svd(u, full_matrices=False)
     except np.linalg.LinAlgError:
         raise NumericFailure("consistency SVD did not converge") from None
-    keep = sigma > max(u.shape) * np.finfo(float).eps * sigma[0]
+    rank_tol = max(problem.n_instances, u.shape[1]) * np.finfo(float).eps
+    keep = sigma > rank_tol * sigma[0]
     q, sigma = q[:, keep], sigma[keep]
     coef = (stacked @ q) / (sigma ** 2 + hp.gamma / hp.beta * f_diag[:, None])
     return coef @ q.T
 
 
-def update_view_weights(state, problem):
+def update_view_weights(state, problem, *, _traces=None):
     """Entropy-regularized softmax over the per-view smoothness traces,
-    computed with max subtraction so huge traces cannot overflow."""
-    traces = graph_traces(state, problem)
-    logits = -traces / state.hp.delta
+    computed with max subtraction so huge traces cannot overflow. fit
+    passes the iteration's graph_traces as _traces."""
+    if _traces is None:
+        _traces = graph_traces(state, problem)
+    logits = -_traces / state.hp.delta
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
@@ -390,20 +453,21 @@ def surrogate(block, x, state, problem, b, f_diag):
     objective's graph, orthogonality and map-residual terms that involve
     the block, with the block set to x, plus gamma * sum_i f_i ||x_i||^2.
     b is the frozen map the common block is fitted against (None: there is
-    no map); the consistency block reads x in its place.
+    no map); the consistency block reads x in its place. Maps are held in
+    problem.coords, as in `objective`.
     """
     hp = state.hp
     kind, v = block
     if kind == "consistency":
-        value = hp.beta * sum(_map_residual(x @ xv, pc) for xv, pc
-                              in zip(problem.design, state.p_common))
+        value = hp.beta * sum(_map_residual(x @ r, pc) for r, pc
+                              in zip(problem.coords, state.p_common))
     else:
         pc, ps = ((x, state.p_specific[v]) if kind == "common"
                   else (state.p_common[v], x))
         value = state.view_weights[v] * _smoothness(problem.xlx[v], pc + ps)
         value += hp.alpha * _cross(problem.gram[v], pc, ps)
         if kind == "common" and b is not None:
-            value += hp.beta * _map_residual(b @ problem.design[v], x)
+            value += hp.beta * _map_residual(b @ problem.coords[v], x)
     value += hp.gamma * float((f_diag[:, None] * x * x).sum())
     return value
 
@@ -524,11 +588,10 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
 
     p_common = []
     p_specific = []
-    for xg in problem.design:
-        dg = xg.shape[1]
+    widths = [r.shape[1] for r in problem.coords]
+    for dg in widths:
         p_common.append(rng.normal(size=(dg, m)) / np.sqrt(dg))
-    for xg in problem.design:
-        dg = xg.shape[1]
+    for dg in widths:
         if hp.variant == "common_only":
             p_specific.append(np.zeros((dg, m)))
         else:
@@ -578,14 +641,18 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
                     state.p_specific[v] = step(
                         ("specific", v), state.p_specific[v],
                         update_specific, state, v, problem)
-            state.view_weights = update_view_weights(state, problem)
+            # The weights do not change the traces: one evaluation
+            # serves the weight update and the objective.
+            traces = graph_traces(state, problem)
+            state.view_weights = update_view_weights(state, problem,
+                                                     _traces=traces)
         except NumericFailure as err:
             err.iteration = t
             raise
 
         trace.entries.append(TraceEntry(
             iteration=t,
-            terms=objective(state, problem, b),
+            terms=objective(state, problem, b, _traces=traces),
             weights=state.view_weights.copy(),
             elapsed=time.perf_counter() - start,
         ))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mvfuzzy import Hyperparams, fit, make_synthetic
@@ -20,7 +21,9 @@ def fitted_blob(blob_dataset):
 def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
                     **hp_kwargs):
     """A random solver state and consistency map over real fuzzy design
-    matrices and graphs, with the Problem built from them."""
+    matrices and graphs, with the Problem built from them. The map is
+    held in the Problem's coordinates, as fit holds it: a random B
+    (m, n), mapped to E = B Q when the Problem has R coordinates."""
     from mvfuzzy.antecedent import fit_antecedents, fuzzy_map
     from mvfuzzy.graph import build_graph
 
@@ -46,4 +49,27 @@ def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
         view_weights=weights,
     )
     b = rng.normal(size=(m, n))
-    return state, b, Problem.from_graphs(design, graphs), graphs
+    problem = Problem.from_graphs(design, graphs)
+    return state, to_coords(problem, b), problem, graphs
+
+
+def coordinate_basis(problem):
+    """The Q of the thin QR [X_1 ... X_V] = Q [R_1 ... R_V] when
+    problem.coords are its R blocks, or None when they are the designs
+    themselves. A map B (m, N) with rows in the span of Q is held as
+    E = B Q, and B = E Q^T."""
+    if all(r is x for r, x in zip(problem.coords, problem.design)):
+        return None
+    return np.linalg.qr(np.hstack(problem.design))[0]
+
+
+def to_coords(problem, b):
+    """A map B (m, N) in problem's coordinates."""
+    q = coordinate_basis(problem)
+    return b if q is None else b @ q
+
+
+def from_coords(problem, e):
+    """A map held in problem's coordinates, as B (m, N)."""
+    q = coordinate_basis(problem)
+    return e if q is None else e @ q.T

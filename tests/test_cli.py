@@ -320,3 +320,25 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "o"), "--iters", "2",
                        "--bandwidth", "wide"])
         assert rc == 2
+
+    # Written as raw JSON text: Python's json reads NaN as a float NaN and
+    # 1e400 as inf. At eps_irls = inf every IRLS weight is 0, at 0 the
+    # weights divide by zero, and a NaN tol_stop silently turns early
+    # stopping off.
+    @pytest.mark.parametrize("config", [
+        '{"max_iter": 2.5}', '{"n_rules": 2.5}', '{"embed_dim": 2.0}',
+        '{"n_neighbors": 2.5}', '{"eps_irls": "nan"}', '{"eps_irls": NaN}',
+        '{"eps_irls": 1e400}', '{"eps_irls": 0}', '{"tol_stop": NaN}',
+        '{"seed": 2.5}'])
+    def test_malformed_run_control_is_config_error(self, synth_dir,
+                                                   tmp_path, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        rc = cli.main(["fit", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert json.loads(config).popitem()[0] in err["message"]
+        assert not (out / "trace.csv").exists()

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import from_coords, random_instance
 from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
@@ -302,14 +302,22 @@ def test_kmeans_matches_sequential_oracle(inputs, restarts, seed):
 
 @st.composite
 def instances(draw, gamma=POSITIVE_GAMMA, **hp_kwargs):
+    """Half the draws have N >= 2 sum_v D_v, so the Problem holds the map
+    in R coordinates; the other half have N <= 24 and mostly hold it as
+    B (m, N)."""
     n_views = draw(st.integers(1, 3))
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n_views,
                                max_size=n_views)))
+    n_rules = draw(st.integers(1, 3))
+    width = n_rules * sum(d + 1 for d in dims)
+    if draw(st.booleans()):
+        n = draw(st.integers(2 * width, 2 * width + 16))
+    else:
+        n = draw(st.integers(4, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return random_instance(
-        rng, n=draw(st.integers(4, 24)), n_views=n_views,
-        m=draw(st.integers(1, 4)), n_rules=draw(st.integers(1, 3)),
-        dims=dims, alpha=draw(st.floats(0.0, 4.0)),
+        rng, n=n, n_views=n_views, m=draw(st.integers(1, 4)),
+        n_rules=n_rules, dims=dims, alpha=draw(st.floats(0.0, 4.0)),
         beta=draw(st.floats(0.1, 4.0)), gamma=draw(gamma),
         delta=draw(st.floats(0.05, 20.0)), **hp_kwargs)
 
@@ -358,7 +366,7 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
         state.p_common[-1] = state.p_common[-1].copy()
         state.p_common[-1][:, 0] = 0.0
     f_b = irls_diag(b, state.hp.eps_irls)
-    new = update_consistency(state, problem, f_diag=f_b)
+    new = from_coords(problem, update_consistency(state, problem, f_diag=f_b))
     zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
     # The exact update minimizes the beta-weighted map residual, so the
     # oracle's shift is gamma / beta.

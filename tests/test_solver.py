@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_instance
+from conftest import coordinate_basis, from_coords, random_instance
 from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
@@ -71,6 +71,24 @@ class TestObjective:
                  + terms.b_sparsity + terms.pc_sparsity
                  + terms.ps_sparsity + terms.entropy)
         assert terms.total == pytest.approx(parts, rel=1e-12)
+
+    def test_coordinates_match_scalar_loop_oracle(self):
+        # N = 20 >= 2 sum_v D_v = 20: the map is held as E = B Q, and the
+        # objective at E is the oracle's at B = E Q^T.
+        rng = np.random.default_rng(19)
+        state, e, problem, graphs = random_instance(
+            rng, n=20, dims=(1, 2), alpha=0.7, beta=1.3, gamma=0.4,
+            delta=0.9)
+        assert e.shape == (2, 10)
+        terms = objective(state, problem, e)
+        oracle = scalar_objective(
+            state.p_common, state.p_specific, from_coords(problem, e),
+            state.view_weights, problem.design,
+            [g.laplacian.toarray() for g in graphs],
+            alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
+        for name in solver.TERM_NAMES:
+            assert getattr(terms, name) == pytest.approx(
+                oracle[name], rel=1e-10, abs=1e-12)
 
     def test_view_count_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -217,6 +235,35 @@ class TestUpdateConsistency:
                                  irls_diag(b, state.hp.eps_irls))
         expected = (problem.design[0] @ state.p_common[0]).T
         np.testing.assert_allclose(new, expected, atol=0, rtol=0)
+
+    def test_paper_mode_is_the_design_formula_on_the_design_side(self):
+        # 2 sum_v D_v = 36 > N = 10: the map is B itself, computed as
+        # before coordinates existed, to the bit.
+        rng = np.random.default_rng(20)
+        state, b, problem, _ = random_instance(rng, gamma=0.6)
+        assert coordinate_basis(problem) is None
+        f_b = irls_diag(b, state.hp.eps_irls)
+        stacked = sum((x @ pc).T
+                      for x, pc in zip(problem.design, state.p_common))
+        np.testing.assert_array_equal(
+            update_consistency(state, problem, f_b),
+            stacked / (1.0 + state.hp.gamma * f_b)[:, None])
+
+    @pytest.mark.parametrize("b_update", B_UPDATE_MODES)
+    def test_coordinate_update_maps_to_the_design_update(self, b_update):
+        # The same instance with the map held as E (N = 40 >= 2 * 18) and
+        # as B (the R blocks replaced by the designs): B = E Q^T.
+        rng = np.random.default_rng(21)
+        state, e, problem, _ = random_instance(
+            rng, n=40, dims=(3, 4), gamma=0.6, b_update=b_update)
+        assert coordinate_basis(problem) is not None
+        f_b = irls_diag(e, state.hp.eps_irls)
+        as_b = replace(problem)
+        as_b.coords = list(problem.design)
+        want = update_consistency(state, as_b, f_b)
+        got = from_coords(problem, update_consistency(state, problem, f_b))
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_exact_mode_reaches_pseudoinverse(self):
         rng = np.random.default_rng(11)
@@ -425,7 +472,87 @@ def _prepared_arrays(prepared):
     out = [a for s in prepared.standardizers for a in (s.mean, s.scale)]
     out += [a for b in prepared.banks for a in (b.centers, b.widths)]
     problem = prepared.problem
-    return out + problem.design + problem.xlx + problem.gram
+    return (out + problem.design + problem.xlx + problem.gram
+            + problem.coords)
+
+
+# 200 instances, fuzzy widths 27 + 39 = 66 <= 100: R coordinates. The 80
+# instances of blob_dataset hold the map as B.
+@pytest.fixture(scope="module")
+def coords_dataset():
+    return make_synthetic(n_instances=200, n_views=2, n_clusters=4,
+                          noise=0.1, seed=7)
+
+
+class TestProblem:
+    def test_sides_of_the_coordinate_choice(self, blob_dataset,
+                                            coords_dataset):
+        problem = prepare_inputs(blob_dataset, Hyperparams()).problem
+        assert problem.n_instances == 80
+        assert all(r is x for r, x in zip(problem.coords, problem.design))
+        problem = prepare_inputs(coords_dataset, Hyperparams()).problem
+        assert problem.n_instances == 200
+        assert [r.shape for r in problem.coords] == [(66, 27), (66, 39)]
+
+    @pytest.mark.parametrize("n, is_coords", [(19, False), (20, True)])
+    def test_coordinates_start_at_n_twice_the_width(self, n, is_coords):
+        rng = np.random.default_rng(22)
+        _, _, problem, _ = random_instance(rng, n=n, dims=(1, 2))
+        assert (coordinate_basis(problem) is not None) == is_coords
+
+    def test_r_blocks_reproduce_the_designs(self, coords_dataset):
+        problem = prepare_inputs(coords_dataset, Hyperparams()).problem
+        xcat = np.hstack(problem.design)
+        r = np.hstack(problem.coords)
+        assert np.array_equal(r, np.triu(r))
+        q = coordinate_basis(problem)
+        np.testing.assert_allclose(q @ r, xcat, rtol=0,
+                                   atol=1e-12 * np.abs(xcat).max())
+        # The firing levels of each view sum to one, so the stacked
+        # designs are rank-deficient.
+        assert np.linalg.matrix_rank(xcat) < xcat.shape[1]
+        for r_v, x, g in zip(problem.coords, problem.design, problem.gram):
+            np.testing.assert_allclose(r_v.T @ r_v, g, rtol=0,
+                                       atol=1e-12 * np.abs(g).max())
+
+
+class _NoDesign:
+    """A Problem whose N-row designs cannot be read."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        if name == "design":
+            raise AssertionError("the fit read the (N, D_v) designs")
+        return getattr(self._problem, name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("b_update", B_UPDATE_MODES)
+def test_coordinate_fit_never_reads_the_designs(coords_dataset, variant,
+                                                b_update):
+    hp = Hyperparams(max_iter=4, seed=2, variant=variant, b_update=b_update)
+    prepared = prepare_inputs(coords_dataset, hp)
+    guarded = replace(prepared, problem=_NoDesign(prepared.problem))
+    state, trace = fit(coords_dataset, hp, prepared=guarded)
+    ref_state, ref_trace = fit(coords_dataset, hp, prepared=prepared)
+    assert model_to_dict(state) == model_to_dict(ref_state)
+    assert trace.totals().tolist() == ref_trace.totals().tolist()
+
+
+@pytest.mark.parametrize("side", ["design", "coords"])
+def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
+    # c07's audit on both sides of the coordinate choice: each exact-mode
+    # block update lowers its own surrogate.
+    dataset = blob_dataset if side == "design" else coords_dataset
+    hp = Hyperparams(max_iter=20, tol_stop=0.0, b_update="exact", seed=1)
+    _, trace = fit(dataset, hp, audit_surrogates=True)
+    pairs = [pair for audit in trace.surrogate_audit
+             for pair in audit.values()]
+    assert len(pairs) == 20 * 5
+    for before, after in pairs:
+        assert after <= before + 1e-9 * (1.0 + abs(before))
 
 
 class TestPrepared:
@@ -558,3 +685,26 @@ class TestHyperparams:
             for bad in (np.nan, np.inf):
                 with pytest.raises(ValueError, match="finite"):
                     Hyperparams(**{name: bad})
+
+    @pytest.mark.parametrize("field, bad", [
+        ("max_iter", 2.5), ("n_rules", 2.5), ("embed_dim", 2.0),
+        ("n_neighbors", 2.5), ("max_iter", True), ("n_rules", "3"),
+        ("seed", 2.5)])
+    def test_counts_must_be_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Hyperparams(**{field: bad})
+
+    @pytest.mark.parametrize("bad", ["nan", np.nan, np.inf, 0.0, -1e-8])
+    def test_eps_irls_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="eps_irls"):
+            Hyperparams(eps_irls=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "1e-6"])
+    def test_tol_stop_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="tol_stop"):
+            Hyperparams(tol_stop=bad)
+
+    def test_numpy_integers_and_no_early_stop_accepted(self):
+        hp = Hyperparams(n_rules=np.int64(2), max_iter=np.int32(3),
+                         embed_dim=None, tol_stop=0.0, eps_irls=1e-300)
+        assert hp.n_rules == 2 and hp.max_iter == 3
