@@ -6,7 +6,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .representation import embed
-from .solver import NumericFailure, fit, prep_key, prepare_inputs
+from .solver import (NumericFailure, _is_int, fit, prep_key,
+                     prepare_inputs)
 
 
 def _kmeanspp_init(columns, k, rng):
@@ -59,13 +60,36 @@ def _first_argmin(scores):
     return labels
 
 
-def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
+class _FixedPoint:
+    """A Lloyd fixed point L*: labels that one step maps to themselves.
+    `final` is None until the final pass has read it, then that pass's
+    (centers, labels, SSE), which are a function of L* alone."""
+
+    __slots__ = ("labels", "final")
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.final = None
+
+
+def _find_fixed_point(fixed_points, key, labels):
+    """The record's entry whose labels equal `labels`, or None; `key` is
+    the labels' cluster counts as bytes, which only narrows the search."""
+    for entry in fixed_points.get(key, ()):
+        if np.array_equal(entry.labels, labels):
+            return entry
+    return None
+
+
+def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
+           fixed_points=None):
     """Lloyd iterations of R restarts in lockstep; returns the (R, N)
-    labels and the R SSEs. `centers` is (R, k, m) and is updated in place;
-    `mean`, `centred_t` and `columns` come from `_lloyd_inputs(points)`.
-    Each restart's result is the one it would reach alone: each emptied
-    cluster, lowest index first, is re-seeded at the point farthest from
-    its assigned center, and a restart stops when its labels repeat.
+    labels and the R SSEs. `centers` is (R, k, m) and is updated in place
+    to each restart's final centers; `mean`, `centred_t` and `columns`
+    come from `_lloyd_inputs(points)`. Each restart's result is the one it
+    would reach alone: each emptied cluster, lowest index first, is
+    re-seeded at the point farthest from its assigned center, and a
+    restart stops when its labels repeat.
 
     Each step runs over the restarts still moving. A restart's points go
     to the center with the least ||c||^2 - 2 x.c, formed on mean-centred
@@ -74,19 +98,35 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
     restarts is large enough to start a second, spinning BLAS thread.
     The centers of a step are one (k, N) x (N, m) product of the 0/1
     assignment and the points over the counts; they only steer the next
-    assignment. After the last step each restart's centers are formed
-    once more from its final labels, as per-column `bincount` sums over
-    the counts. Those add each cluster's rows in index order, as a masked
-    `.mean(axis=0)` over two or more columns does, so the final centers
-    are bit-identical to it; on one column numpy's mean sums pairwise
-    and may differ in the last bit. The final labels and SSE use direct
-    squared distances, formed once per distinct center vector among the
-    R restarts (restarts often end on the same partition, whose centers
-    are then equal bit for bit).
+    assignment.
+
+    From step 2 on, a step is a function of the labels the last step
+    left (after its reseeds) alone, so labels L* that a step maps to
+    themselves are a fixed point: a restart that reaches them stops there
+    whatever `max_iter` is. `fixed_points` records them for these points
+    (a dict keyed by the counts' bytes, each key's entries confirmed by
+    comparing labels; a fresh one if None). A restart whose labels after
+    a step equal a recorded fixed point stops at once, and each fixed
+    point's final pass runs once and is reused by every restart that
+    reaches it, in this call or a later one on the same points and k.
+
+    The final pass forms each restart's centers once more from its final
+    labels, as per-column `bincount` sums over the counts. Those add each
+    cluster's rows in index order, as a masked `.mean(axis=0)` over two
+    or more columns does, so the final centers are bit-identical to it;
+    on one column numpy's mean sums pairwise and may differ in the last
+    bit. The final labels and SSE use direct squared distances, formed
+    once per distinct center vector among the passes the call runs.
     """
     r, k, _ = centers.shape
     n = points.shape[0]
+    if fixed_points is None:
+        fixed_points = {}
+    # The record keeps its labels in the least integer type that holds
+    # k - 1, so that up to repeats x restarts fixed points stay small.
+    compact = np.min_scalar_type(k - 1)
     labels = np.full((r, n), -1)
+    ends = [None] * r
     scores = np.empty((r, k, n))
     ks = np.arange(k)[:, None]
     onehot = np.empty((k, n))
@@ -115,35 +155,74 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300):
                     counts[c] = 1
                     new_labels[far] = c
                     own[far] = -np.inf
-            if np.array_equal(new_labels, labels[i]):
-                continue
+            key = counts.tobytes()
+            end = _find_fixed_point(fixed_points, key, new_labels)
+            if end is None and np.array_equal(new_labels, labels[i]):
+                end = _FixedPoint(new_labels.astype(compact))
+                fixed_points.setdefault(key, []).append(end)
             labels[i] = new_labels
+            if end is not None:
+                ends[i] = end
+                continue
             np.equal(ks, new_labels, out=onehot)
             np.divide(onehot @ points, counts[:, None], out=centers_i)
             moving.append(i)
         active = moving
-    for centers_i, labels_i in zip(centers, labels):
-        if labels_i[0] < 0:
-            continue  # never assigned (max_iter=0): the init stands
+    distances = {}
+    d2 = np.empty((1, k, n))
+    sses = []
+    for centers_i, labels_i, end in zip(centers, labels, ends):
+        final = None if end is None else end.final
+        if final is None:
+            final = _final_pass(points, columns, centers_i, labels_i,
+                                distances, d2)
+            if end is not None:
+                end.final = (final[0], final[1].astype(compact), final[2])
+        centers_i[:], labels_i[:], sse = final
+        sses.append(sse)
+    return labels, sses
+
+
+def _final_pass(points, columns, centers_i, labels_i, distances, d2):
+    """One restart's final (centers, labels, SSE) from its last labels
+    (the init `centers_i` if it never assigned, under max_iter=0).
+    `distances` maps a center's bytes to its squared distances; `d2` is
+    a (1, k, N) buffer."""
+    k, n = centers_i.shape[0], points.shape[0]
+    centers_i = centers_i.copy()
+    if labels_i[0] >= 0:
         counts = np.bincount(labels_i, minlength=k)
         for j, column in enumerate(columns):
             centers_i[:, j] = np.bincount(labels_i, weights=column,
                                           minlength=k) / counts
-    distances = {}
-    d2 = np.empty((1, k, n))
-    sses = []
-    for i, centers_i in enumerate(centers):
-        for c, center in enumerate(centers_i):
-            key = center.tobytes()
-            if key not in distances:
-                distances[key] = ((points - center) ** 2).sum(axis=1)
-            d2[0, c] = distances[key]
-        labels[i] = _first_argmin(d2)[0]
-        sses.append(float(d2[0, labels[i], np.arange(n)].sum()))
-    return labels, sses
+    for c, center in enumerate(centers_i):
+        key = center.tobytes()
+        if key not in distances:
+            distances[key] = ((points - center) ** 2).sum(axis=1)
+        d2[0, c] = distances[key]
+    final_labels = _first_argmin(d2)[0]
+    return centers_i, final_labels, float(d2[0, final_labels,
+                                               np.arange(n)].sum())
 
 
-def kmeans(points, n_clusters, restarts=10, seed=0):
+def _check_count(name, value):
+    """Raise ValueError unless `value` is an integer (not a bool) >= 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _as_points(points):
+    """`points` as a float array; ValueError unless it is (N, d), d >= 1."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError("points must be a 2-D (N, d) array with d >= 1, "
+                         f"got shape {points.shape}")
+    return points
+
+
+def kmeans(points, n_clusters, restarts=10, seed=0, *, _fixed_points=None):
     """Best-of-restarts K-means labels, deterministic given the seed.
 
     The call draws every restart's k-means++ init first, in order (Lloyd
@@ -151,24 +230,30 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     after another); the init's distances sum over the columns of the
     (d, N) layout. It then runs all restarts' Lloyd steps in lockstep
     (see `_lloyd`): per step, one (k, d) x (d, N) score product and one
-    (k, N) x (N, d) center product per restart still moving. Only each
-    restart's final centers are per-column `bincount` means, formed once
-    after the last step. Each restart's labels and SSE equal those of the
-    restart run alone.
+    (k, N) x (N, d) center product per restart still moving. A restart
+    stops as soon as it reaches a Lloyd fixed point that an earlier
+    restart reached, and each fixed point's final pass (per-column
+    `bincount` centers and direct distances) runs once. Each restart's
+    labels and SSE equal those of the restart run alone.
 
     Parameters
     ----------
-    points : (N, d) finite array to cluster, small enough that its
-        squared distances do not overflow.
-    n_clusters : number of clusters, 1 <= n_clusters <= N.
-    restarts : independent k-means++ initializations to try, at least 1;
-        the run with the lowest within-cluster SSE wins (ties keep the
-        earliest run).
+    points : (N, d) finite array to cluster, d >= 1, small enough that
+        its squared distances do not overflow.
+    n_clusters : number of clusters, an integer, 1 <= n_clusters <= N.
+    restarts : independent k-means++ initializations to try, an integer
+        >= 1; the run with the lowest within-cluster SSE wins (ties keep
+        the earliest run).
     seed : int or SeedSequence feeding a fresh generator.
+    _fixed_points : private; the fixed-point record that
+        `evaluate_embedding` shares across the calls it makes on one
+        embedding. It must only ever see these points and n_clusters. A
+        call without one starts a fresh record.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    points = np.asarray(points, dtype=float)
+    _check_count("restarts", restarts)
+    if not _is_int(n_clusters):
+        raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
+    points = _as_points(points)
     n = points.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}]")
@@ -184,7 +269,8 @@ def kmeans(points, n_clusters, restarts=10, seed=0):
     rng = np.random.default_rng(seed)
     centers = np.stack([_kmeanspp_init(columns, n_clusters, rng)
                         for _ in range(restarts)])
-    labels, sses = _lloyd(points, centers, mean, centred_t, columns)
+    labels, sses = _lloyd(points, centers, mean, centred_t, columns,
+                          fixed_points=_fixed_points)
     return labels[int(np.argmin(sses))].copy()
 
 
@@ -285,27 +371,37 @@ class ClusteringReport:
 
 def check_protocol(repeats, restarts):
     """Raise ValueError unless the protocol clusters at least once:
-    `repeats` and `restarts` must both be >= 1."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    `repeats` and `restarts` must both be integers >= 1."""
+    _check_count("repeats", repeats)
+    _check_count("restarts", restarts)
 
 
 def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
                        restarts=10, seed=0):
-    """Cluster an embedding `repeats` times with derived seeds and score
-    each run; the best run (highest NMI, earliest on ties) supplies the
-    reported assignment."""
+    """Cluster an (N, m) embedding `repeats` times with derived seeds and
+    score each run; the best run (highest NMI, earliest on ties) supplies
+    the reported assignment. `true_labels` must hold N labels.
+
+    Each repeat is one `kmeans` call. The calls share one record of the
+    Lloyd fixed points reached on this embedding, so a restart stops as
+    soon as it reaches a fixed point that an earlier restart or repeat
+    reached, and each fixed point's final pass runs once per call to
+    this function; every labeling equals that of a `kmeans` call made on
+    its own. The record lives only for this call."""
     check_protocol(repeats, restarts)
-    z = np.asarray(z, dtype=float)
+    z = _as_points(z)
     true_labels = np.asarray(true_labels)
+    if true_labels.size != z.shape[0]:
+        raise ValueError(f"true_labels holds {true_labels.size} labels for "
+                         f"{z.shape[0]} points")
     if n_clusters is None:
         n_clusters = int(np.unique(true_labels).size)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
+    fixed_points = {}
     return _clustering_report(
-        (kmeans(z, n_clusters, restarts=restarts, seed=ss)
+        (kmeans(z, n_clusters, restarts=restarts, seed=ss,
+                _fixed_points=fixed_points)
          for ss in seed.spawn(repeats)), true_labels)
 
 

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from mvfuzzy import Hyperparams, fit, make_synthetic
+from mvfuzzy import Hyperparams, evaluation, fit, make_synthetic
 from mvfuzzy.solver import ModelState, Problem
 
 
@@ -73,3 +75,25 @@ def from_coords(problem, e):
     """A map held in problem's coordinates, as B (m, N)."""
     q = coordinate_basis(problem)
     return e if q is None else e @ q.T
+
+
+def protocol_labelings(z, k, repeats, restarts, seed):
+    """The labeling of every `kmeans` call that `evaluate_embedding` makes,
+    in order."""
+    labelings = []
+    kmeans = evaluation.kmeans
+
+    def recording(*args, **kwargs):
+        labelings.append(kmeans(*args, **kwargs))
+        return labelings[-1]
+
+    with mock.patch.object(evaluation, "kmeans", recording):
+        evaluation.evaluate_embedding(z, np.zeros(len(z)), n_clusters=k,
+                                      repeats=repeats, restarts=restarts,
+                                      seed=seed)
+    return labelings
+
+
+def protocol_seeds(seed, repeats):
+    """The seeds `evaluate_embedding` derives for its `repeats` calls."""
+    return np.random.SeedSequence(seed).spawn(repeats)

@@ -1,12 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from mvfuzzy.evaluation import (acc, evaluate_embedding, grid_search, kmeans,
-                                nmi, purity)
+from conftest import protocol_labelings, protocol_seeds
+from mvfuzzy import evaluation
+from mvfuzzy.evaluation import (acc, check_protocol, evaluate_embedding,
+                                grid_search, kmeans, nmi, purity)
 from mvfuzzy.solver import Hyperparams
-from oracles import acc_oracle, kmeans_best_sse, lloyd_oracle, nmi_oracle
+from oracles import (acc_oracle, kmeans_best_sse, kmeans_oracle, lloyd_oracle,
+                     nmi_oracle)
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
+NOT_COUNTS = (2.5, 2.0, True, "2", None)
+
+
+@pytest.fixture
+def no_kmeans(monkeypatch):
+    """Fail the test if anything calls `kmeans` through the module."""
+    def fail(*args, **kwargs):
+        raise AssertionError("kmeans called")
+
+    monkeypatch.setattr(evaluation, "kmeans", fail)
 
 
 def sse_of(points, labels):
@@ -147,6 +162,29 @@ class TestKmeans:
         with pytest.raises(ValueError, match="overflow"):
             kmeans(points, 3)
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 0), (2, 5, 2), ()])
+    def test_points_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            kmeans(np.ones(shape), 1)
+
+    @pytest.mark.parametrize("bad", NOT_COUNTS)
+    def test_cluster_count_must_be_an_integer(self, bad):
+        points = np.random.default_rng(17).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="n_clusters must be an integer"):
+            kmeans(points, bad)
+
+    @pytest.mark.parametrize("bad", NOT_COUNTS)
+    def test_restarts_must_be_an_integer(self, bad):
+        points = np.random.default_rng(17).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            kmeans(points, 2, restarts=bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        points = np.random.default_rng(17).normal(size=(10, 2))
+        np.testing.assert_array_equal(
+            kmeans(points, np.int64(2), restarts=np.int32(3), seed=1),
+            kmeans(points, 2, restarts=3, seed=1))
+
 
 class TestNmi:
     def test_identical_partitions(self):
@@ -286,6 +324,82 @@ class TestEvaluateEmbedding:
         z[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             evaluate_embedding(z, np.arange(12) % 2, repeats=2, restarts=1)
+
+    @pytest.mark.parametrize("name", ["repeats", "restarts"])
+    @pytest.mark.parametrize("bad", NOT_COUNTS)
+    @pytest.mark.usefixtures("no_kmeans")
+    def test_protocol_counts_must_be_integers(self, name, bad):
+        z = np.random.default_rng(15).normal(size=(12, 2))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            evaluate_embedding(z, np.arange(12) % 2, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            check_protocol(**{"repeats": 2, "restarts": 2, name: bad})
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 0)])
+    @pytest.mark.usefixtures("no_kmeans")
+    def test_embedding_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            evaluate_embedding(np.ones(shape), np.arange(12) % 2)
+
+    @pytest.mark.parametrize("n_labels", [11, 13])
+    @pytest.mark.usefixtures("no_kmeans")
+    def test_label_count_checked_before_clustering(self, n_labels):
+        z = np.random.default_rng(15).normal(size=(12, 2))
+        with pytest.raises(ValueError, match="labels for 12 points"):
+            evaluate_embedding(z, np.arange(n_labels) % 2)
+
+    def test_later_repeats_stop_at_recorded_fixed_points(self):
+        # Three well-separated blobs: the first repeat reaches every
+        # labeling of the blobs, so each restart of a later repeat reaches
+        # a recorded fixed point on its first step and stops there, and
+        # no final pass runs again. Without the record each restart takes
+        # a second step to see that its labels repeat.
+        rng = np.random.default_rng(3)
+        z = np.vstack([rng.normal(c, 0.1, size=(15, 2))
+                       for c in ((0, 0), (10, 0), (0, 10))])
+        restarts, repeats = 10, 5
+        rows = []
+        first_argmin = evaluation._first_argmin
+
+        def counting(scores):
+            rows[-1] += scores.shape[0]
+            return first_argmin(scores)
+
+        with mock.patch.object(evaluation, "_first_argmin", counting):
+            kmeans_calls = evaluation.kmeans
+
+            def counted(*args, **kwargs):
+                rows.append(0)
+                return kmeans_calls(*args, **kwargs)
+
+            with mock.patch.object(evaluation, "kmeans", counted):
+                evaluate_embedding(z, np.repeat([0, 1, 2], 15),
+                                   repeats=repeats, restarts=restarts)
+            shared = rows[:]
+            for ss in protocol_seeds(0, repeats):
+                counted(z, 3, restarts=restarts, seed=ss)
+            alone = rows[repeats:]
+        assert shared[0] == alone[0]
+        assert shared[1:] == [restarts] * (repeats - 1)
+        assert all(a > 2 * restarts for a in alone)
+
+    def test_record_does_not_leak_across_embeddings(self):
+        # `a` has two tight blobs, rows 0-9 and 10-19, so its protocol
+        # records both labelings of that split. On `b` (same shape) the
+        # split is often the first step's labeling but not a fixed point:
+        # rows 10-14 then move to the left cluster. A record kept across
+        # the calls would stop those restarts there, with a's tiny SSE,
+        # and change b's labelings.
+        a = np.concatenate([np.linspace(0.0, 0.09, 10),
+                            np.linspace(10.0, 10.09, 10)])[:, None]
+        b = np.concatenate([np.linspace(0.0, 0.9, 10),
+                            np.linspace(5.0, 5.4, 5),
+                            np.linspace(20.0, 20.4, 5)])[:, None]
+        for z in (a, b, a, b):
+            labelings = protocol_labelings(z, 2, 10, 10, seed=4)
+            for labels, ss in zip(labelings, protocol_seeds(4, 10)):
+                np.testing.assert_array_equal(
+                    labels, kmeans_oracle(z, 2, 10, ss))
 
 
 class TestGridSearch:

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_coords, random_instance
+from conftest import (from_coords, protocol_labelings, protocol_seeds,
+                      random_instance)
 from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
@@ -298,6 +299,53 @@ def test_kmeans_matches_sequential_oracle(inputs, restarts, seed):
     np.testing.assert_array_equal(
         kmeans(points, k, restarts=restarts, seed=seed),
         kmeans_oracle(points, k, restarts, seed))
+
+
+@GRAPH_PROPS
+@given(kmeans_inputs(), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_protocol_record_keeps_every_labeling(inputs, repeats, restarts,
+                                             seed):
+    # The repeats of one evaluate_embedding share a fixed-point record;
+    # each labeling must equal a kmeans call made without one, and the
+    # sequential oracle. Sets with repeated rows tie often, so different
+    # labelings share their counts.
+    points, k = inputs
+    labelings = protocol_labelings(points, k, repeats, restarts, seed)
+    assert len(labelings) == repeats
+    for labels, ss in zip(labelings, protocol_seeds(seed, repeats)):
+        np.testing.assert_array_equal(
+            labels, kmeans(points, k, restarts=restarts, seed=ss))
+        np.testing.assert_array_equal(
+            labels, kmeans_oracle(points, k, restarts, ss))
+
+
+@GRAPH_PROPS
+@given(kmeans_inputs(), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([0, 1, 2, 3, 5, 300]), st.integers(0, 2 ** 32 - 1))
+def test_lloyd_with_filled_record_is_bit_identical(inputs, filled, fresh,
+                                                   max_iter, seed):
+    # A record filled by earlier restarts on the same points must change
+    # nothing: labels, SSEs and the final centers left in place are those
+    # of a run without it, whatever max_iter cuts off. The restarts rerun
+    # the filling inits, so those that converged reach a recorded fixed
+    # point (a restart may also cycle on duplicate rows and record none).
+    points, k = inputs
+    rng = np.random.default_rng(seed)
+    inits = np.stack([kmeanspp_init(points, k, rng)
+                      for _ in range(filled + fresh)])
+    record = {}
+    _lloyd(points, inits[:filled].copy(), *_lloyd_inputs(points),
+           fixed_points=record)
+    plain = inits.copy()
+    want_labels, want_sses = _lloyd(points, plain, *_lloyd_inputs(points),
+                                    max_iter=max_iter)
+    got = inits.copy()
+    labels, sses = _lloyd(points, got, *_lloyd_inputs(points),
+                          max_iter=max_iter, fixed_points=record)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert sses == want_sses
+    np.testing.assert_array_equal(got, plain)
 
 
 @st.composite
