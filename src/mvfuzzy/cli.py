@@ -139,13 +139,16 @@ def _load_config(path):
 
 
 def _parse_bandwidth(value):
+    """A flag's or config's string as 'auto' or a float; any other config
+    value goes to `Hyperparams` as it is, which rejects a bool."""
     if value is None or value == "auto":
-        return value or "auto"
+        return "auto"
+    if not isinstance(value, str):
+        return value
     try:
-        bw = float(value)
-    except (TypeError, ValueError):
+        return float(value)
+    except ValueError:
         raise DataError(f"bandwidth must be 'auto' or a number: {value!r}")
-    return bw
 
 
 def resolve_hyperparams(args):

@@ -48,15 +48,16 @@ def _lloyd_inputs(points):
 
 
 def _first_argmin(scores):
-    """`scores.argmin(axis=1)` for (R, k, N) scores, as k passes over
+    """`scores.argmin(axis=0)` for (k, N) scores, as k passes over
     contiguous N-length rows; the strict `<` keeps the first minimum, as
-    `argmin` does."""
-    best = scores[:, 0].copy()
+    `argmin` does. Row c exceeds every label set before it, so a maximum
+    sets the labels it wins."""
+    best = scores[0].copy()
     labels = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, scores.shape[1]):
-        closer = scores[:, c] < best
-        np.minimum(best, scores[:, c], out=best)
-        labels += closer * (c - labels)
+    for c in range(1, scores.shape[0]):
+        closer = scores[c] < best
+        np.minimum(best, scores[c], out=best)
+        np.maximum(labels, closer * c, out=labels)
     return labels
 
 
@@ -83,22 +84,21 @@ def _find_fixed_point(fixed_points, key, labels):
 
 def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
            fixed_points=None):
-    """Lloyd iterations of R restarts in lockstep; returns the (R, N)
-    labels and the R SSEs. `centers` is (R, k, m) and is updated in place
-    to each restart's final centers; `mean`, `centred_t` and `columns`
-    come from `_lloyd_inputs(points)`. Each restart's result is the one it
-    would reach alone: each emptied cluster, lowest index first, is
-    re-seeded at the point farthest from its assigned center, and a
-    restart stops when its labels repeat.
+    """Lloyd iterations of R restarts, one after another; returns the
+    (R, N) labels and the R SSEs. `centers` is (R, k, m) and is updated in
+    place to each restart's final centers; `mean`, `centred_t` and
+    `columns` come from `_lloyd_inputs(points)`. Each emptied cluster,
+    lowest index first, is re-seeded at the point farthest from its
+    assigned center. A restart stops when its labels repeat, or when they
+    return to those of two steps before: a two-cycle, which would
+    otherwise run to `max_iter`.
 
-    Each step runs over the restarts still moving. A restart's points go
-    to the center with the least ||c||^2 - 2 x.c, formed on mean-centred
-    coordinates so that a large common offset does not cancel, as one
-    (k, m) x (m, N) product per restart: one stacked product over all
-    restarts is large enough to start a second, spinning BLAS thread.
-    The centers of a step are one (k, N) x (N, m) product of the 0/1
-    assignment and the points over the counts; they only steer the next
-    assignment.
+    A step sends each point to the center with the least
+    ||c||^2 - 2 x.c, formed on mean-centred coordinates so that a large
+    common offset does not cancel, as one (k, m) x (m, N) product into a
+    (k, N) buffer that every restart reuses. The centers of a step are one
+    (k, N) x (N, m) product of the 0/1 assignment and the points over the
+    counts; they only steer the next assignment.
 
     From step 2 on, a step is a function of the labels the last step
     left (after its reseeds) alone, so labels L* that a step maps to
@@ -109,8 +109,9 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     a step equal a recorded fixed point stops at once, and each fixed
     point's final pass runs once and is reused by every restart that
     reaches it, in this call or a later one on the same points and k.
+    A two-cycle is not a fixed point and is not recorded.
 
-    The final pass forms each restart's centers once more from its final
+    The final pass forms each restart's centers once more from its last
     labels, as per-column `bincount` sums over the counts. Those add each
     cluster's rows in index order, as a masked `.mean(axis=0)` over two
     or more columns does, so the final centers are bit-identical to it;
@@ -126,22 +127,23 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     # k - 1, so that up to repeats x restarts fixed points stay small.
     compact = np.min_scalar_type(k - 1)
     labels = np.full((r, n), -1)
-    ends = [None] * r
-    scores = np.empty((r, k, n))
+    scores = np.empty((k, n))
     ks = np.arange(k)[:, None]
     onehot = np.empty((k, n))
-    active = list(range(r))
-    for _ in range(max_iter):
-        if not active:
-            break
-        rel = centers[active] - mean
-        step = scores[:len(active)]
-        for s, rel_s in zip(step, rel):
-            np.matmul(-2.0 * rel_s, centred_t, out=s)
-        step += (rel * rel).sum(axis=2)[:, :, None]
-        moving = []
-        for i, new_labels in zip(active, _first_argmin(step)):
-            centers_i = centers[i]
+    distances = {}
+    sses = []
+    for centers_i, labels_i in zip(centers, labels):
+        # The labels of the last two steps (-1 before any step) and their
+        # counts' bytes: equal labels have equal counts, so the labels are
+        # compared only when the counts agree.
+        last = older = labels_i
+        last_key = older_key = None
+        end = None
+        for _ in range(max_iter):
+            rel = centers_i - mean
+            np.matmul(-2.0 * rel, centred_t, out=scores)
+            scores += (rel * rel).sum(axis=1)[:, None]
+            new_labels = _first_argmin(scores)
             counts = np.bincount(new_labels, minlength=k)
             if not counts.all():
                 own = ((points - centers_i[new_labels]) ** 2).sum(axis=1)
@@ -157,25 +159,21 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
                     own[far] = -np.inf
             key = counts.tobytes()
             end = _find_fixed_point(fixed_points, key, new_labels)
-            if end is None and np.array_equal(new_labels, labels[i]):
+            if (end is None and key == last_key
+                    and np.array_equal(new_labels, last)):
                 end = _FixedPoint(new_labels.astype(compact))
                 fixed_points.setdefault(key, []).append(end)
-            labels[i] = new_labels
-            if end is not None:
-                ends[i] = end
-                continue
+            cycled = key == older_key and np.array_equal(new_labels, older)
+            older, last = last, new_labels
+            older_key, last_key = last_key, key
+            if end is not None or cycled:
+                break
             np.equal(ks, new_labels, out=onehot)
             np.divide(onehot @ points, counts[:, None], out=centers_i)
-            moving.append(i)
-        active = moving
-    distances = {}
-    d2 = np.empty((1, k, n))
-    sses = []
-    for centers_i, labels_i, end in zip(centers, labels, ends):
         final = None if end is None else end.final
         if final is None:
-            final = _final_pass(points, columns, centers_i, labels_i,
-                                distances, d2)
+            final = _final_pass(points, columns, centers_i, last, distances,
+                                scores)
             if end is not None:
                 end.final = (final[0], final[1].astype(compact), final[2])
         centers_i[:], labels_i[:], sse = final
@@ -187,7 +185,7 @@ def _final_pass(points, columns, centers_i, labels_i, distances, d2):
     """One restart's final (centers, labels, SSE) from its last labels
     (the init `centers_i` if it never assigned, under max_iter=0).
     `distances` maps a center's bytes to its squared distances; `d2` is
-    a (1, k, N) buffer."""
+    a (k, N) buffer."""
     k, n = centers_i.shape[0], points.shape[0]
     centers_i = centers_i.copy()
     if labels_i[0] >= 0:
@@ -199,10 +197,10 @@ def _final_pass(points, columns, centers_i, labels_i, distances, d2):
         key = center.tobytes()
         if key not in distances:
             distances[key] = ((points - center) ** 2).sum(axis=1)
-        d2[0, c] = distances[key]
-    final_labels = _first_argmin(d2)[0]
-    return centers_i, final_labels, float(d2[0, final_labels,
-                                               np.arange(n)].sum())
+        d2[c] = distances[key]
+    final_labels = _first_argmin(d2)
+    return centers_i, final_labels, float(d2[final_labels,
+                                             np.arange(n)].sum())
 
 
 def _check_count(name, value):
@@ -228,13 +226,13 @@ def kmeans(points, n_clusters, restarts=10, seed=0, *, _fixed_points=None):
     The call draws every restart's k-means++ init first, in order (Lloyd
     draws nothing, so the generator's stream is that of restarts run one
     after another); the init's distances sum over the columns of the
-    (d, N) layout. It then runs all restarts' Lloyd steps in lockstep
-    (see `_lloyd`): per step, one (k, d) x (d, N) score product and one
-    (k, N) x (N, d) center product per restart still moving. A restart
-    stops as soon as it reaches a Lloyd fixed point that an earlier
-    restart reached, and each fixed point's final pass (per-column
-    `bincount` centers and direct distances) runs once. Each restart's
-    labels and SSE equal those of the restart run alone.
+    (d, N) layout. It then runs each restart's Lloyd steps in turn (see
+    `_lloyd`): per step, one (k, d) x (d, N) score product and one
+    (k, N) x (N, d) center product. A restart stops as soon as it reaches
+    a Lloyd fixed point that an earlier restart reached, and each fixed
+    point's final pass (per-column `bincount` centers and direct
+    distances) runs once. Each restart's labels and SSE equal those of
+    the restart run alone.
 
     Parameters
     ----------

@@ -51,8 +51,10 @@ class Hyperparams:
     through one thin SVD, at O(K (mV)^2) per iteration, where K is the
     width of the map's coordinates (see `Problem`).
 
-    n_rules, embed_dim, max_iter, n_neighbors and seed must be integers;
-    eps_irls must be finite and positive, tol_stop finite.
+    alpha, beta, gamma and delta must be finite reals (not bools);
+    bandwidth "auto" or a finite positive real. n_rules, embed_dim,
+    max_iter, n_neighbors and seed must be integers; eps_irls must be
+    finite and positive, tol_stop finite.
     """
 
     alpha: float = 1.0
@@ -71,9 +73,10 @@ class Hyperparams:
     variant: str = "full"
 
     def __post_init__(self):
-        if not np.all(np.isfinite(
-                [self.alpha, self.beta, self.gamma, self.delta])):
-            raise ValueError("alpha, beta, gamma, delta must be finite")
+        weights = (self.alpha, self.beta, self.gamma, self.delta)
+        if not all(_is_real(w) and np.isfinite(w) for w in weights):
+            raise ValueError("alpha, beta, gamma, delta must be finite "
+                             f"reals, got {weights!r}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
         if self.delta <= 0:
@@ -89,6 +92,11 @@ class Hyperparams:
                 f"eps_irls must be finite and positive, got {self.eps_irls!r}")
         if not (_is_real(self.tol_stop) and np.isfinite(self.tol_stop)):
             raise ValueError(f"tol_stop must be finite, got {self.tol_stop!r}")
+        bandwidth = self.bandwidth
+        if not (isinstance(bandwidth, str) and bandwidth == "auto"
+                or _is_real(bandwidth) and 0 < bandwidth < np.inf):
+            raise ValueError("bandwidth must be 'auto' or finite and "
+                             f"positive, got {bandwidth!r}")
         if self.n_rules < 1:
             raise ValueError("n_rules must be >= 1")
         if self.embed_dim is not None and self.embed_dim < 1:

@@ -241,9 +241,11 @@ def kmeans_best_sse(points, k):
 def lloyd_oracle(points, centers, max_iter=300):
     """Lloyd iterations by the direct N x k x m distance broadcast and
     masked means; each emptied cluster, lowest index first, is re-seeded
-    at the point farthest from its assigned center."""
+    at the point farthest from its assigned center. It stops when the
+    labels repeat, or when they return to those of two steps before (a
+    two-cycle), with the centers at the masked means of those labels."""
     n, k = points.shape[0], centers.shape[0]
-    labels = np.full(n, -1)
+    labels = older = np.full(n, -1)
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
@@ -257,9 +259,12 @@ def lloyd_oracle(points, centers, max_iter=300):
             empty = [c for c in range(k) if not np.any(new_labels == c)]
         if np.array_equal(new_labels, labels):
             break
-        labels = new_labels
+        cycled = np.array_equal(new_labels, older)
+        older, labels = labels, new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
+        if cycled:
+            break
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     sse = float(d2[np.arange(n), labels].sum())

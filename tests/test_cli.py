@@ -262,6 +262,19 @@ class TestErrorPaths:
                        "--bandwidth", "2.5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("bad", [True, [1.0], "fast"])
+    def test_malformed_config_bandwidth_is_config_error(self, synth_dir,
+                                                        tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bandwidth": bad, "max_iter": 2}))
+        out = tmp_path / "o"
+        rc = cli.main(["fit", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert "bandwidth" in err["message"]
+
     @pytest.mark.parametrize("flag", [["--alpha", "nan"],
                                       ["--bandwidth", "nan"],
                                       ["--delta", "inf"]])

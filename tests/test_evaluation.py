@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,21 @@ def no_kmeans(monkeypatch):
         raise AssertionError("kmeans called")
 
     monkeypatch.setattr(evaluation, "kmeans", fail)
+
+
+@contextlib.contextmanager
+def counted_first_argmin():
+    """A list that gains one entry per `_first_argmin` call, that is per
+    restart-step and per final pass."""
+    calls = []
+    first_argmin = evaluation._first_argmin
+
+    def counting(scores):
+        calls.append(1)
+        return first_argmin(scores)
+
+    with mock.patch.object(evaluation, "_first_argmin", counting):
+        yield calls
 
 
 def sse_of(points, labels):
@@ -87,6 +103,59 @@ class TestKmeans:
         # it by step 2.
         np.testing.assert_array_equal(cut[0][0], refs[0][0])
         assert cut[2][1] > refs[2][1]
+
+    def test_identical_restart_stops_at_the_first_ones_fixed_point(self):
+        # Two identical inits in one call: the first restart takes two
+        # steps to see its labels repeat, then its final pass; the second
+        # reaches that recorded fixed point on its first step and reuses
+        # the final pass. Each restart-step and final pass is one
+        # `_first_argmin` call.
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
+
+        rng = np.random.default_rng(3)
+        z = np.vstack([rng.normal(c, 0.1, size=(15, 2))
+                       for c in ((0, 0), (10, 0), (0, 10))])
+        centers = np.stack([z[[0, 15, 30]]] * 2)
+        with counted_first_argmin() as calls:
+            labels, sses = _lloyd(z, centers, *_lloyd_inputs(z))
+        assert len(calls) == 4
+        for restart_labels in labels:
+            np.testing.assert_array_equal(restart_labels,
+                                          np.repeat([0, 1, 2], 15))
+        assert sses[0] == sses[1]
+
+    def test_two_cycle_stops(self):
+        # k exceeds the two distinct rows, so a cluster is empty after
+        # every assignment, and its reseed swaps the first two points'
+        # labels back and forth: [1 2 0 0] at steps 2 and 4, [2 1 0 0] at
+        # step 3. The restart stops at step 4, when its labels return to
+        # those of two steps before, instead of running to max_iter; a
+        # two-cycle is not a fixed point, so nothing is recorded.
+        from mvfuzzy.evaluation import _lloyd, _lloyd_inputs
+
+        points = np.array([[0.1257], [-0.1321], [-0.1321], [-0.1321]])
+        centers = points[[0, 1, 1]]
+        ref_labels, ref_sse = lloyd_oracle(points, centers.copy())
+        record = {}
+        with counted_first_argmin() as calls:
+            (labels,), (sse,) = _lloyd(points, centers[None],
+                                       *_lloyd_inputs(points),
+                                       fixed_points=record)
+        assert len(calls) == 5  # four steps and the final pass
+        assert record == {}
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert sse == ref_sse
+        for seed in range(3):
+            np.testing.assert_array_equal(kmeans(points, 3, seed=seed),
+                                          kmeans_oracle(points, 3, 10, seed))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_first_argmin_keeps_the_first_minimum(self, k):
+        # Scores drawn from three values tie on most points.
+        scores = np.random.default_rng(k).integers(0, 3, size=(k, 500))
+        scores = scores.astype(float)
+        np.testing.assert_array_equal(evaluation._first_argmin(scores),
+                                      scores.argmin(axis=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -362,7 +431,7 @@ class TestEvaluateEmbedding:
         first_argmin = evaluation._first_argmin
 
         def counting(scores):
-            rows[-1] += scores.shape[0]
+            rows[-1] += 1
             return first_argmin(scores)
 
         with mock.patch.object(evaluation, "_first_argmin", counting):
@@ -379,9 +448,20 @@ class TestEvaluateEmbedding:
             for ss in protocol_seeds(0, repeats):
                 counted(z, 3, restarts=restarts, seed=ss)
             alone = rows[repeats:]
+            # Without any record: each restart's init through `_lloyd`
+            # on its own, as a plain `kmeans` call draws them.
+            inputs = evaluation._lloyd_inputs(z)
+            for ss in protocol_seeds(0, repeats):
+                init_rng = np.random.default_rng(ss)
+                rows.append(0)
+                for _ in range(restarts):
+                    init = evaluation._kmeanspp_init(inputs[2], 3, init_rng)
+                    evaluation._lloyd(z, init[None], *inputs,
+                                      fixed_points={})
+            unrecorded = rows[2 * repeats:]
         assert shared[0] == alone[0]
         assert shared[1:] == [restarts] * (repeats - 1)
-        assert all(a > 2 * restarts for a in alone)
+        assert all(a > 2 * restarts for a in unrecorded)
 
     def test_record_does_not_leak_across_embeddings(self):
         # `a` has two tight blobs, rows 0-9 and 10-19, so its protocol

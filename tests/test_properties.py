@@ -3,8 +3,8 @@ random shapes and hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
-the Laplacian invariants. The k-means tests check each restart of the
-lockstep Lloyd loop against the direct-distance loop, its final centers
+the Laplacian invariants. The k-means tests check each restart of a
+multi-restart Lloyd call against the direct-distance loop, its final centers
 against masked means, and the k-means++ init (on rounded and unrounded
 points) and `kmeans` against sequential oracles. The solver tests draw N,
 V, the per-view inputs, m, the rule count and the regularization

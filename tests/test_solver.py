@@ -682,9 +682,13 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(n_rules=0)
         for name in ("alpha", "beta", "gamma", "delta"):
-            for bad in (np.nan, np.inf):
+            for bad in (np.nan, np.inf, None, "1", 1 + 0j, True):
                 with pytest.raises(ValueError, match="finite"):
                     Hyperparams(**{name: bad})
+        for bad in (None, [1.0], "fast", True, 0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                Hyperparams(bandwidth=bad)
+        assert Hyperparams(bandwidth=np.float32(0.5)).bandwidth == 0.5
 
     @pytest.mark.parametrize("field, bad", [
         ("max_iter", 2.5), ("n_rules", 2.5), ("embed_dim", 2.0),
