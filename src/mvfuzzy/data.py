@@ -1,6 +1,7 @@
 """Multi-view dataset container, CSV ingestion and synthetic data generation."""
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -168,6 +169,12 @@ def load_dataset(view_paths, label_path=None, header=False):
     return MultiViewDataset(views=views, labels=labels)
 
 
+def _is_count(value):
+    """True for an integer (not a bool) >= 1."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 1)
+
+
 def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
                    seed=7, dims=None, separation=4.0):
     """Generate a multi-view blob dataset with shared cluster structure.
@@ -177,6 +184,10 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
     views agree on the clustering but differ in realization. noise=0 makes
     all points of a cluster coincide within each view.
     """
+    for name, value in (("n_instances", n_instances),
+                        ("n_clusters", n_clusters)):
+        if not _is_count(value):
+            raise DataError(f"{name} must be an integer >= 1, got {value!r}")
     if n_clusters > n_instances:
         raise DataError("more clusters than instances")
     rng = np.random.default_rng(seed)
@@ -184,6 +195,9 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
         dims = [8 + 4 * v for v in range(n_views)]
     if len(dims) != n_views:
         raise DataError("dims must list one dimension per view")
+    if not all(_is_count(d) for d in dims):
+        raise DataError("every view needs an integer dimension >= 1, "
+                        f"got dims {list(dims)}")
     # Round-robin assignment keeps every cluster populated.
     labels = rng.permutation(np.arange(n_instances) % n_clusters)
     latent_dim = max(2, n_clusters)

@@ -9,6 +9,10 @@ from .representation import embed
 from .solver import (NumericFailure, _is_int, fit, prep_key,
                      prepare_inputs)
 
+# Bytes of squared-distance vectors one `_lloyd` call keeps for reuse; the
+# cache is emptied before an insert that would pass this.
+_DISTANCE_BYTES = 16 * 2 ** 20
+
 
 def _kmeanspp_init(columns, k, rng):
     """Seed k centers, as a (k, m) array, from the C-ordered (m, N)
@@ -61,27 +65,6 @@ def _first_argmin(scores):
     return labels
 
 
-class _FixedPoint:
-    """A Lloyd fixed point L*: labels that one step maps to themselves.
-    `final` is None until the final pass has read it, then that pass's
-    (centers, labels, SSE), which are a function of L* alone."""
-
-    __slots__ = ("labels", "final")
-
-    def __init__(self, labels):
-        self.labels = labels
-        self.final = None
-
-
-def _find_fixed_point(fixed_points, key, labels):
-    """The record's entry whose labels equal `labels`, or None; `key` is
-    the labels' cluster counts as bytes, which only narrows the search."""
-    for entry in fixed_points.get(key, ()):
-        if np.array_equal(entry.labels, labels):
-            return entry
-    return None
-
-
 def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
            fixed_points=None):
     """Lloyd iterations of R restarts, one after another; returns the
@@ -103,13 +86,14 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     From step 2 on, a step is a function of the labels the last step
     left (after its reseeds) alone, so labels L* that a step maps to
     themselves are a fixed point: a restart that reaches them stops there
-    whatever `max_iter` is. `fixed_points` records them for these points
-    (a dict keyed by the counts' bytes, each key's entries confirmed by
-    comparing labels; a fresh one if None). A restart whose labels after
-    a step equal a recorded fixed point stops at once, and each fixed
-    point's final pass runs once and is reused by every restart that
-    reaches it, in this call or a later one on the same points and k.
-    A two-cycle is not a fixed point and is not recorded.
+    whatever `max_iter` is. `fixed_points` is the record of these points'
+    fixed points (a fresh one if None): a dict from the bytes of L* in the
+    least integer type that holds k - 1 to that fixed point's final
+    (centers, labels, SSE), which are a function of L* alone. A restart
+    whose labels after a step are a key stops at once and takes that
+    final, so each fixed point's final pass runs once, in this call or a
+    later one on the same points and k. A two-cycle is not a fixed point
+    and is not recorded.
 
     The final pass forms each restart's centers once more from its last
     labels, as per-column `bincount` sums over the counts. Those add each
@@ -117,14 +101,13 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     or more columns does, so the final centers are bit-identical to it;
     on one column numpy's mean sums pairwise and may differ in the last
     bit. The final labels and SSE use direct squared distances, formed
-    once per distinct center vector among the passes the call runs.
+    once per distinct center vector among the passes the call runs, up
+    to `_DISTANCE_BYTES` of them at a time.
     """
     r, k, _ = centers.shape
     n = points.shape[0]
     if fixed_points is None:
         fixed_points = {}
-    # The record keeps its labels in the least integer type that holds
-    # k - 1, so that up to repeats x restarts fixed points stay small.
     compact = np.min_scalar_type(k - 1)
     labels = np.full((r, n), -1)
     scores = np.empty((k, n))
@@ -133,49 +116,41 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     distances = {}
     sses = []
     for centers_i, labels_i in zip(centers, labels):
-        # The labels of the last two steps (-1 before any step) and their
-        # counts' bytes: equal labels have equal counts, so the labels are
-        # compared only when the counts agree.
-        last = older = labels_i
-        last_key = older_key = None
-        end = None
+        last, fixed = labels_i, False
+        # The keys of the last two steps' labels, None before any step.
+        last_key = older_key = final = None
         for _ in range(max_iter):
             rel = centers_i - mean
             np.matmul(-2.0 * rel, centred_t, out=scores)
             scores += (rel * rel).sum(axis=1)[:, None]
-            new_labels = _first_argmin(scores)
-            counts = np.bincount(new_labels, minlength=k)
+            last = _first_argmin(scores)
+            counts = np.bincount(last, minlength=k)
             if not counts.all():
-                own = ((points - centers_i[new_labels]) ** 2).sum(axis=1)
+                own = ((points - centers_i[last]) ** 2).sum(axis=1)
                 # Lowest empty cluster first, until none is empty: a
                 # reseed may empty a cluster on either side of it.
                 while not counts.all():
                     c = int(counts.argmin())
                     far = int(own.argmax())
                     centers_i[c] = points[far]
-                    counts[new_labels[far]] -= 1
+                    counts[last[far]] -= 1
                     counts[c] = 1
-                    new_labels[far] = c
+                    last[far] = c
                     own[far] = -np.inf
-            key = counts.tobytes()
-            end = _find_fixed_point(fixed_points, key, new_labels)
-            if (end is None and key == last_key
-                    and np.array_equal(new_labels, last)):
-                end = _FixedPoint(new_labels.astype(compact))
-                fixed_points.setdefault(key, []).append(end)
-            cycled = key == older_key and np.array_equal(new_labels, older)
-            older, last = last, new_labels
-            older_key, last_key = last_key, key
-            if end is not None or cycled:
+            key = last.astype(compact).tobytes()
+            final = fixed_points.get(key)
+            fixed = key == last_key
+            if final is not None or fixed or key == older_key:
                 break
-            np.equal(ks, new_labels, out=onehot)
+            older_key, last_key = last_key, key
+            np.equal(ks, last, out=onehot)
             np.divide(onehot @ points, counts[:, None], out=centers_i)
-        final = None if end is None else end.final
         if final is None:
             final = _final_pass(points, columns, centers_i, last, distances,
                                 scores)
-            if end is not None:
-                end.final = (final[0], final[1].astype(compact), final[2])
+            if fixed:
+                fixed_points[key] = (final[0], final[1].astype(compact),
+                                     final[2])
         centers_i[:], labels_i[:], sse = final
         sses.append(sse)
     return labels, sses
@@ -184,8 +159,8 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
 def _final_pass(points, columns, centers_i, labels_i, distances, d2):
     """One restart's final (centers, labels, SSE) from its last labels
     (the init `centers_i` if it never assigned, under max_iter=0).
-    `distances` maps a center's bytes to its squared distances; `d2` is
-    a (k, N) buffer."""
+    `distances` maps a center's bytes to its squared distances, within
+    `_DISTANCE_BYTES`; `d2` is a (k, N) buffer."""
     k, n = centers_i.shape[0], points.shape[0]
     centers_i = centers_i.copy()
     if labels_i[0] >= 0:
@@ -196,6 +171,8 @@ def _final_pass(points, columns, centers_i, labels_i, distances, d2):
     for c, center in enumerate(centers_i):
         key = center.tobytes()
         if key not in distances:
+            if (len(distances) + 1) * n * 8 > _DISTANCE_BYTES:
+                distances.clear()
             distances[key] = ((points - center) ** 2).sum(axis=1)
         d2[c] = distances[key]
     final_labels = _first_argmin(d2)
@@ -228,11 +205,9 @@ def kmeans(points, n_clusters, restarts=10, seed=0, *, _fixed_points=None):
     after another); the init's distances sum over the columns of the
     (d, N) layout. It then runs each restart's Lloyd steps in turn (see
     `_lloyd`): per step, one (k, d) x (d, N) score product and one
-    (k, N) x (N, d) center product. A restart stops as soon as it reaches
-    a Lloyd fixed point that an earlier restart reached, and each fixed
-    point's final pass (per-column `bincount` centers and direct
-    distances) runs once. Each restart's labels and SSE equal those of
-    the restart run alone.
+    (k, N) x (N, d) center product. The restarts share the fixed-point
+    record that `_lloyd` describes; each restart's labels and SSE equal
+    those of the restart run alone.
 
     Parameters
     ----------
@@ -243,7 +218,7 @@ def kmeans(points, n_clusters, restarts=10, seed=0, *, _fixed_points=None):
         >= 1; the run with the lowest within-cluster SSE wins (ties keep
         the earliest run).
     seed : int or SeedSequence feeding a fresh generator.
-    _fixed_points : private; the fixed-point record that
+    _fixed_points : private; the `_lloyd` fixed-point record that
         `evaluate_embedding` shares across the calls it makes on one
         embedding. It must only ever see these points and n_clusters. A
         call without one starts a fresh record.
@@ -380,12 +355,9 @@ def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
     score each run; the best run (highest NMI, earliest on ties) supplies
     the reported assignment. `true_labels` must hold N labels.
 
-    Each repeat is one `kmeans` call. The calls share one record of the
-    Lloyd fixed points reached on this embedding, so a restart stops as
-    soon as it reaches a fixed point that an earlier restart or repeat
-    reached, and each fixed point's final pass runs once per call to
-    this function; every labeling equals that of a `kmeans` call made on
-    its own. The record lives only for this call."""
+    Each repeat is one `kmeans` call. The calls share one `_lloyd`
+    fixed-point record, which lives only for this call; every labeling
+    equals that of a `kmeans` call made on its own."""
     check_protocol(repeats, restarts)
     z = _as_points(z)
     true_labels = np.asarray(true_labels)

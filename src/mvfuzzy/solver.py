@@ -156,9 +156,6 @@ class ObjectiveTerms:
     def total(self):
         return sum(getattr(self, name) for name in TERM_NAMES)
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in TERM_NAMES}
-
 
 @dataclass
 class TraceEntry:

@@ -94,6 +94,24 @@ def protocol_labelings(z, k, repeats, restarts, seed):
     return labelings
 
 
+def protocol_record(z, k, repeats, restarts, seed):
+    """The fixed-point record that the `kmeans` calls of one
+    `evaluate_embedding` share, as the protocol leaves it."""
+    records = []
+    kmeans = evaluation.kmeans
+
+    def capturing(*args, _fixed_points=None, **kwargs):
+        records.append(_fixed_points)
+        return kmeans(*args, _fixed_points=_fixed_points, **kwargs)
+
+    with mock.patch.object(evaluation, "kmeans", capturing):
+        evaluation.evaluate_embedding(z, np.zeros(len(z)), n_clusters=k,
+                                      repeats=repeats, restarts=restarts,
+                                      seed=seed)
+    assert all(record is records[0] for record in records)
+    return records[0]
+
+
 def protocol_seeds(seed, repeats):
     """The seeds `evaluate_embedding` derives for its `repeats` calls."""
     return np.random.SeedSequence(seed).spawn(repeats)

@@ -238,25 +238,34 @@ def kmeans_best_sse(points, k):
     return best
 
 
+def lloyd_step_oracle(points, centers):
+    """One Lloyd assignment by the direct N x k x m distance broadcast;
+    each emptied cluster, lowest index first, is re-seeded in `centers`
+    at the point farthest from its assigned center. Returns the labels
+    after the reseeds."""
+    n, k = points.shape[0], centers.shape[0]
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    own = d2[np.arange(n), labels]
+    empty = [c for c in range(k) if not np.any(labels == c)]
+    while empty:
+        far = int(own.argmax())
+        centers[empty[0]] = points[far]
+        labels[far] = empty[0]
+        own[far] = -np.inf
+        empty = [c for c in range(k) if not np.any(labels == c)]
+    return labels
+
+
 def lloyd_oracle(points, centers, max_iter=300):
-    """Lloyd iterations by the direct N x k x m distance broadcast and
-    masked means; each emptied cluster, lowest index first, is re-seeded
-    at the point farthest from its assigned center. It stops when the
-    labels repeat, or when they return to those of two steps before (a
-    two-cycle), with the centers at the masked means of those labels."""
+    """Lloyd iterations of `lloyd_step_oracle` and masked means. It stops
+    when the labels repeat, or when they return to those of two steps
+    before (a two-cycle), with the centers at the masked means of those
+    labels."""
     n, k = points.shape[0], centers.shape[0]
     labels = older = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        own = d2[np.arange(n), new_labels]
-        empty = [c for c in range(k) if not np.any(new_labels == c)]
-        while empty:
-            far = int(own.argmax())
-            centers[empty[0]] = points[far]
-            new_labels[far] = empty[0]
-            own[far] = -np.inf
-            empty = [c for c in range(k) if not np.any(new_labels == c)]
+        new_labels = lloyd_step_oracle(points, centers)
         if np.array_equal(new_labels, labels):
             break
         cycled = np.array_equal(new_labels, older)

@@ -47,6 +47,17 @@ def test_evaluate_embedding_calls_kmeans_through_module():
     assert traced.call_count == 3
 
 
+@pytest.mark.parametrize("metric", ["nmi", "acc", "purity"])
+def test_evaluate_embedding_calls_each_metric_through_module(metric):
+    # perfbench reads these call counts per layer: one per repeat.
+    z = np.random.default_rng(0).normal(size=(20, 2))
+    with mock.patch.object(evaluation, metric,
+                           wraps=getattr(evaluation, metric)) as traced:
+        evaluation.evaluate_embedding(z, np.arange(20) % 2, repeats=3,
+                                      restarts=1)
+    assert traced.call_count == 3
+
+
 @pytest.mark.parametrize("refit", [False, True])
 def test_grid_search_calls_kmeans_through_module(blob_dataset, refit):
     grid = [Hyperparams(alpha=a, max_iter=3, seed=1) for a in (0.5, 2.0)]

@@ -236,6 +236,19 @@ class TestErrorPaths:
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "config_error"
 
+    @pytest.mark.parametrize("flag, words", [
+        (["--clusters", "0"], "n_clusters"),
+        (["--clusters", "-1"], "n_clusters"),
+        (["--dims", "0,3"], "integer dimension >= 1")])
+    def test_empty_synth_shape_is_config_error(self, tmp_path, flag, words):
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--out", str(out), "--n", "20", *flag])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert words in err["message"]
+        assert not (out / "view_0.csv").exists()
+
     def test_bad_config_json(self, synth_dir, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -163,6 +163,18 @@ class TestMakeSynthetic:
                             seed=0)
         assert ds.view_dims == [2, 3, 4]
 
+    @pytest.mark.parametrize("name", ["n_instances", "n_clusters"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True, "3"])
+    def test_counts_must_be_positive_integers(self, name, bad):
+        counts = {"n_instances": 20, "n_clusters": 1, name: bad}
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
+            make_synthetic(**counts)
+
+    @pytest.mark.parametrize("dims", [[0, 3], [3, -2], [2.5, 3]])
+    def test_every_view_needs_a_dimension(self, dims):
+        with pytest.raises(DataError, match="integer dimension >= 1"):
+            make_synthetic(n_instances=20, n_views=2, dims=dims)
+
     @pytest.mark.parametrize("matrix", [
         np.random.default_rng(5).normal(size=(7, 4))
         * 10.0 ** np.random.default_rng(6).uniform(-300, 300, size=(7, 4)),

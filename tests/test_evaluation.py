@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,37 @@ class TestKmeans:
         for seed in range(3):
             np.testing.assert_array_equal(kmeans(points, 3, seed=seed),
                                           kmeans_oracle(points, 3, 10, seed))
+
+    def test_distance_cache_stays_within_its_budget(self):
+        # Two steps of ten restarts with k = 50 leave about 500 distinct
+        # final centers at N = 20000; kept all at once, their distance
+        # vectors would take 80 MB. The budget bounds the cache without
+        # changing any result.
+        points = np.random.default_rng(0).normal(size=(20000, 4))
+        inputs = evaluation._lloyd_inputs(points)
+        rng = np.random.default_rng(0)
+        inits = np.stack([evaluation._kmeanspp_init(inputs[2], 50, rng)
+                          for _ in range(10)])
+        # The cache, plus the (k, N) score and one-hot buffers and the
+        # temporaries of a step.
+        limit = evaluation._DISTANCE_BYTES + 3 * 50 * 20000 * 8
+        runs = []
+        for budget in (evaluation._DISTANCE_BYTES, 2 ** 40):
+            centers = inits.copy()
+            with mock.patch.object(evaluation, "_DISTANCE_BYTES", budget):
+                tracemalloc.start()
+                try:
+                    labels, sses = evaluation._lloyd(points, centers,
+                                                     *inputs, max_iter=2)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            runs.append((labels, sses, centers, peak))
+        (labels, sses, centers, peak), unbounded = runs
+        assert peak < limit < unbounded[3]
+        np.testing.assert_array_equal(labels, unbounded[0])
+        assert sses == unbounded[1]
+        np.testing.assert_array_equal(centers, unbounded[2])
 
     @pytest.mark.parametrize("k", [1, 2, 4, 9])
     def test_first_argmin_keeps_the_first_minimum(self, k):

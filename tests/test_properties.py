@@ -5,9 +5,10 @@ The graph tests draw point sets, neighbor counts and bandwidths, and
 check the sparse kNN graph against the dense stable-argsort oracle and
 the Laplacian invariants. The k-means tests check each restart of a
 multi-restart Lloyd call against the direct-distance loop, its final centers
-against masked means, and the k-means++ init (on rounded and unrounded
-points) and `kmeans` against sequential oracles. The solver tests draw N,
-V, the per-view inputs, m, the rule count and the regularization
+against masked means, the k-means++ init (on rounded and unrounded
+points) and `kmeans` against sequential oracles, and every key of a
+protocol's fixed-point record against one oracle step. The solver tests
+draw N, V, the per-view inputs, m, the rule count and the regularization
 weights, build a random instance over real fuzzy design matrices and kNN
 graphs, and check one invariant against a dense or finite-difference
 reference. The fuzzy mapping tests draw data shapes, scales and rule
@@ -24,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (from_coords, protocol_labelings, protocol_seeds,
-                      random_instance)
+from conftest import (from_coords, protocol_labelings, protocol_record,
+                      protocol_seeds, random_instance)
 from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
@@ -38,7 +39,7 @@ from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
                             update_specific, update_view_weights)
 from oracles import (dense_exact_consistency, dense_knn_similarity,
                      fd_gradient, kmeans_oracle, kmeanspp_oracle,
-                     lloyd_oracle)
+                     lloyd_oracle, lloyd_step_oracle)
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
@@ -318,6 +319,38 @@ def test_protocol_record_keeps_every_labeling(inputs, repeats, restarts,
             labels, kmeans(points, k, restarts=restarts, seed=ss))
         np.testing.assert_array_equal(
             labels, kmeans_oracle(points, k, restarts, ss))
+
+
+@GRAPH_PROPS
+@given(kmeans_inputs(), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_protocol_record_holds_only_fixed_points(inputs, repeats, restarts,
+                                                 seed):
+    # Every key is the bytes of labels L* that one step from their masked
+    # means maps to themselves, and its value is the final pass of L*:
+    # centers at those means, labels and SSE by direct distances.
+    points, k = inputs
+    record = protocol_record(points, k, repeats, restarts, seed)
+    compact = np.min_scalar_type(k - 1)
+    n = len(points)
+    for key, (centers, labels, sse) in record.items():
+        fixed = np.frombuffer(key, compact)
+        assert fixed.shape == (n,)
+        means = np.stack([points[fixed == c].mean(axis=0)
+                          for c in range(k)])
+        np.testing.assert_array_equal(
+            lloyd_step_oracle(points, means.copy()), fixed)
+        np.testing.assert_array_equal(centers, means)
+        d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        assert sse == float(d2[np.arange(n), labels].sum())
+
+
+def test_two_cycle_protocol_records_nothing():
+    # k exceeds the two distinct rows, and every restart on these points
+    # ends in a two-cycle (see TestKmeans::test_two_cycle_stops).
+    points = np.array([[0.1257], [-0.1321], [-0.1321], [-0.1321]])
+    assert protocol_record(points, 3, 4, 10, seed=0) == {}
 
 
 @GRAPH_PROPS
