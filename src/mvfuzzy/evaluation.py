@@ -261,13 +261,15 @@ def _contingency(pred, true):
     return table
 
 
-def nmi(pred, true):
+def nmi(pred, true, *, _table=None):
     """Mutual information normalized by the geometric mean of entropies.
 
     Natural logs. Two identical single-cluster partitions score 1; a
-    single-cluster partition against anything else scores 0.
+    single-cluster partition against anything else scores 0. Each metric
+    takes the contingency table of pred and true as _table, so that
+    `_clustering_report` builds it once for all three.
     """
-    table = _contingency(pred, true)
+    table = _contingency(pred, true) if _table is None else _table
     n = table.sum()
     pr = table.sum(axis=1) / n
     pc = table.sum(axis=0) / n
@@ -283,17 +285,17 @@ def nmi(pred, true):
     return float(mi / np.sqrt(h_pred * h_true))
 
 
-def acc(pred, true):
+def acc(pred, true, *, _table=None):
     """Clustering accuracy under the optimal cluster-to-class assignment,
     solved exactly on the (rectangular) contingency matrix."""
-    table = _contingency(pred, true)
+    table = _contingency(pred, true) if _table is None else _table
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())
 
 
-def purity(pred, true):
+def purity(pred, true, *, _table=None):
     """Fraction of points lying in their cluster's majority class."""
-    table = _contingency(pred, true)
+    table = _contingency(pred, true) if _table is None else _table
     return float(table.max(axis=1).sum() / table.sum())
 
 
@@ -376,13 +378,15 @@ def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
 
 
 def _clustering_report(labelings, true_labels):
-    """Score each predicted labeling as it arrives; the best one (highest
-    NMI, earliest on ties) supplies the reported assignment."""
+    """Score each predicted labeling as it arrives, on one contingency
+    table per labeling; the best one (highest NMI, earliest on ties)
+    supplies the reported assignment."""
     nmis, accs, purities, assignments = [], [], [], []
     for pred in labelings:
-        nmis.append(nmi(pred, true_labels))
-        accs.append(acc(pred, true_labels))
-        purities.append(purity(pred, true_labels))
+        table = _contingency(pred, true_labels)
+        nmis.append(nmi(pred, true_labels, _table=table))
+        accs.append(acc(pred, true_labels, _table=table))
+        purities.append(purity(pred, true_labels, _table=table))
         assignments.append(pred)
     nmis = np.array(nmis)
     best = int(nmis.argmax())

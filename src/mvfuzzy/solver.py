@@ -8,7 +8,8 @@ thin QR of the stacked designs whenever 2 sum_v D_v <= N (see `Problem`),
 so that no iteration touches N; otherwise it carries B itself.
 Row-sparsity terms are handled by iteratively reweighted least squares:
 each update freezes the diagonal reweighting, solves a linear system, and
-moves on.
+moves on. The consequent updates solve it on the rows above the reweighting
+floor only, and hold the others at exactly 0 while a KKT test allows.
 
 Every dense factorization in the fit goes through numpy's LAPACK. numpy
 and scipy each ship their own OpenBLAS, each with its own thread pool; a
@@ -50,6 +51,11 @@ class Hyperparams:
     consistency map; "exact" solves its stationarity system outright
     through one thin SVD, at O(K (mV)^2) per iteration, where K is the
     width of the map's coordinates (see `Problem`).
+
+    eps_irls is the floor of the row norms in the L2,1 reweighting
+    1 / max(||x_i||, eps_irls). A consequent row whose norm is at most
+    eps_irls is at the floor: while gamma > 0 the next update holds it at
+    exactly 0 unless the KKT test of `_solve_l21` releases it.
 
     alpha, beta, gamma and delta must be finite reals (not bools);
     bandwidth "auto" or a finite positive real. n_rules, embed_dim,
@@ -360,38 +366,77 @@ def objective(state, problem, b, *, _traces=None):
                           entropy=entropy)
 
 
+def _solve_l21(a, rhs, gamma, f_diag, eps, view):
+    """Minimize x^T a x - 2 tr(rhs^T x) + gamma sum_i f_i ||x_i||^2, the
+    frozen surrogate of a consequent block, over the rows not held at 0.
+
+    a is the smooth system, without the gamma f term, and is overwritten.
+    Rows at the IRLS floor (f_i >= 1 / eps, so the old row norm was at most
+    eps) start at exactly 0 when gamma > 0; the system is solved on the
+    other rows only. With x_i = 0 the stationarity condition
+    h + gamma f x = 0 of the smooth residual h = a x - rhs becomes the
+    subgradient test ||h_i|| <= gamma, the weight that multiplies f_i; each
+    zero row that fails it is released and the free rows are solved again.
+    A zero row so certified is within eps of its old value, and a solve of
+    every row would leave it within about eps ||h_i|| / gamma <= eps of 0.
+    """
+    # The L2,1 weight per unit of f: it sets both the diagonal term and
+    # the KKT threshold.
+    weight = gamma
+    a.flat[::len(a) + 1] += weight * f_diag
+    idx = np.flatnonzero(f_diag < (1.0 / eps if weight > 0 else np.inf))
+    while idx.size < len(a):
+        x = np.zeros(rhs.shape)
+        if idx.size:
+            sub = a.take(idx, 0).take(idx, 1)
+            x[idx] = solve_reg(sub, rhs.take(idx, 0), view=view)
+        # The gamma f term on a's diagonal adds nothing on a zero row.
+        h = a @ x - rhs
+        h *= h
+        norms = h.sum(axis=1)
+        norms[idx] = 0.0  # only the zero rows are tested
+        released = np.flatnonzero(norms > weight * weight)
+        if not released.size:
+            return x
+        idx = np.union1d(idx, released)
+    return solve_reg(a, rhs, view=view)
+
+
 def update_common(state, view, problem, b, f_diag):
-    """Closed-form update of one view's common consequent matrix, with the
-    row reweighting f_diag and the consistency map b (held in
-    problem.coords) frozen; b=None means there is no map, so no map
-    residual enters the system."""
+    """IRLS update of one view's common consequent matrix, with the row
+    reweighting f_diag and the consistency map b (held in problem.coords)
+    frozen; b=None means there is no map, so no map residual enters the
+    system. It minimizes the block's surrogate over the free rows; rows at
+    the eps_irls floor stay at exactly 0 while the KKT test of `_solve_l21`
+    certifies them, each within eps_irls of its old value."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     ps = state.p_specific[view]
 
     gps = problem.gram[view] @ ps
-    a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
+    a = wv * xlx + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
     if b is not None:
         bx = b @ problem.coords[view]
-        a = a + hp.beta * (bx.T @ bx)
-        rhs = rhs + hp.beta * bx.T
-    return solve_reg(a, rhs, view=view)
+        a += hp.beta * (bx.T @ bx)
+        rhs += hp.beta * bx.T
+    return _solve_l21(a, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
 def update_specific(state, view, problem, f_diag):
-    """Closed-form update of one view's specific consequent matrix; the
-    common_only variant never calls this (the matrix stays zero)."""
+    """IRLS update of one view's specific consequent matrix, over its free
+    rows as in `update_common`; the common_only variant never calls this
+    (the matrix stays zero)."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     pc = state.p_common[view]
 
     gpc = problem.gram[view] @ pc
-    a = wv * xlx + hp.alpha * (gpc @ gpc.T) + hp.gamma * np.diag(f_diag)
+    a = wv * xlx + hp.alpha * (gpc @ gpc.T)
     rhs = -wv * (xlx @ pc)
-    return solve_reg(a, rhs, view=view)
+    return _solve_l21(a, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
 def update_consistency(state, problem, f_diag):

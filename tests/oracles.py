@@ -169,6 +169,37 @@ def dense_exact_consistency(zcs, f_diag, gamma):
     return b
 
 
+def full_width_common(state, view, problem, b, f_diag):
+    """Common consequent update by one dense solve of the whole
+    frozen-reweighting system, every row included: the update before
+    rows at the IRLS floor were held at zero."""
+    hp = state.hp
+    xlx = problem.xlx[view]
+    wv = state.view_weights[view]
+    ps = state.p_specific[view]
+    gps = problem.gram[view] @ ps
+    a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
+    rhs = -wv * (xlx @ ps)
+    if b is not None:
+        bx = b @ problem.coords[view]
+        a = a + hp.beta * (bx.T @ bx)
+        rhs = rhs + hp.beta * bx.T
+    return np.linalg.solve(a, rhs)
+
+
+def full_width_specific(state, view, problem, f_diag):
+    """Specific consequent update by one dense solve of the whole
+    frozen-reweighting system, as `full_width_common`."""
+    hp = state.hp
+    xlx = problem.xlx[view]
+    wv = state.view_weights[view]
+    pc = state.p_common[view]
+    gpc = problem.gram[view] @ pc
+    a = wv * xlx + hp.alpha * (gpc @ gpc.T) + hp.gamma * np.diag(f_diag)
+    rhs = -wv * (xlx @ pc)
+    return np.linalg.solve(a, rhs)
+
+
 def contingency_table(pred, true):
     pred = list(pred)
     true = list(true)

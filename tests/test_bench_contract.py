@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import random_instance
 from mvfuzzy import evaluation, solver
 from mvfuzzy.solver import Hyperparams
 
@@ -56,6 +57,20 @@ def test_evaluate_embedding_calls_each_metric_through_module(metric):
         evaluation.evaluate_embedding(z, np.arange(20) % 2, repeats=3,
                                       restarts=1)
     assert traced.call_count == 3
+
+
+def test_restricted_consequent_solve_calls_solve_reg_through_module():
+    # perfbench traces solve_reg: the solve on the rows above the eps
+    # floor must still reach it through the module attribute.
+    state, b, problem, _ = random_instance(np.random.default_rng(0))
+    old = state.p_common[0].copy()
+    old[:3] = 0.0
+    f_c = solver.irls_diag(old, state.hp.eps_irls)
+    with mock.patch.object(solver, "solve_reg",
+                           wraps=solver.solve_reg) as traced:
+        solver.update_common(state, 0, problem, b, f_c)
+    assert traced.call_count >= 1
+    assert traced.call_args_list[0].args[0].shape[0] < len(old)
 
 
 @pytest.mark.parametrize("refit", [False, True])

@@ -395,6 +395,23 @@ class TestEvaluateEmbedding:
             assert runs.min() <= mean <= runs.max()
             assert runs.std() >= 0.0
 
+    def test_one_contingency_table_per_labeling(self):
+        # nmi, acc and purity share the table; their scores equal those
+        # of calls that build it themselves.
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(40, 3))
+        truth = rng.integers(0, 3, size=40)
+        labelings = protocol_labelings(z, 3, 4, 2, seed=2)
+        with mock.patch.object(evaluation, "_contingency",
+                               wraps=evaluation._contingency) as built:
+            report = evaluate_embedding(z, truth, repeats=4, restarts=2,
+                                        seed=2)
+        assert built.call_count == 4
+        for runs, metric in ((report.nmi_runs, nmi), (report.acc_runs, acc),
+                             (report.purity_runs, purity)):
+            assert runs.tolist() == [metric(pred, truth)
+                                     for pred in labelings]
+
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_below_one_rejected(self, repeats, monkeypatch):
         import mvfuzzy.evaluation as eval_mod

@@ -487,6 +487,55 @@ def test_specific_update_is_stationary(instance):
         state.p_specific[0], new)
 
 
+def floor_rows(block, seed):
+    """A copy of block with a random subset of its rows set to zero, so
+    that irls_diag puts them at the eps floor."""
+    rng = np.random.default_rng(seed)
+    block = block.copy()
+    block[rng.random(len(block)) < rng.random()] = 0.0
+    return block
+
+
+def assert_certified(surrogate, start, new, gamma):
+    """Every row of `new` held at exactly zero passes the KKT test
+    ||h_i|| <= gamma, where the surrogate's gradient there is 2 h_i; on the
+    free rows its FD gradient vanishes, relative to `start` as in
+    assert_stationary."""
+    scale = np.abs(fd_gradient(surrogate, start)).max()
+    grad = fd_gradient(surrogate, new)
+    zero = ~new.any(axis=1)
+    assert np.abs(grad[~zero]).max(initial=0.0) <= 1e-5 * scale
+    h_norms = np.sqrt(((grad[zero] / 2) ** 2).sum(axis=1))
+    assert np.all(h_norms <= gamma + 1e-5 * scale)
+
+
+@PROPS
+@given(instances(), st.sampled_from(VARIANTS), st.integers(0, 2 ** 32 - 1))
+def test_common_update_certifies_its_zero_rows(instance, variant, seed):
+    state, b, problem, _ = instance
+    state = replace(state, hp=replace(state.hp, variant=variant))
+    if variant == "no_consistency":
+        b = None
+    old = floor_rows(state.p_common[0], seed)
+    f_c = irls_diag(old, state.hp.eps_irls)
+    new = update_common(state, 0, problem, b, f_diag=f_c)
+    assert_certified(
+        lambda p: surrogate(("common", 0), p, state, problem, b, f_c),
+        old, new, state.hp.gamma)
+
+
+@PROPS
+@given(instances(), st.integers(0, 2 ** 32 - 1))
+def test_specific_update_certifies_its_zero_rows(instance, seed):
+    state, _, problem, _ = instance
+    old = floor_rows(state.p_specific[0], seed)
+    f_s = irls_diag(old, state.hp.eps_irls)
+    new = update_specific(state, 0, problem, f_diag=f_s)
+    assert_certified(
+        lambda p: surrogate(("specific", 0), p, state, problem, None, f_s),
+        old, new, state.hp.gamma)
+
+
 @PROPS
 @given(instances(gamma=ANY_GAMMA, b_update="exact"))
 def test_exact_consistency_update_is_stationary(instance):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             irls_diag, objective, prepare_inputs, solve_reg,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
-from oracles import fd_gradient, scalar_objective
+from oracles import (fd_gradient, full_width_common, full_width_specific,
+                     scalar_objective)
 
 
 def zeroed(state):
@@ -224,6 +226,94 @@ class TestUpdateSpecific:
 
         scale = np.abs(fd_gradient(value, state.p_specific[0])).max()
         assert np.abs(fd_gradient(value, new)).max() <= 1e-5 * scale
+
+
+def solve_shapes(traced):
+    return [call.args[0].shape for call in traced.call_args_list]
+
+
+class TestActiveSet:
+    """Consequent rows at the eps floor stay at exactly zero until the KKT
+    test ||h_i|| <= gamma fails for them."""
+
+    EPS = Hyperparams().eps_irls
+
+    def test_floor_row_failing_the_kkt_test_is_released(self):
+        # Smooth system a couples rows 0 and 2; row 2 is free. With row 2
+        # solved alone, h_0 = a_02 x_2 - rhs_0 has norm 2.7 > gamma = 1,
+        # so row 0 is released; h_1 = -rhs_1 has norm 0.5 and row 1 stays.
+        a = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
+        rhs = np.array([[3.0, 0.0], [0.0, 0.5], [1.0, 1.0]])
+        f = np.array([1 / self.EPS, 1 / self.EPS, 1.0])
+        with mock.patch.object(solver, "solve_reg",
+                               wraps=solver.solve_reg) as traced:
+            x = solver._solve_l21(a.copy(), rhs, 1.0, f, self.EPS, view=0)
+        assert solve_shapes(traced) == [(1, 1), (2, 2)]
+        free = [0, 2]
+        want = np.linalg.solve(a[np.ix_(free, free)] + np.diag(f[free]),
+                               rhs[free])
+        np.testing.assert_allclose(x[free], want, rtol=1e-12)
+        assert np.all(x[0] != 0)
+        assert not x[1].any()
+
+    def test_free_rows_never_fail_the_kkt_test(self):
+        # At gamma = 1e-20 the rounding left in the free rows' residual
+        # exceeds gamma; only the zero rows are tested, so the loop ends
+        # after one solve. Row 0 is decoupled with rhs_0 = 0, so h_0 = 0.
+        rng = np.random.default_rng(26)
+        z = rng.normal(size=(4, 4))
+        a = np.zeros((5, 5))
+        a[0, 0] = 1.0
+        a[1:, 1:] = z @ z.T + np.eye(4)
+        rhs = np.vstack([np.zeros((1, 2)), rng.normal(size=(4, 2))])
+        f = np.array([1 / self.EPS, 1.0, 1.0, 1.0, 1.0])
+        with mock.patch.object(solver, "solve_reg",
+                               wraps=solver.solve_reg) as traced:
+            x = solver._solve_l21(a.copy(), rhs, 1e-20, f, self.EPS, view=0)
+        assert solve_shapes(traced) == [(4, 4)]
+        assert not x[0].any()
+        np.testing.assert_allclose(x[1:], np.linalg.solve(a[1:, 1:], rhs[1:]),
+                                   rtol=1e-10)
+
+    def test_block_all_at_the_floor_returns_exact_zeros(self):
+        rng = np.random.default_rng(23)
+        state, _, problem, _ = random_instance(rng, gamma=1.0)
+        state.p_common = [1e-6 * p for p in state.p_common]
+        f_s = np.full(len(state.p_specific[0]), 1 / self.EPS)
+        with mock.patch.object(solver, "solve_reg",
+                               side_effect=AssertionError("solve_reg ran")):
+            new = update_specific(state, 0, problem, f_diag=f_s)
+        assert new.shape == state.p_specific[0].shape
+        assert not new.any()
+
+    def test_gamma_zero_restricts_nothing(self):
+        rng = np.random.default_rng(24)
+        state, b, problem, _ = random_instance(rng, gamma=0.0)
+        dg = len(state.p_common[0])
+        f_c = np.full(dg, 1 / self.EPS)
+        with mock.patch.object(solver, "solve_reg",
+                               wraps=solver.solve_reg) as traced:
+            new = update_common(state, 0, problem, b, f_diag=f_c)
+        assert solve_shapes(traced) == [(dg, dg)]
+        assert np.all(new.any(axis=1))
+
+    @pytest.mark.parametrize("kind", ["common", "specific"])
+    def test_no_floor_row_equals_the_full_width_solve(self, kind):
+        rng = np.random.default_rng(25)
+        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
+                                               gamma=0.6)
+        for v in range(state.n_views):
+            if kind == "common":
+                f = irls_diag(state.p_common[v], self.EPS)
+                got = update_common(state, v, problem, b, f)
+                want = full_width_common(state, v, problem, b, f)
+            else:
+                f = irls_diag(state.p_specific[v], self.EPS)
+                got = update_specific(state, v, problem, f)
+                want = full_width_specific(state, v, problem, f)
+            assert f.max() < 1 / self.EPS
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-10 * np.abs(want).max())
 
 
 class TestUpdateConsistency:
@@ -553,6 +643,40 @@ def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
     assert len(pairs) == 20 * 5
     for before, after in pairs:
         assert after <= before + 1e-9 * (1.0 + abs(before))
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """Fuzzy designs 55 and 80 wide at five rules, on 200 instances: many
+    consequent rows reach the eps floor within a few iterations."""
+    return make_synthetic(n_instances=200, n_views=2, n_clusters=4,
+                          noise=1.5, seed=0, dims=[10, 15])
+
+
+def total_rises(trace):
+    return int((np.diff(trace.totals()) > 0).sum())
+
+
+# At gamma = 0.5 in paper mode the total rises on 7 iterations; at
+# gamma = 0.2 in exact mode the KKT test releases 8 floor rows.
+@pytest.mark.parametrize("b_update, gamma", [("paper", 0.5),
+                                             ("exact", 0.2)])
+def test_active_set_fit_tracks_the_full_width_fit(wide_dataset, b_update,
+                                                  gamma, monkeypatch):
+    # A row held at zero is one that the full-width solve leaves within
+    # about eps_irls * ||h_i|| / gamma <= eps_irls of zero, so the trace
+    # moves by far less than 1e-6.
+    hp = Hyperparams(n_rules=5, max_iter=25, tol_stop=0.0, seed=1,
+                     gamma=gamma, b_update=b_update)
+    prepared = prepare_inputs(wide_dataset, hp)
+    state, trace = fit(wide_dataset, hp, prepared=prepared)
+    assert sum(int((~p.any(axis=1)).sum()) for p in state.p_common) > 0
+    monkeypatch.setattr(solver, "update_common", full_width_common)
+    monkeypatch.setattr(solver, "update_specific", full_width_specific)
+    _, full_trace = fit(wide_dataset, hp, prepared=prepared)
+    np.testing.assert_allclose(trace.totals(), full_trace.totals(),
+                               rtol=1e-6, atol=0)
+    assert total_rises(trace) == total_rises(full_trace)
 
 
 class TestPrepared:
