@@ -9,7 +9,8 @@ so that no iteration touches N; otherwise it carries B itself.
 Row-sparsity terms are handled by iteratively reweighted least squares:
 each update freezes the diagonal reweighting, solves a linear system, and
 moves on. The consequent updates solve it on the rows above the reweighting
-floor only, and hold the others at exactly 0 while a KKT test allows.
+floor only, and hold the others at exactly 0 while a KKT test allows; only
+the live columns of their systems are formed.
 
 Every dense factorization in the fit goes through numpy's LAPACK. numpy
 and scipy each ship their own OpenBLAS, each with its own thread pool; a
@@ -366,32 +367,45 @@ def objective(state, problem, b, *, _traces=None):
                           entropy=entropy)
 
 
-def _solve_l21(a, rhs, gamma, f_diag, eps, view):
+def _solve_l21(columns, rhs, gamma, f_diag, eps, view):
     """Minimize x^T a x - 2 tr(rhs^T x) + gamma sum_i f_i ||x_i||^2, the
     frozen surrogate of a consequent block, over the rows not held at 0.
 
-    a is the smooth system, without the gamma f term, and is overwritten.
-    Rows at the IRLS floor (f_i >= 1 / eps, so the old row norm was at most
-    eps) start at exactly 0 when gamma > 0; the system is solved on the
-    other rows only. With x_i = 0 the stationarity condition
-    h + gamma f x = 0 of the smooth residual h = a x - rhs becomes the
-    subgradient test ||h_i|| <= gamma, the weight that multiplies f_i; each
-    zero row that fails it is released and the free rows are solved again.
-    A zero row so certified is within eps of its old value, and a solve of
-    every row would leave it within about eps ||h_i|| / gamma <= eps of 0.
+    a is the smooth system, symmetric and without the gamma f term; it is
+    never formed here. columns(idx) returns its columns idx, a[:, idx]
+    (D, |idx|), and is asked only for the free rows' columns: the full
+    width only when every row is free, and then the whole system is
+    solved with no test. Rows at the IRLS floor (f_i >= 1 / eps, so the
+    old row norm was at most eps) start at exactly 0 when gamma > 0; the
+    system is solved on the other rows only. With x_i = 0 the stationarity
+    condition h + gamma f x = 0 of the smooth residual h = a x - rhs
+    becomes the subgradient test ||h_i|| <= gamma, the weight that
+    multiplies f_i; each zero row that fails it is released and the free
+    rows are solved again. A zero row so certified is within eps of its old
+    value, and a solve of every row would leave it within about
+    eps ||h_i|| / gamma <= eps of 0. A block with no free row asks for no
+    column: its test reads rhs alone.
     """
     # The L2,1 weight per unit of f: it sets both the diagonal term and
     # the KKT threshold.
     weight = gamma
-    a.flat[::len(a) + 1] += weight * f_diag
     idx = np.flatnonzero(f_diag < (1.0 / eps if weight > 0 else np.inf))
-    while idx.size < len(a):
-        x = np.zeros(rhs.shape)
+    x = np.zeros(rhs.shape)
+    while True:
         if idx.size:
-            sub = a.take(idx, 0).take(idx, 1)
-            x[idx] = solve_reg(sub, rhs.take(idx, 0), view=view)
-        # The gamma f term on a's diagonal adds nothing on a zero row.
-        h = a @ x - rhs
+            cols = columns(idx)
+            if idx.size == len(rhs):
+                cols.flat[::idx.size + 1] += weight * f_diag
+                return solve_reg(cols, rhs, view=view)
+            sub = cols.take(idx, 0)
+            sub.flat[::idx.size + 1] += weight * f_diag[idx]
+            live = solve_reg(sub, rhs.take(idx, 0), view=view)
+            x[idx] = live
+            # The gamma f term adds nothing to h on a zero row.
+            h = cols @ live
+            h -= rhs
+        else:
+            h = -rhs
         h *= h
         norms = h.sum(axis=1)
         norms[idx] = 0.0  # only the zero rows are tested
@@ -399,7 +413,6 @@ def _solve_l21(a, rhs, gamma, f_diag, eps, view):
         if not released.size:
             return x
         idx = np.union1d(idx, released)
-    return solve_reg(a, rhs, view=view)
 
 
 def update_common(state, view, problem, b, f_diag):
@@ -408,35 +421,54 @@ def update_common(state, view, problem, b, f_diag):
     frozen; b=None means there is no map, so no map residual enters the
     system. It minimizes the block's surrogate over the free rows; rows at
     the eps_irls floor stay at exactly 0 while the KKT test of `_solve_l21`
-    certifies them, each within eps_irls of its old value."""
+    certifies them, each within eps_irls of its old value.
+
+    The smooth system wv X^T L X + alpha (G Ps)(G Ps)^T + beta (B X)^T (B X),
+    with G = X^T X, is formed only in the columns `_solve_l21` asks for:
+    the live rows'."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     ps = state.p_specific[view]
 
-    gps = problem.gram[view] @ ps
-    a = wv * xlx + hp.alpha * (gps @ gps.T)
     rhs = -wv * (xlx @ ps)
+    bx = None
     if b is not None:
         bx = b @ problem.coords[view]
-        a += hp.beta * (bx.T @ bx)
         rhs += hp.beta * bx.T
-    return _solve_l21(a, rhs, hp.gamma, f_diag, hp.eps_irls, view)
+
+    def columns(idx):
+        gps = problem.gram[view] @ ps
+        cols = xlx.take(idx, 1)
+        cols *= wv
+        cols += hp.alpha * (gps @ gps.take(idx, 0).T)
+        if bx is not None:
+            cols += hp.beta * (bx.T @ bx.take(idx, 1))
+        return cols
+
+    return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
 def update_specific(state, view, problem, f_diag):
     """IRLS update of one view's specific consequent matrix, over its free
-    rows as in `update_common`; the common_only variant never calls this
-    (the matrix stays zero)."""
+    rows as in `update_common`, with the smooth system
+    wv X^T L X + alpha (G Pc)(G Pc)^T formed in the live rows' columns only;
+    the common_only variant never calls this (the matrix stays zero)."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
     pc = state.p_common[view]
 
-    gpc = problem.gram[view] @ pc
-    a = wv * xlx + hp.alpha * (gpc @ gpc.T)
     rhs = -wv * (xlx @ pc)
-    return _solve_l21(a, rhs, hp.gamma, f_diag, hp.eps_irls, view)
+
+    def columns(idx):
+        gpc = problem.gram[view] @ pc
+        cols = xlx.take(idx, 1)
+        cols *= wv
+        cols += hp.alpha * (gpc @ gpc.take(idx, 0).T)
+        return cols
+
+    return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
 def update_consistency(state, problem, f_diag):

@@ -169,34 +169,58 @@ def dense_exact_consistency(zcs, f_diag, gamma):
     return b
 
 
+def dense_consequent_system(kind, state, view, problem, b):
+    """The smooth system a (D, D) of a consequent update, without the
+    gamma f term, and its right-hand side, formed at full width. kind is
+    "common" (b=None: no map residual) or "specific"."""
+    hp = state.hp
+    xlx = problem.xlx[view]
+    wv = state.view_weights[view]
+    other = (state.p_specific if kind == "common" else state.p_common)[view]
+    g = problem.gram[view] @ other
+    a = wv * xlx + hp.alpha * (g @ g.T)
+    rhs = -wv * (xlx @ other)
+    if kind == "common" and b is not None:
+        bx = b @ problem.coords[view]
+        a = a + hp.beta * (bx.T @ bx)
+        rhs = rhs + hp.beta * bx.T
+    return a, rhs
+
+
 def full_width_common(state, view, problem, b, f_diag):
     """Common consequent update by one dense solve of the whole
     frozen-reweighting system, every row included: the update before
     rows at the IRLS floor were held at zero."""
-    hp = state.hp
-    xlx = problem.xlx[view]
-    wv = state.view_weights[view]
-    ps = state.p_specific[view]
-    gps = problem.gram[view] @ ps
-    a = wv * xlx + hp.gamma * np.diag(f_diag) + hp.alpha * (gps @ gps.T)
-    rhs = -wv * (xlx @ ps)
-    if b is not None:
-        bx = b @ problem.coords[view]
-        a = a + hp.beta * (bx.T @ bx)
-        rhs = rhs + hp.beta * bx.T
-    return np.linalg.solve(a, rhs)
+    a, rhs = dense_consequent_system("common", state, view, problem, b)
+    return np.linalg.solve(a + state.hp.gamma * np.diag(f_diag), rhs)
 
 
 def full_width_specific(state, view, problem, f_diag):
     """Specific consequent update by one dense solve of the whole
     frozen-reweighting system, as `full_width_common`."""
-    hp = state.hp
-    xlx = problem.xlx[view]
-    wv = state.view_weights[view]
-    pc = state.p_common[view]
-    gpc = problem.gram[view] @ pc
-    a = wv * xlx + hp.alpha * (gpc @ gpc.T) + hp.gamma * np.diag(f_diag)
-    rhs = -wv * (xlx @ pc)
+    a, rhs = dense_consequent_system("specific", state, view, problem, None)
+    return np.linalg.solve(a + state.hp.gamma * np.diag(f_diag), rhs)
+
+
+def dense_active_set(a, rhs, gamma, f_diag, eps):
+    """Consequent solve with the rows at the IRLS floor held at zero, on a
+    dense smooth system a (without the gamma f term): the free rows are
+    solved, every zero row whose residual row of a x - rhs has norm above
+    gamma is released, and the free rows are solved again until none is.
+    At gamma = 0 no row is held. This is the update as it stood when the
+    whole D x D system was formed for every block."""
+    a = a + gamma * np.diag(f_diag)
+    free = np.flatnonzero(f_diag < (1.0 / eps if gamma > 0 else np.inf))
+    while free.size < len(a):
+        x = np.zeros(rhs.shape)
+        if free.size:
+            x[free] = np.linalg.solve(a[np.ix_(free, free)], rhs[free])
+        norms = ((a @ x - rhs) ** 2).sum(axis=1)
+        norms[free] = 0.0
+        released = np.flatnonzero(norms > gamma ** 2)
+        if not released.size:
+            return x
+        free = np.union1d(free, released)
     return np.linalg.solve(a, rhs)
 
 

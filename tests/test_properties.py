@@ -37,7 +37,8 @@ from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
                             fit, graph_traces, irls_diag, objective,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
-from oracles import (dense_exact_consistency, dense_knn_similarity,
+from oracles import (dense_active_set, dense_consequent_system,
+                     dense_exact_consistency, dense_knn_similarity,
                      fd_gradient, kmeans_oracle, kmeanspp_oracle,
                      lloyd_oracle, lloyd_step_oracle)
 
@@ -534,6 +535,34 @@ def test_specific_update_certifies_its_zero_rows(instance, seed):
     assert_certified(
         lambda p: surrogate(("specific", 0), p, state, problem, None, f_s),
         old, new, state.hp.gamma)
+
+
+@PROPS
+@given(instances(),
+       st.sampled_from(("common", "common without map", "specific")),
+       st.integers(0, 2 ** 32 - 1))
+def test_consequent_updates_match_the_dense_active_set(instance, block,
+                                                       seed):
+    # Row 0 and a random subset of the others start at the floor; the
+    # update forms only the free rows' columns, the oracle all of a.
+    state, b, problem, _ = instance
+    kind = block.split()[0]
+    if block == "common without map":
+        b = None
+    old = floor_rows((state.p_common if kind == "common"
+                      else state.p_specific)[0], seed)
+    old[0] = 0.0
+    f = irls_diag(old, state.hp.eps_irls)
+    if kind == "common":
+        new = update_common(state, 0, problem, b, f_diag=f)
+    else:
+        new = update_specific(state, 0, problem, f_diag=f)
+    a, rhs = dense_consequent_system(kind, state, 0, problem, b)
+    want = dense_active_set(a, rhs, state.hp.gamma, f, state.hp.eps_irls)
+    zero = ~want.any(axis=1)
+    np.testing.assert_array_equal(~new.any(axis=1), zero)
+    assert (np.abs(new - want).max()
+            <= 1e-10 * np.abs(want).max(initial=0.0))
 
 
 @PROPS

@@ -232,6 +232,15 @@ def solve_shapes(traced):
     return [call.args[0].shape for call in traced.call_args_list]
 
 
+def dense_columns(a, asked):
+    """The columns callable of `solver._solve_l21` for a dense smooth
+    system a; it appends each requested index list to asked."""
+    def columns(idx):
+        asked.append(idx.tolist())
+        return a[:, idx]
+    return columns
+
+
 class TestActiveSet:
     """Consequent rows at the eps floor stay at exactly zero until the KKT
     test ||h_i|| <= gamma fails for them."""
@@ -245,10 +254,13 @@ class TestActiveSet:
         a = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
         rhs = np.array([[3.0, 0.0], [0.0, 0.5], [1.0, 1.0]])
         f = np.array([1 / self.EPS, 1 / self.EPS, 1.0])
+        asked = []
         with mock.patch.object(solver, "solve_reg",
                                wraps=solver.solve_reg) as traced:
-            x = solver._solve_l21(a.copy(), rhs, 1.0, f, self.EPS, view=0)
+            x = solver._solve_l21(dense_columns(a, asked), rhs, 1.0, f,
+                                  self.EPS, view=0)
         assert solve_shapes(traced) == [(1, 1), (2, 2)]
+        assert asked == [[2], [0, 2]]
         free = [0, 2]
         want = np.linalg.solve(a[np.ix_(free, free)] + np.diag(f[free]),
                                rhs[free])
@@ -269,7 +281,8 @@ class TestActiveSet:
         f = np.array([1 / self.EPS, 1.0, 1.0, 1.0, 1.0])
         with mock.patch.object(solver, "solve_reg",
                                wraps=solver.solve_reg) as traced:
-            x = solver._solve_l21(a.copy(), rhs, 1e-20, f, self.EPS, view=0)
+            x = solver._solve_l21(dense_columns(a, []), rhs, 1e-20, f,
+                                  self.EPS, view=0)
         assert solve_shapes(traced) == [(4, 4)]
         assert not x[0].any()
         np.testing.assert_allclose(x[1:], np.linalg.solve(a[1:, 1:], rhs[1:]),
@@ -284,6 +297,33 @@ class TestActiveSet:
                                side_effect=AssertionError("solve_reg ran")):
             new = update_specific(state, 0, problem, f_diag=f_s)
         assert new.shape == state.p_specific[0].shape
+        assert not new.any()
+
+    def test_block_all_at_the_floor_asks_for_no_column(self):
+        # Every residual row has norm 0.5 < gamma = 1: no row is released,
+        # so no column of the system is formed.
+        rhs = np.full((4, 2), 0.5 / np.sqrt(2))
+        f = np.full(4, 1 / self.EPS)
+        asked = []
+        x = solver._solve_l21(dense_columns(np.eye(4), asked), rhs, 1.0, f,
+                              self.EPS, view=0)
+        assert asked == []
+        assert x.shape == rhs.shape
+        assert not x.any()
+
+    @pytest.mark.parametrize("kind", ["common", "specific"])
+    def test_all_floor_update_forms_no_gram_product(self, kind):
+        # With every row at the floor and gamma large, the update needs
+        # only its right-hand side: the Gram matrix is never read.
+        rng = np.random.default_rng(27)
+        state, b, problem, _ = random_instance(rng, gamma=1e6)
+        problem = replace(problem)
+        problem.gram = [None] * len(problem.gram)
+        f = np.full(len(state.p_common[0]), 1 / self.EPS)
+        if kind == "common":
+            new = update_common(state, 0, problem, b, f_diag=f)
+        else:
+            new = update_specific(state, 0, problem, f_diag=f)
         assert not new.any()
 
     def test_gamma_zero_restricts_nothing(self):
