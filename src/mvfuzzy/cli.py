@@ -17,23 +17,10 @@ from .data import (DataError, load_dataset, make_synthetic, save_dataset)
 from .evaluation import check_protocol, evaluate_embedding, grid_search
 from .model_io import load_model, save_model
 from .representation import embed, export_rules, rules_to_dict, rules_to_text
-from .solver import Hyperparams, NumericFailure, fit, prepare_inputs
+from .solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, NumericFailure,
+                     fit, prepare_inputs)
 
 DEFAULT_SWEEP_RANGE = [float(2.0 ** e) for e in range(-5, 6)]
-
-# (cli flag dest, Hyperparams field)
-_HP_FLAGS = [
-    ("alpha", "alpha"), ("beta", "beta"), ("gamma", "gamma"),
-    ("delta", "delta"), ("rules", "n_rules"), ("dim", "embed_dim"),
-    ("iters", "max_iter"), ("knn", "n_neighbors"),
-    ("bandwidth", "bandwidth"), ("tol", "tol_stop"), ("seed", "seed"),
-    ("b_mode", "b_update"), ("variant", "variant"),
-]
-
-_FLAG_VALUE_MAP = {
-    "variant": {"full": "full", "common-only": "common_only",
-                "no-consistency": "no_consistency"},
-}
 
 
 def _add_data_args(p, views_required=True):
@@ -45,23 +32,28 @@ def _add_data_args(p, views_required=True):
 
 
 def _add_model_args(p):
+    """Each model flag stores to its Hyperparams field."""
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=int, help="maximum iterations")
-    p.add_argument("--rules", type=int, help="number of fuzzy rules")
-    p.add_argument("--dim", type=int,
+    p.add_argument("--iters", dest="max_iter", metavar="ITERS", type=int,
+                   help="maximum iterations")
+    p.add_argument("--rules", dest="n_rules", metavar="RULES", type=int,
+                   help="number of fuzzy rules")
+    p.add_argument("--dim", dest="embed_dim", metavar="DIM", type=int,
                    help="embedding dimension per block (default: #classes)")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--knn", type=int, help="neighbors for the graphs")
+    p.add_argument("--knn", dest="n_neighbors", metavar="KNN", type=int,
+                   help="neighbors for the graphs")
     p.add_argument("--bandwidth",
                    help="kernel bandwidth ('auto' or a positive number)")
-    p.add_argument("--tol", type=float, help="early-stop tolerance")
-    p.add_argument("--b-mode", dest="b_mode", choices=["paper", "exact"])
+    p.add_argument("--tol", dest="tol_stop", metavar="TOL", type=float,
+                   help="early-stop tolerance")
+    p.add_argument("--b-mode", dest="b_update", choices=B_UPDATE_MODES)
     p.add_argument("--variant",
-                   choices=["full", "common-only", "no-consistency"])
+                   choices=[v.replace("_", "-") for v in VARIANTS])
 
 
 def build_parser():
@@ -154,13 +146,14 @@ def _parse_bandwidth(value):
 def resolve_hyperparams(args):
     """Defaults < config file < explicit CLI flags."""
     config = _load_config(getattr(args, "config", None))
-    fields = {f for f in Hyperparams.__dataclass_fields__}
+    fields = Hyperparams.__dataclass_fields__
     values = {k: v for k, v in config.items() if k in fields}
-    for flag, field in _HP_FLAGS:
-        flag_value = getattr(args, flag, None)
+    for name in fields:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            mapping = _FLAG_VALUE_MAP.get(field)
-            values[field] = mapping[flag_value] if mapping else flag_value
+            # --variant spells the variant names with hyphens.
+            values[name] = (flag_value.replace("-", "_") if name == "variant"
+                            else flag_value)
     if "bandwidth" in values:
         values["bandwidth"] = _parse_bandwidth(values["bandwidth"])
     try:
@@ -346,7 +339,7 @@ def cmd_ablate(args):
     # The variants share every preprocessing field, so one preparation
     # serves all three fits.
     prepared = prepare_inputs(dataset, base_hp)
-    for variant in ("full", "common_only", "no_consistency"):
+    for variant in VARIANTS:
         hp = replace(base_hp, variant=variant)
         state, trace = fit(dataset, hp, prepared=prepared)
         trace_path = out / f"trace_{variant}.csv"

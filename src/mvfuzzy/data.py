@@ -169,10 +169,19 @@ def load_dataset(view_paths, label_path=None, header=False):
     return MultiViewDataset(views=views, labels=labels)
 
 
+def _is_int(value):
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_count(value):
     """True for an integer (not a bool) >= 1."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= 1)
+    return _is_int(value) and value >= 1
 
 
 def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,

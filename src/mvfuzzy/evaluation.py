@@ -5,9 +5,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .data import _is_int
 from .representation import embed
-from .solver import (NumericFailure, _is_int, fit, prep_key,
-                     prepare_inputs)
+from .solver import NumericFailure, fit, prep_key, prepare_inputs
 
 # Bytes of squared-distance vectors one `_lloyd` call keeps for reuse; the
 # cache is emptied before an insert that would pass this.

@@ -18,14 +18,13 @@ scipy solve between numpy products makes the two pools contend for the
 same cores and can double the fit's CPU time.
 """
 
-import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .antecedent import Standardizer, fit_antecedents, fuzzy_map
-from .data import DataError
+from .data import DataError, _is_int, _is_real
 from .graph import build_graph
 
 VARIANTS = ("full", "common_only", "no_consistency")
@@ -116,14 +115,6 @@ class Hyperparams:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class ModelState:
     """Everything a fitted model needs to embed new data; no field scales
@@ -145,10 +136,6 @@ class ModelState:
         return self.p_common[0].shape[1]
 
 
-TERM_NAMES = ("graph", "orthogonality", "consistency", "b_sparsity",
-              "pc_sparsity", "ps_sparsity", "entropy")
-
-
 @dataclass
 class ObjectiveTerms:
     graph: float
@@ -162,6 +149,9 @@ class ObjectiveTerms:
     @property
     def total(self):
         return sum(getattr(self, name) for name in TERM_NAMES)
+
+
+TERM_NAMES = tuple(f.name for f in fields(ObjectiveTerms))
 
 
 @dataclass
@@ -220,11 +210,15 @@ def solve_reg(a, rhs, view=None):
     Never forms an explicit inverse. It factors with `np.linalg.solve`,
     not scipy's solvers, so the fit stays on numpy's one BLAS (see the
     module note); the solution comes back C-ordered, as `embed` needs for
-    bit-identical output after a save and load. A solve whose relative
-    residual betrays a singular or inconsistent system gets one retry
-    with RIDGE * max(1, max |diag(a)|) added to the diagonal, a ridge
-    scaled to the system so that it still acts when IRLS weights push
-    the diagonal to 1e8 and beyond, before NumericFailure is raised.
+    bit-identical output after a save and load. A solve that raises
+    LinAlgError (an exactly singular pivot) or returns a non-finite entry
+    gets one retry with RIDGE * max(1, max |diag(a)|) added to the
+    diagonal, a ridge scaled to the system so that it still acts when IRLS
+    weights push the diagonal to 1e8 and beyond, before NumericFailure is
+    raised. A relative residual above 1e-6 would also count as a failure,
+    but LU with partial pivoting is backward stable, so on the fit's
+    symmetric positive semi-definite systems that test is not known to
+    fire, even when they are rank-deficient.
     """
     def attempt(mat):
         try:
@@ -415,33 +409,30 @@ def _solve_l21(columns, rhs, gamma, f_diag, eps, view):
         idx = np.union1d(idx, released)
 
 
-def update_common(state, view, problem, b, f_diag):
-    """IRLS update of one view's common consequent matrix, with the row
-    reweighting f_diag and the consistency map b (held in problem.coords)
-    frozen; b=None means there is no map, so no map residual enters the
-    system. It minimizes the block's surrogate over the free rows; rows at
+def _update_consequent(state, view, problem, other, bx, f_diag):
+    """IRLS update of one of a view's two consequent blocks, the other
+    block `other` held fixed, with the row reweighting f_diag frozen. bx is
+    B X for the frozen consistency map (None: no map residual enters the
+    system). It minimizes the block's surrogate over the free rows; rows at
     the eps_irls floor stay at exactly 0 while the KKT test of `_solve_l21`
     certifies them, each within eps_irls of its old value.
 
-    The smooth system wv X^T L X + alpha (G Ps)(G Ps)^T + beta (B X)^T (B X),
-    with G = X^T X, is formed only in the columns `_solve_l21` asks for:
-    the live rows'."""
+    The smooth system wv X^T L X + alpha (G P)(G P)^T + beta (B X)^T (B X),
+    with G = X^T X and P = other, is formed only in the columns
+    `_solve_l21` asks for: the live rows'."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
-    ps = state.p_specific[view]
 
-    rhs = -wv * (xlx @ ps)
-    bx = None
-    if b is not None:
-        bx = b @ problem.coords[view]
+    rhs = -wv * (xlx @ other)
+    if bx is not None:
         rhs += hp.beta * bx.T
 
     def columns(idx):
-        gps = problem.gram[view] @ ps
+        gp = problem.gram[view] @ other
         cols = xlx.take(idx, 1)
         cols *= wv
-        cols += hp.alpha * (gps @ gps.take(idx, 0).T)
+        cols += hp.alpha * (gp @ gp.take(idx, 0).T)
         if bx is not None:
             cols += hp.beta * (bx.T @ bx.take(idx, 1))
         return cols
@@ -449,26 +440,21 @@ def update_common(state, view, problem, b, f_diag):
     return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
+def update_common(state, view, problem, b, f_diag):
+    """IRLS update of one view's common consequent matrix against the
+    frozen consistency map b, held in problem.coords (b=None: there is no
+    map); see `_update_consequent`."""
+    bx = None if b is None else b @ problem.coords[view]
+    return _update_consequent(state, view, problem, state.p_specific[view],
+                              bx, f_diag)
+
+
 def update_specific(state, view, problem, f_diag):
-    """IRLS update of one view's specific consequent matrix, over its free
-    rows as in `update_common`, with the smooth system
-    wv X^T L X + alpha (G Pc)(G Pc)^T formed in the live rows' columns only;
-    the common_only variant never calls this (the matrix stays zero)."""
-    hp = state.hp
-    xlx = problem.xlx[view]
-    wv = state.view_weights[view]
-    pc = state.p_common[view]
-
-    rhs = -wv * (xlx @ pc)
-
-    def columns(idx):
-        gpc = problem.gram[view] @ pc
-        cols = xlx.take(idx, 1)
-        cols *= wv
-        cols += hp.alpha * (gpc @ gpc.take(idx, 0).T)
-        return cols
-
-    return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
+    """IRLS update of one view's specific consequent matrix, which no map
+    residual involves; see `_update_consequent`. The common_only variant
+    never calls this (the matrix stays zero)."""
+    return _update_consequent(state, view, problem, state.p_common[view],
+                              None, f_diag)
 
 
 def update_consistency(state, problem, f_diag):
@@ -693,13 +679,21 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
         b = update_consistency(state, problem, f_diag=np.ones(m))
 
     trace = FitTrace(stop_reason="max_iter")
+    totals = []
     start = time.perf_counter()
-    trace.entries.append(TraceEntry(
-        iteration=0,
-        terms=objective(state, problem, b),
-        weights=state.view_weights.copy(),
-        elapsed=time.perf_counter() - start,
-    ))
+
+    def record(t, traces=None):
+        """Append iteration t's trace entry and its total."""
+        entry = TraceEntry(
+            iteration=t,
+            terms=objective(state, problem, b, _traces=traces),
+            weights=state.view_weights.copy(),
+            elapsed=time.perf_counter() - start,
+        )
+        trace.entries.append(entry)
+        totals.append(entry.total)
+
+    record(0)
 
     def step(block, old, update, *args):
         """IRLS update of one block, reweighted at its old value."""
@@ -732,19 +726,13 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
             err.iteration = t
             raise
 
-        trace.entries.append(TraceEntry(
-            iteration=t,
-            terms=objective(state, problem, b, _traces=traces),
-            weights=state.view_weights.copy(),
-            elapsed=time.perf_counter() - start,
-        ))
+        record(t, traces)
         if audit_surrogates:
             trace.surrogate_audit.append(audit)
 
         if hp.tol_stop > 0 and t >= 5:
-            totals = trace.totals()
-            prev = totals[-6:-1]
-            curr = totals[-5:]
+            last = np.array(totals[-6:])
+            prev, curr = last[:-1], last[1:]
             rel = np.abs(curr - prev) / np.maximum(np.abs(prev), 1e-12)
             if np.all(rel < hp.tol_stop):
                 trace.stop_reason = "tolerance"

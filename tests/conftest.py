@@ -3,8 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mvfuzzy import Hyperparams, evaluation, fit, make_synthetic
-from mvfuzzy.solver import ModelState, Problem
+from mvfuzzy import Hyperparams, evaluation, fit, make_synthetic, solver
+from mvfuzzy.solver import ModelState, NumericFailure, Problem
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +115,41 @@ def protocol_record(z, k, repeats, restarts, seed):
 def protocol_seeds(seed, repeats):
     """The seeds `evaluate_embedding` derives for its `repeats` calls."""
     return np.random.SeedSequence(seed).spawn(repeats)
+
+
+def solve_calls(run):
+    """(iteration, view) of every `solver.solve_reg` call that run() makes
+    through one fit: the iteration is one more than the view-weight
+    updates made before the call."""
+    calls, weight_updates = [], []
+    solve_reg = solver.solve_reg
+    update_view_weights = solver.update_view_weights
+
+    def solving(a, rhs, view=None):
+        calls.append((len(weight_updates) + 1, view))
+        return solve_reg(a, rhs, view=view)
+
+    def weighting(*args, **kwargs):
+        weight_updates.append(None)
+        return update_view_weights(*args, **kwargs)
+
+    with mock.patch.object(solver, "solve_reg", solving), \
+            mock.patch.object(solver, "update_view_weights", weighting):
+        run()
+    return calls
+
+
+def failing_solve(n):
+    """A `solver.solve_reg` whose nth call raises NumericFailure for the
+    view it was given, as a singular system would; the other calls
+    solve."""
+    solve_reg = solver.solve_reg
+    count = []
+
+    def solving(a, rhs, view=None):
+        count.append(None)
+        if len(count) == n:
+            raise NumericFailure("linear system is singular", view=view)
+        return solve_reg(a, rhs, view=view)
+
+    return solving

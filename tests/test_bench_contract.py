@@ -73,6 +73,24 @@ def test_restricted_consequent_solve_calls_solve_reg_through_module():
     assert traced.call_args_list[0].args[0].shape[0] < len(old)
 
 
+@pytest.mark.parametrize("variant", solver.VARIANTS)
+def test_fit_calls_each_consequent_update_through_module(blob_dataset,
+                                                         variant):
+    # perfbench times the common and the specific updates apart: fit
+    # must reach each through its module attribute, once per view and
+    # iteration (the common_only variant never updates the specific).
+    hp = Hyperparams(max_iter=3, tol_stop=0.0, seed=1, variant=variant)
+    with mock.patch.object(solver, "update_common",
+                           wraps=solver.update_common) as common, \
+            mock.patch.object(solver, "update_specific",
+                              wraps=solver.update_specific) as specific:
+        solver.fit(blob_dataset, hp)
+    per_fit = 3 * blob_dataset.n_views
+    assert common.call_count == per_fit
+    assert specific.call_count == (0 if variant == "common_only"
+                                   else per_fit)
+
+
 @pytest.mark.parametrize("refit", [False, True])
 def test_grid_search_calls_kmeans_through_module(blob_dataset, refit):
     grid = [Hyperparams(alpha=a, max_iter=3, seed=1) for a in (0.5, 2.0)]

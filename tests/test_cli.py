@@ -3,7 +3,10 @@ import json
 import pytest
 
 import mvfuzzy.cli as cli
-from mvfuzzy.solver import NumericFailure
+from conftest import failing_solve, solve_calls
+from mvfuzzy import solver
+from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
+                            NumericFailure)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,41 @@ class TestFit:
         model = json.loads((out / "model.json").read_text())
         assert model["hyperparams"]["variant"] == "no_consistency"
         assert model["hyperparams"]["b_update"] == "exact"
+
+
+def subcommand_options(command):
+    """The option strings of one subcommand, each with its argparse
+    action."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {opt: action for action in sub.choices[command]._actions
+            for opt in action.option_strings}
+
+
+@pytest.mark.parametrize("command", ["fit", "grid", "ablate"])
+class TestModelFlags:
+    def test_choices_are_the_library_values(self, command):
+        options = subcommand_options(command)
+        assert list(options["--b-mode"].choices) == list(B_UPDATE_MODES)
+        assert list(options["--variant"].choices) == [
+            v.replace("_", "-") for v in VARIANTS]
+
+    def test_every_model_flag_reaches_its_field(self, command):
+        args = cli.build_parser().parse_args([
+            command, "--views", "v.csv", "--out", "o", "--seed", "9",
+            "--iters", "17", "--rules", "4", "--dim", "2", "--alpha", "0.5",
+            "--beta", "0.25", "--gamma", "2", "--delta", "3", "--knn", "7",
+            "--bandwidth", "1.5", "--tol", "0.001", "--b-mode", "exact",
+            "--variant", "no-consistency"])
+        hp, _ = cli.resolve_hyperparams(args)
+        assert hp == Hyperparams(
+            seed=9, max_iter=17, n_rules=4, embed_dim=2, alpha=0.5,
+            beta=0.25, gamma=2.0, delta=3.0, n_neighbors=7, bandwidth=1.5,
+            tol_stop=1e-3, b_update="exact", variant="no_consistency")
+        # Every field but eps_irls, which has no flag, moved off its default.
+        default = Hyperparams()
+        assert [name for name in Hyperparams.__dataclass_fields__
+                if getattr(hp, name) == getattr(default, name)] == ["eps_irls"]
 
 
 class TestEvaluate:
@@ -268,6 +306,20 @@ class TestErrorPaths:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "numeric_failure"
         assert err["view"] == 1 and err["iteration"] == 4
+
+    def test_numeric_failure_in_a_fit_names_iteration_and_view(
+            self, synth_dir, tmp_path, monkeypatch):
+        argv = ["fit", *data_args(synth_dir), "--iters", "6", "--tol", "0",
+                "--seed", "3", "--out"]
+        calls = solve_calls(
+            lambda: cli.main([*argv, str(tmp_path / "clean")]))
+        monkeypatch.setattr(solver, "solve_reg",
+                            failing_solve(calls.index((4, 1)) + 1))
+        out = tmp_path / "out"
+        assert cli.main([*argv, str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "numeric_failure"
+        assert (err["iteration"], err["view"]) == (4, 1)
 
     def test_bandwidth_accepts_number(self, synth_dir, tmp_path):
         rc = cli.main(["fit", *data_args(synth_dir),

@@ -9,7 +9,7 @@ from conftest import protocol_labelings, protocol_seeds
 from mvfuzzy import evaluation
 from mvfuzzy.evaluation import (acc, check_protocol, evaluate_embedding,
                                 grid_search, kmeans, nmi, purity)
-from mvfuzzy.solver import Hyperparams
+from mvfuzzy.solver import Hyperparams, fit
 from oracles import (acc_oracle, kmeans_best_sse, kmeans_oracle, lloyd_oracle,
                      nmi_oracle)
 
@@ -592,6 +592,29 @@ class TestGridSearch:
         assert result.points[0].report is None
         assert result.points[1].report is not None
         assert result.best["nmi"] == 1
+
+    def test_failed_point_has_empty_metric_cells(self, blob_dataset,
+                                                 tmp_path):
+        # 8/12-dim views with 3 rules: fuzzy widths 27 and 39.
+        too_wide = Hyperparams(embed_dim=30, max_iter=2, seed=1)
+        with pytest.raises(ValueError) as info:
+            fit(blob_dataset, too_wide)
+        grid = [too_wide, Hyperparams(max_iter=2, seed=1)]
+        result = grid_search(blob_dataset, grid, repeats=2, restarts=2,
+                             seed=0)
+        assert result.points[0].error == str(info.value)
+        assert result.best == {"nmi": 1, "acc": 1, "purity": 1}
+        path = tmp_path / "sweep.csv"
+        result.write_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        # The message is the last cell; it may itself hold commas.
+        cells = lines[1].split(",", len(header) - 1)
+        assert header[7:] == ["nmi_mean", "nmi_std", "acc_mean", "acc_std",
+                              "purity_mean", "purity_std", "error"]
+        assert cells[:7] == ["0", "1.0", "1.0", "1.0", "1.0", "3", "30"]
+        assert cells[7:13] == [""] * 6
+        assert cells[13] == str(info.value)
 
     def test_points_fit_as_fresh_fits_in_grid_order(self, blob_dataset,
                                                     monkeypatch):

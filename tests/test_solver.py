@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import coordinate_basis, from_coords, random_instance
+from conftest import (coordinate_basis, failing_solve, from_coords,
+                      random_instance, solve_calls)
 from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
@@ -533,10 +534,31 @@ class TestFit:
             fit(blob_dataset, hp)
 
     def test_early_stop_triggers(self, blob_dataset):
+        """The fit stops at the first t >= 5 whose last five relative
+        changes of the total are all below tol_stop, read off the trace."""
         hp = Hyperparams(max_iter=400, tol_stop=1e-4, seed=5)
         _, trace = fit(blob_dataset, hp)
-        assert len(trace.entries) - 1 < 400
+        totals = trace.totals()
+        prev = np.abs(totals[:-1])
+        rel = np.abs(np.diff(totals)) / np.maximum(prev, 1e-12)
+
+        def quiet(t):  # rel[t - 1] is the change into iteration t
+            return bool(np.all(rel[t - 5:t] < hp.tol_stop))
+
+        stop = len(totals) - 1
         assert trace.stop_reason == "tolerance"
+        assert 5 <= stop < 400 and quiet(stop)
+        assert not any(quiet(t) for t in range(5, stop))
+
+    def test_numeric_failure_is_tagged_with_its_iteration(
+            self, blob_dataset, monkeypatch):
+        hp = Hyperparams(max_iter=6, tol_stop=0.0, seed=5)
+        calls = solve_calls(lambda: fit(blob_dataset, hp))
+        monkeypatch.setattr(solver, "solve_reg",
+                            failing_solve(calls.index((4, 1)) + 1))
+        with pytest.raises(NumericFailure) as info:
+            fit(blob_dataset, hp)
+        assert (info.value.iteration, info.value.view) == (4, 1)
 
     @pytest.mark.parametrize("max_iter", [0, 7])
     def test_iteration_cap_is_the_stop_reason(self, blob_dataset, max_iter):
