@@ -1,5 +1,6 @@
 """Clustering-based evaluation: K-means, NMI/ACC/Purity, grid search."""
 
+import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,6 +15,18 @@ from .solver import NumericFailure, fit, prep_key, prepare_inputs
 _DISTANCE_BYTES = 16 * 2 ** 20
 
 
+def _weighted_pick(weights, total, rng):
+    """The index that `rng.choice(len(weights), p=weights / total)` draws,
+    for non-negative weights with a positive finite total: numpy's own
+    draw, one uniform searched in the normalized cumulative sums, so the
+    generator's stream is the same. It skips choice's checks of p (finite,
+    non-negative, summing to 1), which k-means++ distances pass by
+    construction."""
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(columns, k, rng):
     """Seed k centers, as a (k, m) array, from the C-ordered (m, N)
     `columns` by squared-distance-proportional sampling; if every
@@ -22,7 +35,8 @@ def _kmeanspp_init(columns, k, rng):
     distance to the centers chosen so far, so the init makes k - 1
     distance passes. Each pass subtracts a center's column into one
     reused (m, N) buffer and sums the squares over the columns, in column
-    order; `rng.choice` draws each pick from the normalized distances."""
+    order; each pick is drawn as `rng.choice` would draw it from the
+    normalized distances (see `_weighted_pick`)."""
     n = columns.shape[1]
     chosen = [int(rng.integers(n))]
     diff = np.empty_like(columns)
@@ -34,7 +48,7 @@ def _kmeanspp_init(columns, k, rng):
         d2 = last if d2 is None else np.minimum(d2, last, out=d2)
         total = d2.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _weighted_pick(d2, total, rng)
         else:
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
@@ -412,11 +426,15 @@ class GridSearchResult:
     best: dict = field(default_factory=dict)
 
     def write_csv(self, path):
-        header = ("index,alpha,beta,gamma,delta,n_rules,embed_dim,"
-                  "nmi_mean,nmi_std,acc_mean,acc_std,"
-                  "purity_mean,purity_std,error")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
+        """One row per point. A failed point's message is its last cell,
+        quoted by the csv module when it holds a comma, a quote or a line
+        break."""
+        header = ["index", "alpha", "beta", "gamma", "delta", "n_rules",
+                  "embed_dim", "nmi_mean", "nmi_std", "acc_mean", "acc_std",
+                  "purity_mean", "purity_std", "error"]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
             for p in self.points:
                 hp = p.hp
                 cells = [str(p.index), repr(hp.alpha), repr(hp.beta),
@@ -429,7 +447,7 @@ class GridSearchResult:
                               repr(r.purity_std), ""]
                 else:
                     cells += [""] * 6 + [p.error or "failed"]
-                fh.write(",".join(cells) + "\n")
+                writer.writerow(cells)
 
 
 def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,

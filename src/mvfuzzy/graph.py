@@ -1,11 +1,13 @@
 """kNN similarity graphs and Laplacians in the fuzzy feature space.
 
 The graphs are sparse: S holds about N*k edges, so S and L = D - S are
-scipy.sparse CSR arrays and graph memory is O(N*k). Distances are formed
-one row block at a time, so no N x N array is ever allocated. Each row's
-k nearest are selected exactly, but only among the columns that can pass
-a bound on its k-th distance taken from strided column-group minima:
-about k*N/256 candidates per row for N >= 1024.
+scipy.sparse CSR arrays and graph memory is O(N*k). Gram products are
+formed one row block at a time, so no N x N array is ever allocated. Each
+row's k nearest are selected exactly, but only among the columns that can
+pass a bound on its k-th distance, taken from strided column-group minima
+of a monotone form of the distances with a rounding margin: about
+k*N/256 candidates per row for N >= 1024, and only theirs are turned into
+squared distances.
 """
 
 from dataclasses import dataclass
@@ -60,41 +62,51 @@ def _select(d2, k):
     return pos, np.take_along_axis(d2, pos, axis=1)
 
 
-def _nearest(d2, k, scratch):
+def _nearest(h, gram, sq, lo, k, margin):
     """Columns (ascending) and squared distances of each row's k nearest
-    among the first N columns of `d2`, whose last column is padding that
-    holds inf; k < N. Ties at the k-th distance go to the lowest column
-    indices, as in `_select`. `scratch` holds at least 2 * rows * G
-    floats, G as below.
+    among the N columns, for the block of rows lo, lo + 1, ... of x; k < N.
+    Ties at the k-th distance go to the lowest column indices, as in
+    `_select`. gram is the block's Gram rows g = x[lo:hi] x^T, sq the
+    squared row norms of x, and h holds h_ij = sq_j / 2 - g_ij with +inf at
+    each row's own column; h is overwritten.
 
-    Group g holds columns g, g + G, g + 2G, ... with G = min(_GROUPS,
-    N // 4). Elementwise minima over the G-wide column slices give every
+    A row's squared distances are d2_ij = sq_i + sq_j - 2 g_ij, so in exact
+    arithmetic d2_ij = 2 h_ij + sq_i orders the row as h does. Group g
+    holds columns g, g + G, g + 2G, ... with G = min(_GROUPS, N // 4).
+    Elementwise minima of h over the G-wide column slices give every
     group's minimum in one pass. Call the min(k, G)-th smallest of them
-    tau. For G >= k it bounds the row's k-th distance from above; for
-    G < k it is the largest minimum and admits every group. A column
-    within tau lies in a group whose minimum is within tau, so the
-    columns of those groups, gathered slice by slice (ascending column
-    order), hold the row's k nearest and every tie at the k-th, and
+    tau. For G >= k, the columns of the min(k, G) smallest minima bound
+    the row's k-th distance; for G < k tau is the largest minimum and
+    admits every group. Every column within the k-th distance then has
+    h <= max(tau, -sq_i / 2) + margin, where margin covers the rounding of
+    h and of d2 and the -sq_i / 2 term the clamp of d2 at 0 (see
+    `knn_similarity`). The columns of the groups whose minimum passes that
+    bound, gathered slice by slice (ascending column order), hold the
+    row's k nearest and every tie at the k-th. Their d2 is formed from the
+    same Gram entries in the same operations as for a whole row, so
     `_select` on them picks the same set as on the whole row.
 
-    Per block this costs one minimum pass over d2, a partition of
+    Per block this costs one minimum pass over h, a partition of
     rows x G minima, and the exact selection on about k*N/G candidates
     per row."""
-    rows, n = d2.shape[0], d2.shape[1] - 1
+    rows, n = gram.shape
     groups = max(1, min(_GROUPS, n // 4))
-    flat = scratch.reshape(-1)
-    minima = flat[:rows * groups].reshape(rows, groups)
-    ranked = flat[rows * groups:2 * rows * groups].reshape(rows, groups)
+    minima = np.empty((rows, groups))
     slices = n // groups
-    np.minimum.reduce(d2[:, :slices * groups].reshape(rows, slices, groups),
+    np.minimum.reduce(h[:, :slices * groups].reshape(rows, slices, groups),
                       axis=1, out=minima)
     rest = n - slices * groups
-    np.minimum(minima[:, :rest], d2[:, slices * groups:n],
+    np.minimum(minima[:, :rest], h[:, slices * groups:],
                out=minima[:, :rest])
+    # h is not read again: its first G columns take the copy to partition.
+    ranked = h[:, :groups]
     np.copyto(ranked, minima)
     rank = min(k, groups) - 1
     ranked.partition(rank, axis=1)
-    inside = minima <= ranked[:, rank:rank + 1]
+    sq_rows = sq[lo:lo + rows]
+    bound = np.maximum(ranked[:, rank], -0.5 * sq_rows)
+    bound += margin
+    inside = minima <= bound[:, None]
     counts = np.count_nonzero(inside, axis=1)
     width = counts.max()
     short = np.flatnonzero(counts < width)
@@ -108,10 +120,17 @@ def _nearest(d2, k, scratch):
     picked = (np.flatnonzero(inside) % groups).reshape(rows, width)
     cand = np.arange(0, n, groups)[:, None] + picked[:, None, :]
     cand = cand.reshape(rows, -1)
-    # The last slice may be shorter than G: its missing columns read the
-    # inf padding.
-    np.minimum(cand, n, out=cand)
-    pos, near = _select(np.take_along_axis(d2, cand, axis=1), k)
+    # The last slice may be shorter than G: its missing columns, which
+    # come last in each row, read column N - 1 and are then set to inf.
+    past = cand >= n
+    np.minimum(cand, n - 1, out=cand)
+    g = np.take_along_axis(gram, cand, axis=1)
+    g *= 2.0
+    d2 = sq_rows[:, None] + sq[cand]
+    d2 -= g
+    np.maximum(d2, 0.0, out=d2)
+    d2[past | (cand == np.arange(lo, lo + rows)[:, None])] = np.inf
+    pos, near = _select(d2, k)
     return np.take_along_axis(cand, pos, axis=1), near
 
 
@@ -146,27 +165,32 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     if not np.isfinite(bound):
         raise ValueError("x is too large: squared distances overflow")
 
+    # The rounding that `_nearest`'s group bound allows for. With M the
+    # largest squared row norm, every Gram entry has |g| <= 2M (it is M
+    # to within the rounding of the products). With u = eps / 2, the
+    # computed h and the computed d2 before its clamp each lie within
+    # 2.5 M u and 8 M u of their exact values from sq and g, so
+    # 2 h + sq_i lies within 13 M u of d2; the bound's own sum adds at
+    # most 3 M u in h units. 16 M eps = 32 M u holds twice that. The tiny
+    # term covers the absolute error of halving a subnormal sq.
+    margin = 4.0 * np.finfo(float).eps * bound + np.finfo(float).tiny
+    half_sq = 0.5 * sq
+
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))
     bounds = _row_blocks(n)
-    # One Gram and one distance buffer serve every block, the Gram one
-    # again as `_nearest`'s scratch: fresh 16 MB temporaries per block
-    # cost page faults until malloc reuses them. The distance buffer
-    # carries `_nearest`'s inf padding column.
+    # One Gram and one h buffer serve every block: fresh 16 MB
+    # temporaries per block cost page faults until malloc reuses them.
     rows = max(np.diff(bounds))
     gram_buf = np.empty((rows, n))
-    padded_buf = np.empty((rows, n + 1))
-    padded_buf[:, n] = np.inf
+    h_buf = np.empty((rows, n))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        gram, padded = gram_buf[:hi - lo], padded_buf[:hi - lo]
-        d2 = padded[:, :n]
+        gram, h = gram_buf[:hi - lo], h_buf[:hi - lo]
         np.matmul(x[lo:hi], x.T, out=gram)
-        gram *= 2.0
-        np.add(sq[lo:hi, None], sq[None, :], out=d2)
-        d2 -= gram
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        cols[lo:hi], neigh_d2[lo:hi] = _nearest(padded, n_neighbors, gram)
+        np.subtract(half_sq[None, :], gram, out=h)
+        h[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        cols[lo:hi], neigh_d2[lo:hi] = _nearest(h, gram, sq, lo, n_neighbors,
+                                                margin)
 
     if bandwidth == "auto":
         dists = np.sqrt(neigh_d2)

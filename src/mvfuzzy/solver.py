@@ -193,15 +193,16 @@ class FitTrace:
                 fh.write(",".join(cells) + "\n")
 
 
-def l21_norm(m):
-    """Sum of Euclidean row norms."""
-    return float(np.sqrt((np.asarray(m) ** 2).sum(axis=1)).sum())
+def _row_norms(x):
+    """Euclidean norm of each row of x. The L2,1 terms of `objective` and
+    the IRLS weights of `fit` are both read from it, so they agree to the
+    bit on the same block."""
+    return np.sqrt((x ** 2).sum(axis=1))
 
 
 def irls_diag(m, eps=1e-8):
     """Diagonal of the row reweighting matrix: 1 / max(row norm, eps)."""
-    norms = np.sqrt((np.asarray(m, dtype=float) ** 2).sum(axis=1))
-    return 1.0 / np.maximum(norms, eps)
+    return 1.0 / np.maximum(_row_norms(np.asarray(m, dtype=float)), eps)
 
 
 def solve_reg(a, rhs, view=None):
@@ -215,26 +216,18 @@ def solve_reg(a, rhs, view=None):
     gets one retry with RIDGE * max(1, max |diag(a)|) added to the
     diagonal, a ridge scaled to the system so that it still acts when IRLS
     weights push the diagonal to 1e8 and beyond, before NumericFailure is
-    raised. A relative residual above 1e-6 would also count as a failure,
-    but LU with partial pivoting is backward stable, so on the fit's
-    symmetric positive semi-definite systems that test is not known to
-    fire, even when they are rank-deficient.
+    raised. No residual is checked: LU with partial pivoting is backward
+    stable, so a finite solution always has a small backward error, and
+    that never showed it to be a meaningful one. On an ill-conditioned
+    system the solution can still be far from the exact one; how badly
+    conditioned the fit's systems are is for a fit report to state.
     """
     def attempt(mat):
         try:
             out = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(out)):
-            return None
-        # Backward-error test: flags finite-but-meaningless output from a
-        # numerically singular factorization.
-        residual = float(np.abs(mat @ out - rhs).max())
-        scale = float(np.abs(rhs).max(initial=0.0)
-                      + np.abs(mat).max() * np.abs(out).max(initial=0.0))
-        if residual > 1e-6 * max(scale, 1e-30):
-            return None
-        return out
+        return out if np.all(np.isfinite(out)) else None
 
     out = attempt(a)
     if out is None:
@@ -303,7 +296,28 @@ def _cross(gram, pc, ps):
 
 def _map_residual(bx, pc):
     """||B Zc - I||_F^2 for Zc = X Pc, given B X (= E R in coordinates)."""
-    return float(((bx @ pc - np.eye(pc.shape[1])) ** 2).sum())
+    r = bx @ pc
+    r.flat[::r.shape[1] + 1] -= 1.0
+    r *= r
+    return float(r.sum())
+
+
+def _map_products(b, problem):
+    """B X_v of every view for the map b held in problem.coords (None: no
+    map, and no products)."""
+    return None if b is None else [b @ r for r in problem.coords]
+
+
+def _block_norms(state, b):
+    """The row norms of every block, keyed as `surrogate` names the blocks;
+    the map's only when there is one (b not None)."""
+    norms = {}
+    if b is not None:
+        norms["consistency", None] = _row_norms(b)
+    for v in range(state.n_views):
+        norms["common", v] = _row_norms(state.p_common[v])
+        norms["specific", v] = _row_norms(state.p_specific[v])
+    return norms
 
 
 def graph_traces(state, problem):
@@ -313,7 +327,7 @@ def graph_traces(state, problem):
         in zip(problem.xlx, state.p_common, state.p_specific)])
 
 
-def objective(state, problem, b, *, _traces=None):
+def objective(state, problem, b, *, _traces=None, _bxs=None, _norms=None):
     """Evaluate the joint objective term by term at consistency map b.
 
     b is held in problem.coords: it is E = B Q (m, K) when those are the
@@ -322,8 +336,13 @@ def objective(state, problem, b, *, _traces=None):
     Frobenius terms are squared; the row-sparsity terms are plain L2,1
     norms; 0*ln(0) counts as 0. b=None means there is no map (fit passes
     it under the no_consistency variant): the map residual and its
-    sparsity term are then absent and reported as exact zeros. fit passes
-    the iteration's graph_traces as _traces, so they are evaluated once.
+    sparsity term are then absent and reported as exact zeros.
+
+    fit passes what its iteration has already formed, so that nothing is
+    evaluated twice: the graph_traces as _traces, the products B X_v of
+    every view as _bxs, and each block's row norms as _norms, a dict keyed
+    by block as `surrogate` names them. Each is the same array the
+    objective would form from the state and b.
     """
     hp = state.hp
     if len(problem.coords) != state.n_views:
@@ -340,17 +359,23 @@ def objective(state, problem, b, *, _traces=None):
         _cross(g, pc, ps) for g, pc, ps
         in zip(problem.gram, state.p_common, state.p_specific))
 
+    if _norms is None:
+        _norms = _block_norms(state, b)
     if b is None:
         consist = 0.0
         b_sparse = 0.0
     else:
+        if _bxs is None:
+            _bxs = _map_products(b, problem)
         consist = hp.beta * sum(
-            _map_residual(b @ r, pc)
-            for r, pc in zip(problem.coords, state.p_common))
-        b_sparse = hp.gamma * l21_norm(b)
+            _map_residual(bx, pc) for bx, pc in zip(_bxs, state.p_common))
+        b_sparse = hp.gamma * float(_norms["consistency", None].sum())
 
-    pc_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_common)
-    ps_sparse = hp.gamma * sum(l21_norm(p) for p in state.p_specific)
+    views = range(state.n_views)
+    pc_sparse = hp.gamma * sum(float(_norms["common", v].sum())
+                               for v in views)
+    ps_sparse = hp.gamma * sum(float(_norms["specific", v].sum())
+                               for v in views)
 
     wpos = w[w > 0]
     entropy = hp.delta * float((wpos * np.log(wpos)).sum())
@@ -440,11 +465,15 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
     return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
 
 
-def update_common(state, view, problem, b, f_diag):
+def update_common(state, view, problem, b, f_diag, *, _bxs=None):
     """IRLS update of one view's common consequent matrix against the
     frozen consistency map b, held in problem.coords (b=None: there is no
-    map); see `_update_consequent`."""
-    bx = None if b is None else b @ problem.coords[view]
+    map); see `_update_consequent`. fit passes the iteration's products
+    B X_v of every view as _bxs, so this one is not formed again."""
+    if _bxs is not None:
+        bx = _bxs[view]
+    else:
+        bx = None if b is None else b @ problem.coords[view]
     return _update_consequent(state, view, problem, state.p_specific[view],
                               bx, f_diag)
 
@@ -514,7 +543,7 @@ def update_view_weights(state, problem, *, _traces=None):
     return w / w.sum()
 
 
-def surrogate(block, x, state, problem, b, f_diag):
+def surrogate(block, x, state, problem, b, f_diag, *, _bxs=None):
     """Smooth objective that one block's update minimizes at frozen f_diag.
 
     block is ("common", v), ("specific", v) or ("consistency", None): the
@@ -522,7 +551,8 @@ def surrogate(block, x, state, problem, b, f_diag):
     the block, with the block set to x, plus gamma * sum_i f_i ||x_i||^2.
     b is the frozen map the common block is fitted against (None: there is
     no map); the consistency block reads x in its place. Maps are held in
-    problem.coords, as in `objective`.
+    problem.coords, as in `objective`. fit passes the products B X_v of b
+    as _bxs, as it does to `objective`.
     """
     hp = state.hp
     kind, v = block
@@ -535,7 +565,8 @@ def surrogate(block, x, state, problem, b, f_diag):
         value = state.view_weights[v] * _smoothness(problem.xlx[v], pc + ps)
         value += hp.alpha * _cross(problem.gram[v], pc, ps)
         if kind == "common" and b is not None:
-            value += hp.beta * _map_residual(b @ problem.coords[v], x)
+            bx = b @ problem.coords[v] if _bxs is None else _bxs[v]
+            value += hp.beta * _map_residual(bx, x)
     value += hp.gamma * float((f_diag[:, None] * x * x).sum())
     return value
 
@@ -637,6 +668,13 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     stays below tol_stop for 5 consecutive iterations. Returns the fitted
     state and the per-iteration trace.
 
+    Each quantity the iteration reads more than once is formed once: the
+    products B X_v right after the map update, for the common updates, the
+    objective and the surrogate audit; each block's row norms right after
+    its update, for the objective and for the block's next IRLS weights;
+    the graph traces after the consequents, for the view weights and the
+    objective.
+
     prepared, from prepare_inputs(dataset, hp') with prep_key(hp') equal
     to prep_key(hp), skips the preprocessing; fit only reads it, and the
     result is the same as without it. A ValueError is raised if it was
@@ -677,6 +715,8 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     if hp.variant != "no_consistency":
         # The map does not exist yet; its first update uses unit reweighting.
         b = update_consistency(state, problem, f_diag=np.ones(m))
+    bxs = _map_products(b, problem)
+    norms = _block_norms(state, b)
 
     trace = FitTrace(stop_reason="max_iter")
     totals = []
@@ -686,7 +726,8 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
         """Append iteration t's trace entry and its total."""
         entry = TraceEntry(
             iteration=t,
-            terms=objective(state, problem, b, _traces=traces),
+            terms=objective(state, problem, b, _traces=traces, _bxs=bxs,
+                            _norms=norms),
             weights=state.view_weights.copy(),
             elapsed=time.perf_counter() - start,
         )
@@ -695,13 +736,16 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
 
     record(0)
 
-    def step(block, old, update, *args):
-        """IRLS update of one block, reweighted at its old value."""
-        f_diag = irls_diag(old, hp.eps_irls)
-        new = update(*args, f_diag=f_diag)
+    def step(block, old, update, *args, **kwargs):
+        """IRLS update of one block, reweighted at its old value's row
+        norms; the new value's norms take their place."""
+        f_diag = 1.0 / np.maximum(norms[block], hp.eps_irls)
+        new = update(*args, f_diag=f_diag, **kwargs)
+        norms[block] = _row_norms(new)
         if audit_surrogates:
-            audit[block] = tuple(surrogate(block, x, state, problem, b, f_diag)
-                                 for x in (old, new))
+            audit[block] = tuple(
+                surrogate(block, x, state, problem, b, f_diag, _bxs=bxs)
+                for x in (old, new))
         return new
 
     for t in range(1, hp.max_iter + 1):
@@ -710,9 +754,11 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
             if b is not None:
                 b = step(("consistency", None), b, update_consistency,
                          state, problem)
+                bxs = _map_products(b, problem)
             for v in range(state.n_views):
                 state.p_common[v] = step(("common", v), state.p_common[v],
-                                         update_common, state, v, problem, b)
+                                         update_common, state, v, problem, b,
+                                         _bxs=bxs)
                 if hp.variant != "common_only":
                     state.p_specific[v] = step(
                         ("specific", v), state.p_specific[v],

@@ -187,10 +187,11 @@ def dense_consequent_system(kind, state, view, problem, b):
     return a, rhs
 
 
-def full_width_common(state, view, problem, b, f_diag):
+def full_width_common(state, view, problem, b, f_diag, *, _bxs=None):
     """Common consequent update by one dense solve of the whole
     frozen-reweighting system, every row included: the update before
-    rows at the IRLS floor were held at zero."""
+    rows at the IRLS floor were held at zero. It takes `update_common`'s
+    private _bxs, fit's products B X_v, and forms its own from b."""
     a, rhs = dense_consequent_system("common", state, view, problem, b)
     return np.linalg.solve(a + state.hp.gamma * np.diag(f_diag), rhs)
 

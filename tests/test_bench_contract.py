@@ -3,6 +3,7 @@ every traced name must resolve to a function of the library, and the
 library must reach it through that module attribute."""
 
 import ast
+import contextlib
 import importlib
 from pathlib import Path
 from unittest import mock
@@ -76,19 +77,27 @@ def test_restricted_consequent_solve_calls_solve_reg_through_module():
 @pytest.mark.parametrize("variant", solver.VARIANTS)
 def test_fit_calls_each_consequent_update_through_module(blob_dataset,
                                                          variant):
-    # perfbench times the common and the specific updates apart: fit
-    # must reach each through its module attribute, once per view and
-    # iteration (the common_only variant never updates the specific).
+    # perfbench times each update and the objective apart: fit must reach
+    # each through its module attribute, whatever it shares between them
+    # through private keywords. Per fit of 3 iterations: the consequents
+    # once per view and iteration (the common_only variant never updates
+    # the specific), the map once more at initialization (never under
+    # no_consistency), and the objective once more for entry 0.
     hp = Hyperparams(max_iter=3, tol_stop=0.0, seed=1, variant=variant)
-    with mock.patch.object(solver, "update_common",
-                           wraps=solver.update_common) as common, \
-            mock.patch.object(solver, "update_specific",
-                              wraps=solver.update_specific) as specific:
+    names = ("update_common", "update_specific", "update_consistency",
+             "objective", "update_view_weights")
+    with contextlib.ExitStack() as stack:
+        traced = {name: stack.enter_context(mock.patch.object(
+            solver, name, wraps=getattr(solver, name))) for name in names}
         solver.fit(blob_dataset, hp)
-    per_fit = 3 * blob_dataset.n_views
-    assert common.call_count == per_fit
-    assert specific.call_count == (0 if variant == "common_only"
-                                   else per_fit)
+    per_view = 3 * blob_dataset.n_views
+    assert {name: traced[name].call_count for name in names} == {
+        "update_common": per_view,
+        "update_specific": 0 if variant == "common_only" else per_view,
+        "update_consistency": 0 if variant == "no_consistency" else 4,
+        "objective": 4,
+        "update_view_weights": 3,
+    }
 
 
 @pytest.mark.parametrize("refit", [False, True])

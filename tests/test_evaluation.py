@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -606,10 +607,11 @@ class TestGridSearch:
         assert result.best == {"nmi": 1, "acc": 1, "purity": 1}
         path = tmp_path / "sweep.csv"
         result.write_csv(path)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        # The message is the last cell; it may itself hold commas.
-        cells = lines[1].split(",", len(header) - 1)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, cells, _ = csv.reader(fh)
+        # The message holds commas: the csv module quotes it, so the row
+        # has the header's 14 cells.
+        assert len(header) == len(cells) == 14
         assert header[7:] == ["nmi_mean", "nmi_std", "acc_mean", "acc_std",
                               "purity_mean", "purity_std", "error"]
         assert cells[:7] == ["0", "1.0", "1.0", "1.0", "1.0", "3", "30"]

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (from_coords, protocol_labelings, protocol_record,
@@ -31,10 +31,12 @@ from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
 from mvfuzzy.data import MultiViewDataset
-from mvfuzzy.evaluation import _kmeanspp_init, _lloyd, _lloyd_inputs, kmeans
+from mvfuzzy.evaluation import (_kmeanspp_init, _lloyd, _lloyd_inputs,
+                                _weighted_pick, kmeans)
 from mvfuzzy.representation import embed, export_rules, rules_predict
-from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, Problem,
-                            fit, graph_traces, irls_diag, objective,
+from mvfuzzy.solver import (B_UPDATE_MODES, TERM_NAMES, VARIANTS,
+                            Hyperparams, Problem, fit, graph_traces,
+                            irls_diag, objective,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
 from oracles import (dense_active_set, dense_consequent_system,
@@ -276,6 +278,23 @@ def test_kmeanspp_init_matches_oracle(inputs, seed):
 
 
 @GRAPH_PROPS
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1,
+                max_size=60), st.integers(0, 2 ** 32 - 1))
+def test_weighted_pick_draws_as_rng_choice(weights, seed):
+    # The k-means++ pick repeats numpy's own draw of rng.choice(n, p=p):
+    # the same index and the same generator stream after it, on weights
+    # with zeros.
+    weights = np.array(weights)
+    total = weights.sum()
+    assume(total > 0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert _weighted_pick(weights, total, rng) == ref_rng.choice(
+            len(weights), p=weights / total)
+    assert rng.random() == ref_rng.random()
+
+
+@GRAPH_PROPS
 @given(st.integers(1, 60), st.integers(1, 16), st.integers(1, 8),
        st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_kmeanspp_init_matches_oracle_on_unrounded_points(n, m, k, scale,
@@ -495,6 +514,53 @@ def floor_rows(block, seed):
     block = block.copy()
     block[rng.random(len(block)) < rng.random()] = 0.0
     return block
+
+
+@PROPS
+@given(instances(), st.sampled_from(VARIANTS), st.integers(0, 2 ** 32 - 1))
+def test_objective_reads_shared_products_and_norms_to_the_bit(instance,
+                                                             variant, seed):
+    # fit hands the objective the products B X_v and every block's row
+    # norms that it formed once per iteration. With them or without, the
+    # map and sparsity terms are those of the plain formulas, bit for bit,
+    # floor rows included, and the norms give irls_diag's weights.
+    state, b, problem, _ = instance
+    state = replace(state, hp=replace(state.hp, variant=variant))
+    if variant == "no_consistency":
+        b = None
+    state.p_common[0] = floor_rows(state.p_common[0], seed)
+    if variant == "common_only":
+        state.p_specific = [np.zeros_like(p) for p in state.p_specific]
+    hp = state.hp
+    blocks = {("common", v): p for v, p in enumerate(state.p_common)}
+    blocks.update({("specific", v): p for v, p in enumerate(state.p_specific)})
+    if b is not None:
+        blocks["consistency", None] = b
+    norms = {key: np.sqrt((x ** 2).sum(axis=1)) for key, x in blocks.items()}
+    bxs = None if b is None else [b @ r for r in problem.coords]
+
+    def l21(x):
+        return float(np.sqrt((x ** 2).sum(axis=1)).sum())
+
+    want = {"pc_sparsity": hp.gamma * sum(l21(p) for p in state.p_common),
+            "ps_sparsity": hp.gamma * sum(l21(p) for p in state.p_specific),
+            "consistency": 0.0, "b_sparsity": 0.0}
+    if b is not None:
+        eye = np.eye(hp.embed_dim)
+        want["consistency"] = hp.beta * sum(
+            float(((b @ r @ pc - eye) ** 2).sum())
+            for r, pc in zip(problem.coords, state.p_common))
+        want["b_sparsity"] = hp.gamma * l21(b)
+    shared = objective(state, problem, b, _bxs=bxs, _norms=norms)
+    fresh = objective(state, problem, b)
+    for name in TERM_NAMES:
+        assert repr(getattr(shared, name)) == repr(getattr(fresh, name))
+    for name, value in want.items():
+        assert repr(getattr(shared, name)) == repr(value)
+    eps = hp.eps_irls
+    for key, x in blocks.items():
+        np.testing.assert_array_equal(1.0 / np.maximum(norms[key], eps),
+                                      irls_diag(x, eps))
 
 
 def assert_certified(surrogate, start, new, gamma):

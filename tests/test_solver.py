@@ -140,6 +140,16 @@ class TestSolveReg:
         x = solve_reg(scale * np.ones((2, 2)), scale * np.ones(2))
         np.testing.assert_allclose(x, [0.5, 0.5], rtol=1e-5)
 
+    def test_non_finite_solution_gets_the_ridge_retry(self):
+        # No pivot is exactly zero, but the first solution overflows to
+        # inf; the ridge of RIDGE = 1e-10 brings it back to about 1e20.
+        a = np.diag([1e-300, 1.0])
+        rhs = np.array([1e10, 1.0])
+        assert not np.all(np.isfinite(np.linalg.solve(a, rhs)))
+        x = solve_reg(a, rhs)
+        np.testing.assert_allclose(x, [1e10 / (1e-300 + 1e-10),
+                                       1.0 / (1.0 + 1e-10)], rtol=1e-12)
+
     def test_solution_is_c_ordered(self):
         # embed is bit-reproducible across save/load only for C-ordered P.
         rng = np.random.default_rng(1)
@@ -705,6 +715,40 @@ def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
     assert len(pairs) == 20 * 5
     for before, after in pairs:
         assert after <= before + 1e-9 * (1.0 + abs(before))
+
+
+@pytest.mark.parametrize("variant, b_update", [
+    ("full", "paper"), ("full", "exact"), ("common_only", "exact"),
+    ("no_consistency", "paper")])
+def test_surrogate_audit_changes_no_bit(coords_dataset, variant, b_update,
+                                        monkeypatch):
+    # The audit reads fit's shared B X_v: its values are those surrogate
+    # gives from scratch, and the fit's state and trace are those of a fit
+    # without the audit.
+    hp = Hyperparams(max_iter=6, tol_stop=0.0, seed=3, variant=variant,
+                     b_update=b_update)
+    prepared = prepare_inputs(coords_dataset, hp)
+    state, trace = fit(coords_dataset, hp, prepared=prepared)
+    values = []
+
+    def checked(block, x, state, problem, b, f_diag, **shared):
+        value = surrogate(block, x, state, problem, b, f_diag, **shared)
+        assert repr(value) == repr(
+            surrogate(block, x, state, problem, b, f_diag))
+        values.append(value)
+        return value
+
+    monkeypatch.setattr(solver, "surrogate", checked)
+    audited_state, audited = fit(coords_dataset, hp, prepared=prepared,
+                                 audit_surrogates=True)
+    assert model_to_dict(audited_state) == model_to_dict(state)
+    assert [(e.iteration, e.terms, e.weights.tolist())
+            for e in audited.entries] == [
+        (e.iteration, e.terms, e.weights.tolist()) for e in trace.entries]
+    assert [v for audit in audited.surrogate_audit
+            for pair in audit.values() for v in pair] == values
+    blocks = (variant != "no_consistency") + 2 + 2 * (variant != "common_only")
+    assert len(values) == 2 * 6 * blocks
 
 
 @pytest.fixture(scope="module")
