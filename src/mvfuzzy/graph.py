@@ -1,13 +1,14 @@
 """kNN similarity graphs and Laplacians in the fuzzy feature space.
 
 The graphs are sparse: S holds about N*k edges, so S and L = D - S are
-scipy.sparse CSR arrays and graph memory is O(N*k). Gram products are
-formed one row block at a time, so no N x N array is ever allocated. Each
-row's k nearest are selected exactly, but only among the columns that can
-pass a bound on its k-th distance, taken from strided column-group minima
-of a monotone form of the distances with a rounding margin: about
-k*N/256 candidates per row for N >= 1024, and only theirs are turned into
-squared distances.
+scipy.sparse CSR arrays. Gram products are formed one row block at a
+time, so no N x N array is ever allocated, and memory is O(N*k) plus one
+Gram block and one h slice. Each row's k nearest are selected exactly, but
+only among the columns that can pass a bound on its k-th distance, taken
+from strided column-group minima of a monotone form h of the distances
+with a rounding margin: about k*N/256 candidates per row for N >= 1024,
+and only theirs are turned into squared distances. h is formed a slice of
+rows at a time and reduced to the group minima while it is in cache.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .data import _is_int, _is_real
+
 # Bytes of squared distances held per row block; the block's temporaries
 # take a small multiple of this.
 _BLOCK_BYTES = 16 * 2 ** 20
+
+# Bytes of h formed at a time: a slice of a block's rows small enough to
+# stay in a core's L2 cache until it is reduced to its group minima.
+_SLICE_BYTES = 2 ** 20
 
 # Most column groups `_nearest` bounds each row's k-th distance with.
 _GROUPS = 256
@@ -62,45 +69,66 @@ def _select(d2, k):
     return pos, np.take_along_axis(d2, pos, axis=1)
 
 
-def _nearest(h, gram, sq, lo, k, margin):
+def _slice_rows(n):
+    """Rows of an N-wide h slice within the slice budget."""
+    return max(1, _SLICE_BYTES // (8 * n))
+
+
+def _group_minima(gram, half_sq, lo, groups, h_buf):
+    """Each row's minima of h_ij = sq_j / 2 - g_ij over its column groups
+    j = c, c + G, c + 2G, ... (c < G = groups), with h = +inf at the row's
+    own column, for the Gram rows g = x[lo:hi] x^T of a block and
+    half_sq = sq / 2. h is formed in h_buf, len(h_buf) rows at a time, and
+    each slice is reduced before the next overwrites it."""
+    rows, n = gram.shape
+    minima = np.empty((rows, groups))
+    full = n // groups * groups
+    for start in range(0, rows, len(h_buf)):
+        stop = min(start + len(h_buf), rows)
+        h, low = h_buf[:stop - start], minima[start:stop]
+        np.subtract(half_sq[None, :], gram[start:stop], out=h)
+        h[np.arange(stop - start), np.arange(lo + start, lo + stop)] = np.inf
+        # Elementwise minima over the G-wide column slices give every
+        # group's minimum in one pass; the last column slice, shorter than
+        # G when G does not divide N, holds the first N - full groups.
+        np.minimum.reduce(h[:, :full].reshape(stop - start, -1, groups),
+                          axis=1, out=low)
+        np.minimum(low[:, :n - full], h[:, full:], out=low[:, :n - full])
+    return minima
+
+
+def _nearest(gram, half_sq, sq, lo, k, margin, h_buf):
     """Columns (ascending) and squared distances of each row's k nearest
     among the N columns, for the block of rows lo, lo + 1, ... of x; k < N.
     Ties at the k-th distance go to the lowest column indices, as in
     `_select`. gram is the block's Gram rows g = x[lo:hi] x^T, sq the
-    squared row norms of x, and h holds h_ij = sq_j / 2 - g_ij with +inf at
-    each row's own column; h is overwritten.
+    squared row norms of x and half_sq = sq / 2; h_buf is scratch for
+    `_group_minima`, and gram is only read.
 
     A row's squared distances are d2_ij = sq_i + sq_j - 2 g_ij, so in exact
-    arithmetic d2_ij = 2 h_ij + sq_i orders the row as h does. Group g
-    holds columns g, g + G, g + 2G, ... with G = min(_GROUPS, N // 4).
-    Elementwise minima of h over the G-wide column slices give every
-    group's minimum in one pass. Call the min(k, G)-th smallest of them
-    tau. For G >= k, the columns of the min(k, G) smallest minima bound
-    the row's k-th distance; for G < k tau is the largest minimum and
-    admits every group. Every column within the k-th distance then has
-    h <= max(tau, -sq_i / 2) + margin, where margin covers the rounding of
-    h and of d2 and the -sq_i / 2 term the clamp of d2 at 0 (see
-    `knn_similarity`). The columns of the groups whose minimum passes that
-    bound, gathered slice by slice (ascending column order), hold the
-    row's k nearest and every tie at the k-th. Their d2 is formed from the
-    same Gram entries in the same operations as for a whole row, so
-    `_select` on them picks the same set as on the whole row.
+    arithmetic d2_ij = 2 h_ij + sq_i orders the row as
+    h_ij = sq_j / 2 - g_ij does. Group c holds columns c, c + G, c + 2G,
+    ... with G = min(_GROUPS, N // 4), and `_group_minima` gives every
+    group's minimum of h, with +inf at the row's own column. Call the
+    min(k, G)-th smallest of them tau. For G >= k, the columns of the
+    min(k, G) smallest minima bound the row's k-th distance; for G < k tau
+    is the largest minimum and admits every group. Every column within
+    the k-th distance then has h <= max(tau, -sq_i / 2) + margin, where
+    margin covers the rounding of h and of d2 and the -sq_i / 2 term the
+    clamp of d2 at 0 (see `knn_similarity`). The columns of the groups
+    whose minimum passes that bound, gathered slice by slice (ascending
+    column order), hold the row's k nearest and every tie at the k-th.
+    Their d2 is formed from the same Gram entries in the same operations
+    as for a whole row, so `_select` on them picks the same set as on the
+    whole row.
 
-    Per block this costs one minimum pass over h, a partition of
+    Per block this costs one pass over h, slice by slice, a partition of
     rows x G minima, and the exact selection on about k*N/G candidates
     per row."""
     rows, n = gram.shape
     groups = max(1, min(_GROUPS, n // 4))
-    minima = np.empty((rows, groups))
-    slices = n // groups
-    np.minimum.reduce(h[:, :slices * groups].reshape(rows, slices, groups),
-                      axis=1, out=minima)
-    rest = n - slices * groups
-    np.minimum(minima[:, :rest], h[:, slices * groups:],
-               out=minima[:, :rest])
-    # h is not read again: its first G columns take the copy to partition.
-    ranked = h[:, :groups]
-    np.copyto(ranked, minima)
+    minima = _group_minima(gram, half_sq, lo, groups, h_buf)
+    ranked = minima.copy()
     rank = min(k, groups) - 1
     ranked.partition(rank, axis=1)
     sq_rows = sq[lo:lo + rows]
@@ -120,8 +148,9 @@ def _nearest(h, gram, sq, lo, k, margin):
     picked = (np.flatnonzero(inside) % groups).reshape(rows, width)
     cand = np.arange(0, n, groups)[:, None] + picked[:, None, :]
     cand = cand.reshape(rows, -1)
-    # The last slice may be shorter than G: its missing columns, which
-    # come last in each row, read column N - 1 and are then set to inf.
+    # The last column slice may be shorter than G: its missing columns,
+    # which come last in each row, read column N - 1 and are then set to
+    # inf.
     past = cand >= n
     np.minimum(cand, n - 1, out=cand)
     g = np.take_along_axis(gram, cand, axis=1)
@@ -134,6 +163,15 @@ def _nearest(h, gram, sq, lo, k, margin):
     return np.take_along_axis(cand, pos, axis=1), near
 
 
+def _check_bandwidth(bandwidth):
+    """Raise ValueError unless bandwidth is "auto" or a finite positive
+    real number (not a bool)."""
+    if not (isinstance(bandwidth, str) and bandwidth == "auto"
+            or _is_real(bandwidth) and 0 < bandwidth < np.inf):
+        raise ValueError("bandwidth must be 'auto' or finite and "
+                         f"positive, got {bandwidth!r}")
+
+
 def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     """Gaussian-kernel similarity restricted to each row's k nearest
     neighbors, then symmetrized as (S + S^T)/2 with a zero diagonal.
@@ -141,20 +179,22 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     bandwidth="auto" sets the kernel scale to the median of the nonzero
     selected neighbor distances, which keeps the weights away from the
     degenerate all-0 / all-1 regimes whatever the data scale. Distance
-    ties resolve to the lower index. A numeric bandwidth must be finite
-    and positive, and x finite with 4 max ||x||^2 finite, so that no
-    squared distance overflows; ValueError otherwise.
+    ties resolve to the lower index. n_neighbors must be an integer in
+    [1, N - 1], bandwidth "auto" or a finite positive real (a bool or any
+    other string is not one), and x finite with 4 max ||x||^2 finite, so
+    that no squared distance overflows; ValueError otherwise.
 
     Returns S as an (N, N) scipy.sparse CSR array with at most 2*N*k
-    entries; squared distances are computed in row blocks, so memory is
-    O(N*k) plus one block.
+    entries. Gram products are formed in row blocks of at most
+    _BLOCK_BYTES and h in slices of at most _SLICE_BYTES, so memory is
+    O(N*k) plus one Gram block and one h slice.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if not 1 <= n_neighbors < n:
-        raise ValueError(f"n_neighbors must be in [1, {n - 1}]")
-    if bandwidth != "auto" and not 0 < float(bandwidth) < np.inf:
-        raise ValueError("bandwidth must be finite and positive")
+    if not (_is_int(n_neighbors) and 1 <= n_neighbors < n):
+        raise ValueError(f"n_neighbors must be an integer in [1, {n - 1}], "
+                         f"got {n_neighbors!r}")
+    _check_bandwidth(bandwidth)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (x * x).sum(axis=1)
         # Every squared distance, and every sum the blocks form on the
@@ -179,18 +219,17 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))
     bounds = _row_blocks(n)
-    # One Gram and one h buffer serve every block: fresh 16 MB
-    # temporaries per block cost page faults until malloc reuses them.
+    # One Gram buffer serves every block, since fresh 16 MB temporaries
+    # per block cost page faults until malloc reuses them, and one h slice
+    # serves every slice of every block.
     rows = max(np.diff(bounds))
     gram_buf = np.empty((rows, n))
-    h_buf = np.empty((rows, n))
+    h_buf = np.empty((min(rows, _slice_rows(n)), n))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        gram, h = gram_buf[:hi - lo], h_buf[:hi - lo]
+        gram = gram_buf[:hi - lo]
         np.matmul(x[lo:hi], x.T, out=gram)
-        np.subtract(half_sq[None, :], gram, out=h)
-        h[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        cols[lo:hi], neigh_d2[lo:hi] = _nearest(h, gram, sq, lo, n_neighbors,
-                                                margin)
+        cols[lo:hi], neigh_d2[lo:hi] = _nearest(gram, half_sq, sq, lo,
+                                                n_neighbors, margin, h_buf)
 
     if bandwidth == "auto":
         dists = np.sqrt(neigh_d2)

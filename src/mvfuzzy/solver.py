@@ -25,7 +25,7 @@ import numpy as np
 
 from .antecedent import Standardizer, fit_antecedents, fuzzy_map
 from .data import DataError, _is_int, _is_real
-from .graph import build_graph
+from .graph import _check_bandwidth, build_graph
 
 VARIANTS = ("full", "common_only", "no_consistency")
 B_UPDATE_MODES = ("paper", "exact")
@@ -98,11 +98,7 @@ class Hyperparams:
                 f"eps_irls must be finite and positive, got {self.eps_irls!r}")
         if not (_is_real(self.tol_stop) and np.isfinite(self.tol_stop)):
             raise ValueError(f"tol_stop must be finite, got {self.tol_stop!r}")
-        bandwidth = self.bandwidth
-        if not (isinstance(bandwidth, str) and bandwidth == "auto"
-                or _is_real(bandwidth) and 0 < bandwidth < np.inf):
-            raise ValueError("bandwidth must be 'auto' or finite and "
-                             f"positive, got {bandwidth!r}")
+        _check_bandwidth(self.bandwidth)
         if self.n_rules < 1:
             raise ValueError("n_rules must be >= 1")
         if self.embed_dim is not None and self.embed_dim < 1:

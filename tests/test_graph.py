@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,18 @@ class TestKnnSimilarity:
             knn_similarity(x, n_neighbors=5)
         with pytest.raises(ValueError):
             knn_similarity(x, n_neighbors=0)
+
+    @pytest.mark.parametrize("build", [knn_similarity, build_graph])
+    def test_fractional_neighbor_count_rejected(self, build):
+        with pytest.raises(ValueError, match="n_neighbors"):
+            build(np.zeros((5, 2)), n_neighbors=2.5)
+
+    @pytest.mark.parametrize("build", [knn_similarity, build_graph])
+    @pytest.mark.parametrize("bad", [True, "1.5"])
+    def test_non_real_bandwidth_rejected(self, build, bad):
+        x = np.random.default_rng(6).normal(size=(8, 3))
+        with pytest.raises(ValueError, match="bandwidth"):
+            build(x, n_neighbors=2, bandwidth=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -114,9 +127,25 @@ def test_default_block_budget_matches_dense_oracle(kind, k):
         x = rng.integers(-1024, 1025, size=(1500, 6)) / 16.0
     else:
         x = rng.integers(-2, 3, size=(1500, 3)).astype(float)
-    assert len(graph._row_blocks(len(x))) == 3
+    # It also cuts each 750-row block into h slices, the last one short.
+    n = len(x)
+    assert len(graph._row_blocks(n)) == 3
+    assert 750 % graph._slice_rows(n) and graph._slice_rows(n) < 750
     np.testing.assert_array_equal(knn_similarity(x, k).toarray(),
                                   dense_knn_similarity(x, k))
+
+
+def test_memory_stays_within_one_gram_block_and_one_h_slice():
+    # One 16 MB Gram block plus 1 MB h slices peak at about 20 MB; a
+    # block-wide h would add a second 16 MB array.
+    x = np.random.default_rng(23).normal(size=(4000, 39))
+    tracemalloc.start()
+    try:
+        knn_similarity(x, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 class TestLaplacian:

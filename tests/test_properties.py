@@ -133,6 +133,30 @@ def test_knn_similarity_matches_oracle_across_row_blocks_with_few_groups(
                                   dense_knn_similarity(x, k, bandwidth))
 
 
+# Each row block's h is formed a slice of rows at a time. With several
+# row blocks, each cut into two or more slices of which the last is
+# short, and 1 to 8 column groups, S must still equal the oracle.
+@GRAPH_PROPS
+@given(point_sets(kinds=EXACT_KINDS), st.integers(1, 8), st.data())
+def test_knn_similarity_matches_oracle_across_h_slices(points, groups, data):
+    x, k, bandwidth = points
+    n = len(x)
+    rows = data.draw(st.integers(3, max(3, n // 2)))
+    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows):
+        bounds = graph._row_blocks(n)
+        sizes = set(np.diff(bounds).tolist())
+        spans = [r for r in range(2, min(sizes))
+                 if all(b % r for b in sizes)]
+        assume(len(bounds) > 2 and spans)
+        slice_rows = data.draw(st.sampled_from(spans))
+        with mock.patch.object(graph, "_SLICE_BYTES", 8 * n * slice_rows), \
+                mock.patch.object(graph, "_GROUPS", groups):
+            assert graph._slice_rows(n) == slice_rows
+            s = graph.knn_similarity(x, k, bandwidth)
+    np.testing.assert_array_equal(s.toarray(),
+                                  dense_knn_similarity(x, k, bandwidth))
+
+
 @GRAPH_PROPS
 @given(point_sets())
 def test_laplacian_symmetric_zero_row_sums_psd(points):
