@@ -146,9 +146,8 @@ def _parse_bandwidth(value):
 def resolve_hyperparams(args):
     """Defaults < config file < explicit CLI flags."""
     config = _load_config(getattr(args, "config", None))
-    fields = Hyperparams.__dataclass_fields__
-    values = {k: v for k, v in config.items() if k in fields}
-    for name in fields:
+    values = {k: v for k, v in config.items() if k != "grid"}
+    for name in Hyperparams.__dataclass_fields__:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             # --variant spells the variant names with hyphens.
@@ -289,6 +288,8 @@ def _build_grid(args, config, base_hp):
     names = sorted(sweep)
     points = [base_hp]
     for name in names:
+        if name not in Hyperparams.__dataclass_fields__:
+            raise DataError(f"cannot sweep unknown parameter: {name}")
         values = sweep[name]
         if not values:
             raise DataError(f"grid for {name} is empty")

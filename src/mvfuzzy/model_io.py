@@ -38,11 +38,19 @@ def save_model(state, path):
 
 
 def model_from_dict(doc):
+    """The ModelState of a model document; ValueError if it is not a
+    JSON object or its version or hyperparams are not a model's."""
+    if not isinstance(doc, dict):
+        raise ValueError("a model document must be a JSON object, not "
+                         f"{type(doc).__name__}")
     version = doc.get("format_version")
     # Version 1 also held the training-set consistency map, ignored here.
     if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version}")
-    hp = Hyperparams(**doc["hyperparams"])
+    try:
+        hp = Hyperparams(**doc["hyperparams"])
+    except TypeError as err:
+        raise ValueError(f"bad model hyperparams: {err}") from None
     standardizers, banks, p_common, p_specific = [], [], [], []
     for vd in doc["views"]:
         standardizers.append(Standardizer(

@@ -3,9 +3,8 @@
 State per view: a common consequent matrix and a specific consequent
 matrix acting on the fuzzy design matrix, plus a softmax-weighted view
 importance vector. The consistency map B (m, N) exists only inside `fit`,
-which carries it as coordinates E = B Q (m, sum_v D_v) in the basis Q of one
-thin QR of the stacked designs whenever 2 sum_v D_v <= N (see `Problem`),
-so that no iteration touches N; otherwise it carries B itself.
+which carries it in the coordinates that `Problem` states: with K < N
+columns whenever 2 sum_v D_v <= N, so that no iteration touches N.
 Row-sparsity terms are handled by iteratively reweighted least squares:
 each update freezes the diagonal reweighting, solves a linear system, and
 moves on. The consequent updates solve it on the rows above the reweighting
@@ -236,48 +235,47 @@ def solve_reg(a, rhs, view=None):
 
 @dataclass
 class Problem:
-    """Per-view quantities every iteration reads, derived once.
-
-    design[v] is the fuzzy design matrix X (N, D_v); xlx[v] is X^T L X for
-    the view's kNN graph Laplacian L and gram[v] is X^T X, both (D_v, D_v).
-    The graphs themselves are not kept: every graph-dependent term of the
-    objective is a quadratic form in X^T L X.
+    """Per-view quantities every iteration reads, derived once by
+    `from_graphs`. xlx[v] is X^T L X for the view's fuzzy design X (N, D_v)
+    and kNN graph Laplacian L, and gram[v] is X^T X, both (D_v, D_v).
+    Neither the designs nor the graphs are kept: every graph-dependent
+    term of the objective is a quadratic form in X^T L X, and every map
+    term reads coords.
 
     coords[v] (K, D_v) is the view's design in the coordinates that `fit`
     carries the consistency map in, and n_instances is N. When
     2 sum_v D_v <= N they are the column blocks R_v of the R factor of one
     thin QR [X_1 ... X_V] = Q R, with K = sum_v D_v; Q is never formed.
-    The map is then held as E = B Q (m, K): B X_v = E R_v, and the rows
-    of E have the norms of B's, since every map the fit forms has its rows
-    in the span of Q. QR, not a Cholesky factor of the stacked Gram
-    matrix, because the stacked designs are rank-deficient (the firing
-    levels of every view sum to one). Otherwise coords[v] is X_v itself,
-    K = N and the map is B, which is cheaper when the designs are wide.
+    The map is then held as E = B Q (m, K), whose rows have the norms of
+    B's, since every map the fit forms has its rows in the span of Q. QR,
+    not a Cholesky factor of the stacked Gram matrix, because the stacked
+    designs are rank-deficient (the firing levels of every view sum to
+    one). Otherwise coords[v] is X_v, K = N and the map is held as B,
+    which is cheaper when the designs are wide. Every function here takes
+    a map b held so: B X_v = b coords[v], and b's L2,1 norm is B's.
     """
 
-    design: list
     xlx: list
     gram: list
-    coords: list = field(init=False)
-    n_instances: int = field(init=False)
-
-    def __post_init__(self):
-        self.n_instances = self.design[0].shape[0]
-        widths = np.cumsum([0] + [x.shape[1] for x in self.design])
-        if 2 * widths[-1] > self.n_instances:
-            self.coords = list(self.design)
-            return
-        r = np.linalg.qr(np.hstack(self.design), mode="r")
-        self.coords = [np.ascontiguousarray(r[:, a:b])
-                       for a, b in zip(widths[:-1], widths[1:])]
+    coords: list
+    n_instances: int
 
     @classmethod
     def from_graphs(cls, design, graphs):
-        """Form X^T L X from each graph's sparse CSR Laplacian (O(N*k)
-        entries) by a sparse x dense product, then X^T times that."""
+        """The Problem of the views' fuzzy designs and kNN graphs. X^T L X
+        is formed from each graph's sparse CSR Laplacian (O(N*k) entries)
+        by a sparse x dense product, then X^T times that."""
         xlx = [x.T @ (g.laplacian @ x) for x, g in zip(design, graphs)]
-        return cls(design=list(design), xlx=xlx,
-                   gram=[x.T @ x for x in design])
+        gram = [x.T @ x for x in design]
+        n = design[0].shape[0]
+        widths = np.cumsum([0] + [x.shape[1] for x in design])
+        if 2 * widths[-1] > n:
+            coords = list(design)
+        else:
+            r = np.linalg.qr(np.hstack(design), mode="r")
+            coords = [np.ascontiguousarray(r[:, a:b])
+                      for a, b in zip(widths[:-1], widths[1:])]
+        return cls(xlx=xlx, gram=gram, coords=coords, n_instances=n)
 
 
 def _smoothness(xlx, p):
@@ -299,8 +297,8 @@ def _map_residual(bx, pc):
 
 
 def _map_products(b, problem):
-    """B X_v of every view for the map b held in problem.coords (None: no
-    map, and no products)."""
+    """B X_v of every view for the map b, held as `Problem` states (None:
+    no map, and no products)."""
     return None if b is None else [b @ r for r in problem.coords]
 
 
@@ -324,15 +322,12 @@ def graph_traces(state, problem):
 
 
 def objective(state, problem, b, *, _traces=None, _bxs=None, _norms=None):
-    """Evaluate the joint objective term by term at consistency map b.
-
-    b is held in problem.coords: it is E = B Q (m, K) when those are the
-    R blocks of the stacked designs' QR and B (m, N) itself otherwise; B
-    X_v = b R_v and the L2,1 norm of b is that of B either way.
-    Frobenius terms are squared; the row-sparsity terms are plain L2,1
-    norms; 0*ln(0) counts as 0. b=None means there is no map (fit passes
-    it under the no_consistency variant): the map residual and its
-    sparsity term are then absent and reported as exact zeros.
+    """Evaluate the joint objective term by term at consistency map b,
+    held as `Problem` states. Frobenius terms are squared; the row-sparsity
+    terms are plain L2,1 norms; 0*ln(0) counts as 0. b=None means there
+    is no map (fit passes it under the no_consistency variant): the map
+    residual and its sparsity term are then absent and reported as exact
+    zeros.
 
     fit passes what its iteration has already formed, so that nothing is
     evaluated twice: the graph_traces as _traces, the products B X_v of
@@ -463,13 +458,11 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
 
 def update_common(state, view, problem, b, f_diag, *, _bxs=None):
     """IRLS update of one view's common consequent matrix against the
-    frozen consistency map b, held in problem.coords (b=None: there is no
+    frozen consistency map b, held as `Problem` states (b=None: there is no
     map); see `_update_consequent`. fit passes the iteration's products
     B X_v of every view as _bxs, so this one is not formed again."""
-    if _bxs is not None:
-        bx = _bxs[view]
-    else:
-        bx = None if b is None else b @ problem.coords[view]
+    bxs = _map_products(b, problem) if _bxs is None else _bxs
+    bx = None if bxs is None else bxs[view]
     return _update_consequent(state, view, problem, state.p_specific[view],
                               bx, f_diag)
 
@@ -484,10 +477,9 @@ def update_specific(state, view, problem, f_diag):
 
 def update_consistency(state, problem, f_diag):
     """New consistency map from the current common consequents, with the
-    row reweighting f_diag (m,) of the map frozen. The map is returned in
-    problem.coords: as E = B Q (m, K) when those are R blocks, as B
-    (m, N) otherwise; below, Zc_v = X_v Pc_v may be read as R_v Pc_v and
-    N as K, with the same result in those coordinates.
+    row reweighting f_diag (m,) of the map frozen. The map is returned as
+    `Problem` states; below, Zc_v = X_v Pc_v may be read as
+    coords[v] Pc_v and N as K, with the same result in those coordinates.
 
     "paper" mode keeps the paper's cheap diagonal closed form, which is
     the true minimizer of the surrogate only at beta = 1 and when the
@@ -539,16 +531,15 @@ def update_view_weights(state, problem, *, _traces=None):
     return w / w.sum()
 
 
-def surrogate(block, x, state, problem, b, f_diag, *, _bxs=None):
+def surrogate(block, x, state, problem, b, f_diag):
     """Smooth objective that one block's update minimizes at frozen f_diag.
 
     block is ("common", v), ("specific", v) or ("consistency", None): the
     objective's graph, orthogonality and map-residual terms that involve
     the block, with the block set to x, plus gamma * sum_i f_i ||x_i||^2.
     b is the frozen map the common block is fitted against (None: there is
-    no map); the consistency block reads x in its place. Maps are held in
-    problem.coords, as in `objective`. fit passes the products B X_v of b
-    as _bxs, as it does to `objective`.
+    no map); the consistency block reads x in its place. Maps are held as
+    `Problem` states.
     """
     hp = state.hp
     kind, v = block
@@ -561,8 +552,7 @@ def surrogate(block, x, state, problem, b, f_diag, *, _bxs=None):
         value = state.view_weights[v] * _smoothness(problem.xlx[v], pc + ps)
         value += hp.alpha * _cross(problem.gram[v], pc, ps)
         if kind == "common" and b is not None:
-            bx = b @ problem.coords[v] if _bxs is None else _bxs[v]
-            value += hp.beta * _map_residual(bx, x)
+            value += hp.beta * _map_residual(b @ problem.coords[v], x)
     value += hp.gamma * float((f_diag[:, None] * x * x).sum())
     return value
 
@@ -615,8 +605,8 @@ def prepare_inputs(dataset, hp):
 
     These are the deterministic preprocessing steps shared by every
     variant. They read only the data and hp's PREP_FIELDS, so one
-    Prepared serves every fit that agrees on those. The graphs enter the
-    fit only through X^T L X, so they are dropped once that is formed.
+    Prepared serves every fit that agrees on those. The designs and graphs
+    enter the fit only through the Problem and are dropped once it is made.
     Raises DataError naming the first view whose features are all
     constant: such a view has no structure to embed.
     """
@@ -665,11 +655,10 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     state and the per-iteration trace.
 
     Each quantity the iteration reads more than once is formed once: the
-    products B X_v right after the map update, for the common updates, the
-    objective and the surrogate audit; each block's row norms right after
-    its update, for the objective and for the block's next IRLS weights;
-    the graph traces after the consequents, for the view weights and the
-    objective.
+    products B X_v right after the map update, for the common updates and
+    the objective; each block's row norms right after its update, for the
+    objective and for the block's next IRLS weights; the graph traces after
+    the consequents, for the view weights and the objective.
 
     prepared, from prepare_inputs(dataset, hp') with prep_key(hp') equal
     to prep_key(hp), skips the preprocessing; fit only reads it, and the
@@ -740,7 +729,7 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
         norms[block] = _row_norms(new)
         if audit_surrogates:
             audit[block] = tuple(
-                surrogate(block, x, state, problem, b, f_diag, _bxs=bxs)
+                surrogate(block, x, state, problem, b, f_diag)
                 for x in (old, new))
         return new
 

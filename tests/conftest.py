@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvfuzzy import Hyperparams, evaluation, fit, make_synthetic, solver
+from mvfuzzy.antecedent import fuzzy_map
 from mvfuzzy.solver import ModelState, NumericFailure, Problem
 
 
@@ -23,10 +24,11 @@ def fitted_blob(blob_dataset):
 def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
                     **hp_kwargs):
     """A random solver state and consistency map over real fuzzy design
-    matrices and graphs, with the Problem built from them. The map is
-    held in the Problem's coordinates, as fit holds it: a random B
-    (m, n), mapped to E = B Q when the Problem has R coordinates."""
-    from mvfuzzy.antecedent import fit_antecedents, fuzzy_map
+    matrices and graphs, with the Problem built from them; returns
+    (state, map, problem, graphs, designs). The map is held in the
+    Problem's coordinates, as fit holds it: a random B (m, n), mapped to
+    E = B Q when the Problem has R coordinates."""
+    from mvfuzzy.antecedent import fit_antecedents
     from mvfuzzy.graph import build_graph
 
     design = []
@@ -52,28 +54,36 @@ def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
     )
     b = rng.normal(size=(m, n))
     problem = Problem.from_graphs(design, graphs)
-    return state, to_coords(problem, b), problem, graphs
+    return state, to_coords(problem, design, b), problem, graphs, design
 
 
-def coordinate_basis(problem):
-    """The Q of the thin QR [X_1 ... X_V] = Q [R_1 ... R_V] when
-    problem.coords are its R blocks, or None when they are the designs
-    themselves. A map B (m, N) with rows in the span of Q is held as
-    E = B Q, and B = E Q^T."""
-    if all(r is x for r, x in zip(problem.coords, problem.design)):
+def prepared_designs(dataset, prepared):
+    """The fuzzy designs (N, D_v) that prepare_inputs built for dataset,
+    rebuilt bit for bit from the Prepared's standardizers and banks."""
+    return [fuzzy_map(s.transform(x), bank) for s, bank, x
+            in zip(prepared.standardizers, prepared.banks, dataset.views)]
+
+
+def coordinate_basis(problem, design):
+    """The Q of the thin QR [X_1 ... X_V] = Q [R_1 ... R_V] of the designs
+    problem was built from when problem.coords are its R blocks (fewer
+    than N rows), or None when they are the designs themselves. A map B
+    (m, N) with rows in the span of Q is held as E = B Q, and B = E Q^T."""
+    if problem.coords[0].shape[0] == problem.n_instances:
         return None
-    return np.linalg.qr(np.hstack(problem.design))[0]
+    return np.linalg.qr(np.hstack(design))[0]
 
 
-def to_coords(problem, b):
-    """A map B (m, N) in problem's coordinates."""
-    q = coordinate_basis(problem)
+def to_coords(problem, design, b):
+    """A map B (m, N) in the coordinates of problem, built from design."""
+    q = coordinate_basis(problem, design)
     return b if q is None else b @ q
 
 
-def from_coords(problem, e):
-    """A map held in problem's coordinates, as B (m, N)."""
-    q = coordinate_basis(problem)
+def from_coords(problem, design, e):
+    """A map held in the coordinates of problem, built from design, as
+    B (m, N)."""
+    q = coordinate_basis(problem, design)
     return e if q is None else e @ q.T
 
 

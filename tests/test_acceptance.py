@@ -99,7 +99,7 @@ def test_c04_objective_matches_scalar_oracle():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(20):
-        state, b, problem, graphs = random_instance(
+        state, b, problem, graphs, design = random_instance(
             rng, n=10, n_views=2, m=2, n_rules=2,
             alpha=float(rng.uniform(0.1, 2.0)),
             beta=float(rng.uniform(0.1, 2.0)),
@@ -108,7 +108,7 @@ def test_c04_objective_matches_scalar_oracle():
         terms = objective(state, problem, b)
         oracle = scalar_objective(
             state.p_common, state.p_specific, b,
-            state.view_weights, problem.design,
+            state.view_weights, design,
             [g.laplacian.toarray() for g in graphs],
             state.hp.alpha, state.hp.beta, state.hp.gamma, state.hp.delta)
         for name in ("graph", "orthogonality", "consistency", "b_sparsity",
@@ -127,7 +127,7 @@ def test_c05_update_stationarity():
     rng = np.random.default_rng(105)
     worst = 0.0
     for trial in range(3):
-        state, b, problem, _ = random_instance(
+        state, b, problem, _, _ = random_instance(
             rng, n=8, n_views=2, m=2, n_rules=2, alpha=0.6, beta=0.9,
             gamma=0.5, b_update="exact")
 
@@ -158,8 +158,8 @@ def test_c06_view_weight_exactness():
     worst_gap = 0.0
     worst_sum = 0.0
     for delta in (0.3, 1.0, 4.0):
-        state, _, problem, _ = random_instance(rng, n_views=2,
-                                               delta=delta)
+        state, _, problem, _, _ = random_instance(
+            rng, n_views=2, delta=delta)
         w_star = update_view_weights(state, problem)
         traces = graph_traces(state, problem)
 

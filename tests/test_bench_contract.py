@@ -63,7 +63,7 @@ def test_evaluate_embedding_calls_each_metric_through_module(metric):
 def test_restricted_consequent_solve_calls_solve_reg_through_module():
     # perfbench traces solve_reg: the solve on the rows above the eps
     # floor must still reach it through the module attribute.
-    state, b, problem, _ = random_instance(np.random.default_rng(0))
+    state, b, problem, _, _ = random_instance(np.random.default_rng(0))
     old = state.p_common[0].copy()
     old[:3] = 0.0
     f_c = solver.irls_diag(old, state.hp.eps_irls)

@@ -172,6 +172,21 @@ class TestExportRules:
         assert doc["n_rules"] == 3
         assert len(doc["views"]) == 2
 
+    def test_malformed_model_is_config_error(self, synth_dir, tmp_path):
+        run = tmp_path / "run"
+        cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+                  "--iters", "2"])
+        model = json.loads((run / "model.json").read_text())
+        model["hyperparams"]["foo"] = 1
+        (run / "model.json").write_text(json.dumps(model))
+        out = tmp_path / "rules"
+        rc = cli.main(["export-rules", "--model", str(run / "model.json"),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and "foo" in err["message"]
+        assert not (out / "rules.txt").exists()
+
 
 class TestGrid:
     def test_sweep_over_alpha(self, synth_dir, tmp_path):
@@ -199,6 +214,17 @@ class TestGrid:
         rc = cli.main(["grid", *data_args(synth_dir),
                        "--out", str(tmp_path / "g")])
         assert rc == 2
+
+    def test_unknown_config_grid_name_is_config_error(self, synth_dir,
+                                                      tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"foo": [1, 2]}}))
+        out = tmp_path / "g"
+        rc = cli.main(["grid", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and "foo" in err["message"]
 
 
 class TestAblate:
@@ -293,6 +319,19 @@ class TestErrorPaths:
         rc = cli.main(["fit", *data_args(synth_dir), "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_misspelt_config_key_is_config_error(self, synth_dir, tmp_path):
+        # "gama" is not gamma and "iters" is a flag, not a config key: a
+        # fit that ignored them would run at gamma = 1 for 100 iterations.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gama": 5, "iters": 3}))
+        out = tmp_path / "o"
+        rc = cli.main(["fit", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and "gama" in err["message"]
+        assert not (out / "trace.csv").exists()
 
     def test_numeric_failure_exit_code(self, synth_dir, tmp_path,
                                        monkeypatch):

@@ -32,3 +32,18 @@ def test_unknown_version_rejected(fitted_blob):
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="version"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("malformed, words", [
+    ("extra_key", "foo"), ("hyperparams_list", "list"),
+    ("array", "JSON object")])
+def test_malformed_document_rejected(fitted_blob, malformed, words):
+    doc = model_to_dict(fitted_blob[0])
+    if malformed == "extra_key":
+        doc["hyperparams"]["foo"] = 1
+    elif malformed == "hyperparams_list":
+        doc["hyperparams"] = list(doc["hyperparams"].values())
+    else:
+        doc = [doc]
+    with pytest.raises(ValueError, match=words):
+        model_from_dict(doc)

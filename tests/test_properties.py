@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (from_coords, protocol_labelings, protocol_record,
+from conftest import (coordinate_basis, protocol_labelings, protocol_record,
                       protocol_seeds, random_instance)
 from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
@@ -35,7 +35,7 @@ from mvfuzzy.evaluation import (_kmeanspp_init, _lloyd, _lloyd_inputs,
                                 _weighted_pick, kmeans)
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, TERM_NAMES, VARIANTS,
-                            Hyperparams, Problem, fit, graph_traces,
+                            Hyperparams, fit, graph_traces,
                             irls_diag, objective,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
@@ -464,10 +464,10 @@ def assert_stationary(surrogate, start, new):
 @PROPS
 @given(instances())
 def test_graph_traces_match_dense_trace(instance):
-    state, _, problem, graphs = instance
+    state, _, problem, graphs, design = instance
     traces = graph_traces(state, problem)
     for v, g in enumerate(graphs):
-        z = problem.design[v] @ (state.p_common[v] + state.p_specific[v])
+        z = design[v] @ (state.p_common[v] + state.p_specific[v])
         dense = float(np.trace(z.T @ g.laplacian @ z))
         # Natural scale of the form: ||L||_inf bounds L's top eigenvalue.
         scale = np.abs(g.laplacian).sum(axis=1).max() * float((z * z).sum())
@@ -479,11 +479,14 @@ def test_graph_traces_match_dense_trace(instance):
        st.booleans())
 def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
                                                zero_column):
-    state, b, problem, _ = instance
+    state, b, problem, _, design = instance
+    q = coordinate_basis(problem, design)
     if duplicate_view:
-        problem = Problem(design=problem.design + problem.design[:1],
-                          xlx=problem.xlx + problem.xlx[:1],
-                          gram=problem.gram + problem.gram[:1])
+        # [X_1 ... X_V X_1] = Q [R_1 ... R_V R_1]: the same coordinates.
+        problem = replace(problem, xlx=problem.xlx + problem.xlx[:1],
+                          gram=problem.gram + problem.gram[:1],
+                          coords=problem.coords + problem.coords[:1])
+        design = design + design[:1]
         state = replace(state,
                         p_common=state.p_common + state.p_common[:1],
                         p_specific=state.p_specific + state.p_specific[:1])
@@ -491,8 +494,10 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
         state.p_common[-1] = state.p_common[-1].copy()
         state.p_common[-1][:, 0] = 0.0
     f_b = irls_diag(b, state.hp.eps_irls)
-    new = from_coords(problem, update_consistency(state, problem, f_diag=f_b))
-    zcs = [x @ pc for x, pc in zip(problem.design, state.p_common)]
+    new = update_consistency(state, problem, f_diag=f_b)
+    if q is not None:
+        new = new @ q.T
+    zcs = [x @ pc for x, pc in zip(design, state.p_common)]
     # The exact update minimizes the beta-weighted map residual, so the
     # oracle's shift is gamma / beta.
     shift = state.hp.gamma / state.hp.beta
@@ -509,7 +514,7 @@ def test_exact_consistency_matches_dense_solve(instance, duplicate_view,
 @PROPS
 @given(instances(), st.sampled_from(VARIANTS))
 def test_common_update_is_stationary(instance, variant):
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     state = replace(state, hp=replace(state.hp, variant=variant))
     if variant == "no_consistency":
         b = None
@@ -523,7 +528,7 @@ def test_common_update_is_stationary(instance, variant):
 @PROPS
 @given(instances())
 def test_specific_update_is_stationary(instance):
-    state, _, problem, _ = instance
+    state, _, problem, _, _ = instance
     f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
     new = update_specific(state, 0, problem, f_diag=f_s)
     assert_stationary(
@@ -548,7 +553,7 @@ def test_objective_reads_shared_products_and_norms_to_the_bit(instance,
     # norms that it formed once per iteration. With them or without, the
     # map and sparsity terms are those of the plain formulas, bit for bit,
     # floor rows included, and the norms give irls_diag's weights.
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     state = replace(state, hp=replace(state.hp, variant=variant))
     if variant == "no_consistency":
         b = None
@@ -603,7 +608,7 @@ def assert_certified(surrogate, start, new, gamma):
 @PROPS
 @given(instances(), st.sampled_from(VARIANTS), st.integers(0, 2 ** 32 - 1))
 def test_common_update_certifies_its_zero_rows(instance, variant, seed):
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     state = replace(state, hp=replace(state.hp, variant=variant))
     if variant == "no_consistency":
         b = None
@@ -618,7 +623,7 @@ def test_common_update_certifies_its_zero_rows(instance, variant, seed):
 @PROPS
 @given(instances(), st.integers(0, 2 ** 32 - 1))
 def test_specific_update_certifies_its_zero_rows(instance, seed):
-    state, _, problem, _ = instance
+    state, _, problem, _, _ = instance
     old = floor_rows(state.p_specific[0], seed)
     f_s = irls_diag(old, state.hp.eps_irls)
     new = update_specific(state, 0, problem, f_diag=f_s)
@@ -635,7 +640,7 @@ def test_consequent_updates_match_the_dense_active_set(instance, block,
                                                        seed):
     # Row 0 and a random subset of the others start at the floor; the
     # update forms only the free rows' columns, the oracle all of a.
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     kind = block.split()[0]
     if block == "common without map":
         b = None
@@ -658,7 +663,7 @@ def test_consequent_updates_match_the_dense_active_set(instance, block,
 @PROPS
 @given(instances(gamma=ANY_GAMMA, b_update="exact"))
 def test_exact_consistency_update_is_stationary(instance):
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     f_b = irls_diag(b, state.hp.eps_irls)
     new = update_consistency(state, problem, f_diag=f_b)
     assert_stationary(
@@ -674,7 +679,7 @@ def test_surrogate_changes_match_objective(instance, block, seed):
     """Between two values of one block, the objective's graph,
     orthogonality and consistency terms change by exactly as much as the
     block's surrogate without its frozen gamma * sum_i f_i ||x_i||^2."""
-    state, b, problem, _ = instance
+    state, b, problem, _, _ = instance
     if block == "common":
         x1 = state.p_common[0]
         at = lambda x: (replace(state, p_common=[x] + state.p_common[1:]), b)
@@ -706,7 +711,7 @@ def test_surrogate_changes_match_objective(instance, block, seed):
 @PROPS
 @given(instances(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 def test_view_weights_stay_on_simplex(instance, delta, p_scale):
-    state, _, problem, _ = instance
+    state, _, problem, _, _ = instance
     state = replace(state, hp=replace(state.hp, delta=delta),
                     p_common=[p_scale * p for p in state.p_common])
     w = update_view_weights(state, problem)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (coordinate_basis, failing_solve, from_coords,
-                      random_instance, solve_calls)
+                      prepared_designs, random_instance, solve_calls)
 from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
@@ -37,7 +37,7 @@ def zeroed(state):
 class TestObjective:
     def test_all_zero_state_closed_form(self):
         rng = np.random.default_rng(0)
-        state, b, problem, _ = random_instance(rng, beta=1.5, delta=2.0)
+        state, b, problem, _, _ = random_instance(rng, beta=1.5, delta=2.0)
         state = zeroed(state)
         terms = objective(state, problem, np.zeros_like(b))
         v = state.n_views
@@ -48,19 +48,19 @@ class TestObjective:
 
     def test_uniform_entropy_two_views(self):
         rng = np.random.default_rng(1)
-        state, b, problem, _ = random_instance(rng, delta=3.0)
+        state, b, problem, _, _ = random_instance(rng, delta=3.0)
         state = zeroed(state)
         terms = objective(state, problem, np.zeros_like(b))
         assert abs(terms.entropy - (-3.0 * math.log(2.0))) < 1e-12
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
-        state, b, problem, graphs = random_instance(
+        state, b, problem, graphs, design = random_instance(
             rng, alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
         terms = objective(state, problem, b)
         oracle = scalar_objective(
             state.p_common, state.p_specific, b,
-            state.view_weights, problem.design,
+            state.view_weights, design,
             [g.laplacian.toarray() for g in graphs],
             alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
         assert abs(terms.total - oracle["total"]) <= 1e-10 * abs(
@@ -68,7 +68,7 @@ class TestObjective:
 
     def test_total_is_sum_of_breakdown(self):
         rng = np.random.default_rng(3)
-        state, b, problem, _ = random_instance(rng)
+        state, b, problem, _, _ = random_instance(rng)
         terms = objective(state, problem, b)
         parts = (terms.graph + terms.orthogonality + terms.consistency
                  + terms.b_sparsity + terms.pc_sparsity
@@ -79,14 +79,14 @@ class TestObjective:
         # N = 20 >= 2 sum_v D_v = 20: the map is held as E = B Q, and the
         # objective at E is the oracle's at B = E Q^T.
         rng = np.random.default_rng(19)
-        state, e, problem, graphs = random_instance(
+        state, e, problem, graphs, design = random_instance(
             rng, n=20, dims=(1, 2), alpha=0.7, beta=1.3, gamma=0.4,
             delta=0.9)
         assert e.shape == (2, 10)
         terms = objective(state, problem, e)
         oracle = scalar_objective(
-            state.p_common, state.p_specific, from_coords(problem, e),
-            state.view_weights, problem.design,
+            state.p_common, state.p_specific,
+            from_coords(problem, design, e), state.view_weights, design,
             [g.laplacian.toarray() for g in graphs],
             alpha=0.7, beta=1.3, gamma=0.4, delta=0.9)
         for name in solver.TERM_NAMES:
@@ -95,10 +95,9 @@ class TestObjective:
 
     def test_view_count_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        state, b, problem, graphs = random_instance(rng)
+        state, b, problem, graphs, design = random_instance(rng)
         with pytest.raises(ValueError):
-            objective(state, Problem.from_graphs(problem.design[:1],
-                                                 graphs[:1]), b)
+            objective(state, Problem.from_graphs(design[:1], graphs[:1]), b)
 
 
 class TestIrlsDiag:
@@ -161,17 +160,17 @@ class TestSolveReg:
 class TestUpdateCommon:
     def test_zero_data_terms_give_zero(self):
         rng = np.random.default_rng(5)
-        state, b, problem, _ = random_instance(rng, alpha=0.0, beta=0.0,
-                                               gamma=1.0)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.0, beta=0.0, gamma=1.0)
         state.view_weights = np.zeros(state.n_views)
-        dg = problem.design[0].shape[1]
+        dg = problem.gram[0].shape[0]
         new = update_common(state, 0, problem, b, f_diag=np.ones(dg))
         np.testing.assert_allclose(new, 0.0, atol=1e-12)
 
     def test_fd_stationarity_of_surrogate(self):
         rng = np.random.default_rng(6)
-        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
-                                               gamma=0.6)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.5, beta=0.8, gamma=0.6)
         f_c = irls_diag(state.p_common[0], state.hp.eps_irls)
         new = update_common(state, 0, problem, b, f_diag=f_c)
 
@@ -184,8 +183,8 @@ class TestUpdateCommon:
 
     def test_large_gamma_shrinks_solution(self):
         rng = np.random.default_rng(7)
-        state, b, problem, _ = random_instance(rng)
-        dg = problem.design[0].shape[1]
+        state, b, problem, _, _ = random_instance(rng)
+        dg = problem.gram[0].shape[0]
         norms = []
         for gamma in (1e0, 1e2, 1e4):
             st = replace_gamma(state, gamma)
@@ -197,8 +196,8 @@ class TestUpdateCommon:
         # b=None leaves the map residual out of the system; at beta = 0 a
         # map adds 0.0 times finite terms, which changes no entry.
         rng = np.random.default_rng(18)
-        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.0,
-                                               gamma=0.6)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.5, beta=0.0, gamma=0.6)
         for v in range(state.n_views):
             f_c = irls_diag(state.p_common[v], state.hp.eps_irls)
             np.testing.assert_array_equal(
@@ -220,7 +219,7 @@ def replace_gamma(state, gamma):
 class TestUpdateSpecific:
     def test_zero_common_gives_zero(self):
         rng = np.random.default_rng(8)
-        state, _, problem, _ = random_instance(rng)
+        state, _, problem, _, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
         new = update_specific(state, 0, problem, f_diag=f_s)
@@ -228,7 +227,7 @@ class TestUpdateSpecific:
 
     def test_fd_stationarity_of_surrogate(self):
         rng = np.random.default_rng(9)
-        state, _, problem, _ = random_instance(rng, alpha=0.5, gamma=0.6)
+        state, _, problem, _, _ = random_instance(rng, alpha=0.5, gamma=0.6)
         f_s = irls_diag(state.p_specific[0], state.hp.eps_irls)
         new = update_specific(state, 0, problem, f_diag=f_s)
 
@@ -301,7 +300,7 @@ class TestActiveSet:
 
     def test_block_all_at_the_floor_returns_exact_zeros(self):
         rng = np.random.default_rng(23)
-        state, _, problem, _ = random_instance(rng, gamma=1.0)
+        state, _, problem, _, _ = random_instance(rng, gamma=1.0)
         state.p_common = [1e-6 * p for p in state.p_common]
         f_s = np.full(len(state.p_specific[0]), 1 / self.EPS)
         with mock.patch.object(solver, "solve_reg",
@@ -327,7 +326,7 @@ class TestActiveSet:
         # With every row at the floor and gamma large, the update needs
         # only its right-hand side: the Gram matrix is never read.
         rng = np.random.default_rng(27)
-        state, b, problem, _ = random_instance(rng, gamma=1e6)
+        state, b, problem, _, _ = random_instance(rng, gamma=1e6)
         problem = replace(problem)
         problem.gram = [None] * len(problem.gram)
         f = np.full(len(state.p_common[0]), 1 / self.EPS)
@@ -339,7 +338,7 @@ class TestActiveSet:
 
     def test_gamma_zero_restricts_nothing(self):
         rng = np.random.default_rng(24)
-        state, b, problem, _ = random_instance(rng, gamma=0.0)
+        state, b, problem, _, _ = random_instance(rng, gamma=0.0)
         dg = len(state.p_common[0])
         f_c = np.full(dg, 1 / self.EPS)
         with mock.patch.object(solver, "solve_reg",
@@ -351,8 +350,8 @@ class TestActiveSet:
     @pytest.mark.parametrize("kind", ["common", "specific"])
     def test_no_floor_row_equals_the_full_width_solve(self, kind):
         rng = np.random.default_rng(25)
-        state, b, problem, _ = random_instance(rng, alpha=0.5, beta=0.8,
-                                               gamma=0.6)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.5, beta=0.8, gamma=0.6)
         for v in range(state.n_views):
             if kind == "common":
                 f = irls_diag(state.p_common[v], self.EPS)
@@ -370,22 +369,21 @@ class TestActiveSet:
 class TestUpdateConsistency:
     def test_paper_mode_single_view_gamma_zero(self):
         rng = np.random.default_rng(10)
-        state, b, problem, _ = random_instance(rng, n_views=1, dims=(3,),
-                                               gamma=0.0)
+        state, b, problem, _, design = random_instance(
+            rng, n_views=1, dims=(3,), gamma=0.0)
         new = update_consistency(state, problem,
                                  irls_diag(b, state.hp.eps_irls))
-        expected = (problem.design[0] @ state.p_common[0]).T
+        expected = (design[0] @ state.p_common[0]).T
         np.testing.assert_allclose(new, expected, atol=0, rtol=0)
 
     def test_paper_mode_is_the_design_formula_on_the_design_side(self):
         # 2 sum_v D_v = 36 > N = 10: the map is B itself, computed as
         # before coordinates existed, to the bit.
         rng = np.random.default_rng(20)
-        state, b, problem, _ = random_instance(rng, gamma=0.6)
-        assert coordinate_basis(problem) is None
+        state, b, problem, _, design = random_instance(rng, gamma=0.6)
+        assert coordinate_basis(problem, design) is None
         f_b = irls_diag(b, state.hp.eps_irls)
-        stacked = sum((x @ pc).T
-                      for x, pc in zip(problem.design, state.p_common))
+        stacked = sum((x @ pc).T for x, pc in zip(design, state.p_common))
         np.testing.assert_array_equal(
             update_consistency(state, problem, f_b),
             stacked / (1.0 + state.hp.gamma * f_b)[:, None])
@@ -395,29 +393,28 @@ class TestUpdateConsistency:
         # The same instance with the map held as E (N = 40 >= 2 * 18) and
         # as B (the R blocks replaced by the designs): B = E Q^T.
         rng = np.random.default_rng(21)
-        state, e, problem, _ = random_instance(
+        state, e, problem, _, design = random_instance(
             rng, n=40, dims=(3, 4), gamma=0.6, b_update=b_update)
-        assert coordinate_basis(problem) is not None
+        assert coordinate_basis(problem, design) is not None
         f_b = irls_diag(e, state.hp.eps_irls)
-        as_b = replace(problem)
-        as_b.coords = list(problem.design)
-        want = update_consistency(state, as_b, f_b)
-        got = from_coords(problem, update_consistency(state, problem, f_b))
+        want = update_consistency(state, replace(problem, coords=design), f_b)
+        got = from_coords(problem, design,
+                          update_consistency(state, problem, f_b))
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
     def test_exact_mode_reaches_pseudoinverse(self):
         rng = np.random.default_rng(11)
-        state, b, problem, _ = random_instance(rng, n_views=1, dims=(3,),
-                                               gamma=0.0, b_update="exact")
+        state, b, problem, _, design = random_instance(
+            rng, n_views=1, dims=(3,), gamma=0.0, b_update="exact")
         new = update_consistency(state, problem,
                                  irls_diag(b, state.hp.eps_irls))
-        zc = problem.design[0] @ state.p_common[0]
+        zc = design[0] @ state.p_common[0]
         assert np.linalg.norm(new @ zc - np.eye(state.embed_dim)) <= 1e-8
 
     def test_exact_mode_fd_stationarity(self):
         rng = np.random.default_rng(12)
-        state, b, problem, _ = random_instance(
+        state, b, problem, _, _ = random_instance(
             rng, n=4, dims=(3, 4), gamma=0.7, b_update="exact")
         f_b = irls_diag(b, state.hp.eps_irls)
         new = update_consistency(state, problem, f_diag=f_b)
@@ -432,7 +429,7 @@ class TestUpdateConsistency:
     def test_exact_mode_beta_zero_gives_zero_map(self):
         rng = np.random.default_rng(17)
         for gamma in (0.0, 0.7):
-            state, b, problem, _ = random_instance(
+            state, b, problem, _, _ = random_instance(
                 rng, beta=0.0, gamma=gamma, b_update="exact")
             new = update_consistency(state, problem,
                                      irls_diag(b, state.hp.eps_irls))
@@ -440,7 +437,7 @@ class TestUpdateConsistency:
 
     def test_exact_mode_non_finite_input_fails(self):
         rng = np.random.default_rng(16)
-        state, b, problem, _ = random_instance(rng, b_update="exact")
+        state, b, problem, _, _ = random_instance(rng, b_update="exact")
         state.p_common[0][0, 0] = np.inf
         with pytest.raises(NumericFailure):
             update_consistency(state, problem,
@@ -450,7 +447,7 @@ class TestUpdateConsistency:
 class TestUpdateViewWeights:
     def test_equal_traces_give_uniform(self):
         rng = np.random.default_rng(13)
-        state, _, problem, _ = random_instance(rng)
+        state, _, problem, _, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         state.p_specific = [np.zeros_like(p) for p in state.p_specific]
         w = update_view_weights(state, problem)
@@ -460,7 +457,7 @@ class TestUpdateViewWeights:
         import mvfuzzy.solver as solver_mod
 
         rng = np.random.default_rng(14)
-        state, _, problem, _ = random_instance(rng, delta=1.7)
+        state, _, problem, _, _ = random_instance(rng, delta=1.7)
         monkeypatch.setattr(solver_mod, "graph_traces",
                             lambda *a: np.array([0.0, 1.7]))
         w = solver_mod.update_view_weights(state, problem)
@@ -478,7 +475,7 @@ class TestUpdateViewWeights:
                             lambda *a: traces)
         weights = {}
         for delta in (0.5, 5.0, 5e6):
-            state, _, problem, _ = random_instance(rng, delta=delta)
+            state, _, problem, _, _ = random_instance(rng, delta=delta)
             weights[delta] = solver_mod.update_view_weights(
                 state, problem)
         np.testing.assert_allclose(weights[5e6], 0.5, atol=1e-5)
@@ -634,8 +631,7 @@ def _prepared_arrays(prepared):
     out = [a for s in prepared.standardizers for a in (s.mean, s.scale)]
     out += [a for b in prepared.banks for a in (b.centers, b.widths)]
     problem = prepared.problem
-    return (out + problem.design + problem.xlx + problem.gram
-            + problem.coords)
+    return out + problem.xlx + problem.gram + problem.coords
 
 
 # 200 instances, fuzzy widths 27 + 39 = 66 <= 100: R coordinates. The 80
@@ -649,9 +645,11 @@ def coords_dataset():
 class TestProblem:
     def test_sides_of_the_coordinate_choice(self, blob_dataset,
                                             coords_dataset):
-        problem = prepare_inputs(blob_dataset, Hyperparams()).problem
+        prepared = prepare_inputs(blob_dataset, Hyperparams())
+        problem = prepared.problem
         assert problem.n_instances == 80
-        assert all(r is x for r, x in zip(problem.coords, problem.design))
+        assert all(np.array_equal(r, x) for r, x in zip(
+            problem.coords, prepared_designs(blob_dataset, prepared)))
         problem = prepare_inputs(coords_dataset, Hyperparams()).problem
         assert problem.n_instances == 200
         assert [r.shape for r in problem.coords] == [(66, 27), (66, 39)]
@@ -659,35 +657,58 @@ class TestProblem:
     @pytest.mark.parametrize("n, is_coords", [(19, False), (20, True)])
     def test_coordinates_start_at_n_twice_the_width(self, n, is_coords):
         rng = np.random.default_rng(22)
-        _, _, problem, _ = random_instance(rng, n=n, dims=(1, 2))
-        assert (coordinate_basis(problem) is not None) == is_coords
+        _, _, problem, _, design = random_instance(rng, n=n, dims=(1, 2))
+        assert (coordinate_basis(problem, design) is not None) == is_coords
+
+    def test_coordinate_side_keeps_no_n_row_array(self, coords_dataset):
+        problem = prepare_inputs(coords_dataset, Hyperparams()).problem
+        assert not hasattr(problem, "design")
+        arrays = _arrays_in(problem)
+        assert len(arrays) == 3 * coords_dataset.n_views
+        assert all(a.shape[0] < coords_dataset.n_instances for a in arrays)
 
     def test_r_blocks_reproduce_the_designs(self, coords_dataset):
-        problem = prepare_inputs(coords_dataset, Hyperparams()).problem
-        xcat = np.hstack(problem.design)
+        prepared = prepare_inputs(coords_dataset, Hyperparams())
+        problem = prepared.problem
+        design = prepared_designs(coords_dataset, prepared)
+        xcat = np.hstack(design)
         r = np.hstack(problem.coords)
         assert np.array_equal(r, np.triu(r))
-        q = coordinate_basis(problem)
+        q = coordinate_basis(problem, design)
         np.testing.assert_allclose(q @ r, xcat, rtol=0,
                                    atol=1e-12 * np.abs(xcat).max())
         # The firing levels of each view sum to one, so the stacked
         # designs are rank-deficient.
         assert np.linalg.matrix_rank(xcat) < xcat.shape[1]
-        for r_v, x, g in zip(problem.coords, problem.design, problem.gram):
+        for r_v, x, g in zip(problem.coords, design, problem.gram):
             np.testing.assert_allclose(r_v.T @ r_v, g, rtol=0,
                                        atol=1e-12 * np.abs(g).max())
 
 
-class _NoDesign:
-    """A Problem whose N-row designs cannot be read."""
+def _arrays_in(obj):
+    """Every ndarray reachable from obj through lists, tuples and object
+    attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for x in obj for a in _arrays_in(x)]
+    if hasattr(obj, "__dict__"):
+        return _arrays_in(list(vars(obj).values()))
+    return []
+
+
+class _NoNRowArrays:
+    """A Problem whose arrays with N rows cannot be read."""
 
     def __init__(self, problem):
         self._problem = problem
 
     def __getattr__(self, name):
-        if name == "design":
-            raise AssertionError("the fit read the (N, D_v) designs")
-        return getattr(self._problem, name)
+        value = getattr(self._problem, name)
+        if any(a.shape[0] == self._problem.n_instances
+               for a in _arrays_in(value)):
+            raise AssertionError(f"the fit read (N, .) arrays: {name}")
+        return value
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -696,7 +717,7 @@ def test_coordinate_fit_never_reads_the_designs(coords_dataset, variant,
                                                 b_update):
     hp = Hyperparams(max_iter=4, seed=2, variant=variant, b_update=b_update)
     prepared = prepare_inputs(coords_dataset, hp)
-    guarded = replace(prepared, problem=_NoDesign(prepared.problem))
+    guarded = replace(prepared, problem=_NoNRowArrays(prepared.problem))
     state, trace = fit(coords_dataset, hp, prepared=guarded)
     ref_state, ref_trace = fit(coords_dataset, hp, prepared=prepared)
     assert model_to_dict(state) == model_to_dict(ref_state)
@@ -722,23 +743,19 @@ def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
     ("no_consistency", "paper")])
 def test_surrogate_audit_changes_no_bit(coords_dataset, variant, b_update,
                                         monkeypatch):
-    # The audit reads fit's shared B X_v: its values are those surrogate
-    # gives from scratch, and the fit's state and trace are those of a fit
-    # without the audit.
+    # The audit records the values surrogate gives, and the fit's state
+    # and trace are those of a fit without the audit.
     hp = Hyperparams(max_iter=6, tol_stop=0.0, seed=3, variant=variant,
                      b_update=b_update)
     prepared = prepare_inputs(coords_dataset, hp)
     state, trace = fit(coords_dataset, hp, prepared=prepared)
     values = []
 
-    def checked(block, x, state, problem, b, f_diag, **shared):
-        value = surrogate(block, x, state, problem, b, f_diag, **shared)
-        assert repr(value) == repr(
-            surrogate(block, x, state, problem, b, f_diag))
-        values.append(value)
-        return value
+    def recording(*args):
+        values.append(surrogate(*args))
+        return values[-1]
 
-    monkeypatch.setattr(solver, "surrogate", checked)
+    monkeypatch.setattr(solver, "surrogate", recording)
     audited_state, audited = fit(coords_dataset, hp, prepared=prepared,
                                  audit_surrogates=True)
     assert model_to_dict(audited_state) == model_to_dict(state)
@@ -867,7 +884,7 @@ class TestDegenerateDesigns:
                                       blob_dataset.views[1]],
                                labels=blob_dataset.labels)
         hp = Hyperparams(max_iter=10, seed=3, gamma=0.0, b_update=b_update)
-        design = prepare_inputs(dup, hp).problem.design[0]
+        design = prepared_designs(dup, prepare_inputs(dup, hp))[0]
         assert np.linalg.matrix_rank(design) < design.shape[1]
         assert_finite_fit_replays(dup, hp)
 
