@@ -275,7 +275,14 @@ def cmd_export_rules(args):
 
 
 def _build_grid(args, config, base_hp):
-    sweep = dict(config.get("grid", {}))
+    """The swept names and the grid's points. Config values go to
+    Hyperparams as given, as `resolve_hyperparams` passes the base config,
+    so its own checks apply; a grid of the wrong shape is a DataError."""
+    sweep = config.get("grid", {})
+    if not isinstance(sweep, dict):
+        raise DataError("config \"grid\" must be an object of value lists, "
+                        f"not {type(sweep).__name__}")
+    sweep = dict(sweep)
     if args.grid:
         for name in args.grid.split(","):
             name = name.strip()
@@ -291,10 +298,14 @@ def _build_grid(args, config, base_hp):
         if name not in Hyperparams.__dataclass_fields__:
             raise DataError(f"cannot sweep unknown parameter: {name}")
         values = sweep[name]
-        if not values:
-            raise DataError(f"grid for {name} is empty")
-        points = [replace(hp, **{name: float(v)})
-                  for hp in points for v in values]
+        if not isinstance(values, list) or not values:
+            raise DataError(
+                f"grid for {name} must be a non-empty list, got {values!r}")
+        try:
+            points = [replace(hp, **{name: v})
+                      for hp in points for v in values]
+        except ValueError as err:
+            raise DataError(f"grid for {name}: {err}") from None
     return names, points
 
 

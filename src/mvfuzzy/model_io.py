@@ -37,9 +37,28 @@ def save_model(state, path):
         fh.write("\n")
 
 
+def _field(doc, key, where="model document"):
+    """doc[key]; a ValueError naming the field if doc has none."""
+    if key not in doc:
+        raise ValueError(f"{where} has no {key!r} field")
+    return doc[key]
+
+
+def _array(doc, key, where="model document"):
+    """doc[key] as a float array; a ValueError naming the field if doc has
+    none or it is not numeric."""
+    value = _field(doc, key, where)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where} field {key!r} is not a numeric array") from None
+
+
 def model_from_dict(doc):
     """The ModelState of a model document; ValueError if it is not a
-    JSON object or its version or hyperparams are not a model's."""
+    JSON object, lacks a field, or its version, hyperparams or views are
+    not a model's."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
@@ -48,28 +67,34 @@ def model_from_dict(doc):
     if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version}")
     try:
-        hp = Hyperparams(**doc["hyperparams"])
+        hp = Hyperparams(**_field(doc, "hyperparams"))
     except TypeError as err:
         raise ValueError(f"bad model hyperparams: {err}") from None
+    views = _field(doc, "views")
+    if not (isinstance(views, list) and views
+            and all(isinstance(vd, dict) for vd in views)):
+        raise ValueError("model field 'views' must be a non-empty list of "
+                         f"objects, got {views!r:.60}")
     standardizers, banks, p_common, p_specific = [], [], [], []
-    for vd in doc["views"]:
-        standardizers.append(Standardizer(
-            mean=np.asarray(vd["mean"], dtype=float),
-            scale=np.asarray(vd["scale"], dtype=float),
-        ))
-        banks.append(AntecedentBank(
-            centers=np.asarray(vd["centers"], dtype=float),
-            widths=np.asarray(vd["widths"], dtype=float),
-        ))
-        p_common.append(np.asarray(vd["p_common"], dtype=float))
-        p_specific.append(np.asarray(vd["p_specific"], dtype=float))
+    for v, vd in enumerate(views):
+        mean, scale, centers, widths, pc, ps = (
+            _array(vd, key, f"model view {v}") for key in
+            ("mean", "scale", "centers", "widths", "p_common", "p_specific"))
+        standardizers.append(Standardizer(mean=mean, scale=scale))
+        banks.append(AntecedentBank(centers=centers, widths=widths))
+        p_common.append(pc)
+        p_specific.append(ps)
+    weights = _array(doc, "view_weights")
+    if weights.shape != (len(views),):
+        raise ValueError("model field 'view_weights' must hold one weight "
+                         f"per view, got {doc['view_weights']!r:.60}")
     return ModelState(
         hp=hp,
         standardizers=standardizers,
         banks=banks,
         p_common=p_common,
         p_specific=p_specific,
-        view_weights=np.asarray(doc["view_weights"], dtype=float),
+        view_weights=weights,
     )
 
 

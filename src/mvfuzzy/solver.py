@@ -5,11 +5,12 @@ matrix acting on the fuzzy design matrix, plus a softmax-weighted view
 importance vector. The consistency map B (m, N) exists only inside `fit`,
 which carries it in the coordinates that `Problem` states: with K < N
 columns whenever 2 sum_v D_v <= N, so that no iteration touches N.
-Row-sparsity terms are handled by iteratively reweighted least squares:
-each update freezes the diagonal reweighting, solves a linear system, and
-moves on. The consequent updates solve it on the rows above the reweighting
-floor only, and hold the others at exactly 0 while a KKT test allows; only
-the live columns of their systems are formed.
+Row-sparsity terms are handled by iteratively reweighted least squares
+(Nie et al., NeurIPS 2010): each update freezes the diagonal reweighting,
+minimizes its block's `surrogate` by a linear solve, and moves on. The
+consequent updates solve it on the rows above the reweighting floor only,
+and hold the others at exactly 0 while a KKT test allows; only the live
+columns of their systems are formed.
 
 Every dense factorization in the fit goes through numpy's LAPACK. numpy
 and scipy each ship their own OpenBLAS, each with its own thread pool; a
@@ -338,8 +339,10 @@ def objective(state, problem, b, *, _traces=None, _bxs=None, _norms=None):
     hp = state.hp
     if len(problem.coords) != state.n_views:
         raise ValueError("problem view count does not match the state")
-    for v in range(state.n_views):
-        if problem.coords[v].shape[1] != state.p_common[v].shape[0]:
+    for v, (r, pc, ps) in enumerate(zip(problem.coords, state.p_common,
+                                        state.p_specific)):
+        if not r.shape[1] == pc.shape[0] == ps.shape[0] or (
+                b is not None and b.shape[1] != r.shape[0]):
             raise ValueError(f"view {v}: design width mismatch")
 
     w = state.view_weights
@@ -378,10 +381,9 @@ def objective(state, problem, b, *, _traces=None, _bxs=None, _norms=None):
 
 
 def _solve_l21(columns, rhs, gamma, f_diag, eps, view):
-    """Minimize x^T a x - 2 tr(rhs^T x) + gamma sum_i f_i ||x_i||^2, the
-    frozen surrogate of a consequent block, over the rows not held at 0.
-
-    a is the smooth system, symmetric and without the gamma f term; it is
+    """Minimize a consequent block's `surrogate` over the rows not held at
+    0. Up to terms free of x it is x^T a x - 2 tr(rhs^T x) plus the frozen
+    gamma sum_i f_i ||x_i||^2, for a the smooth system, symmetric; it is
     never formed here. columns(idx) returns its columns idx, a[:, idx]
     (D, |idx|), and is asked only for the free rows' columns: the full
     width only when every row is free, and then the whole system is
@@ -482,11 +484,11 @@ def update_consistency(state, problem, f_diag):
     coords[v] Pc_v and N as K, with the same result in those coordinates.
 
     "paper" mode keeps the paper's cheap diagonal closed form, which is
-    the true minimizer of the surrogate only at beta = 1 and when the
-    summed common representations have identity covariance. "exact" mode
-    minimizes the frozen-reweighting surrogate
-    beta sum_v ||B Zc_v - I||^2 + gamma sum_i f_i ||b_i||^2 outright:
-    row i solves b_i (U U^T + (gamma / beta) f_i I) = s_i with
+    the true minimizer of the map's `surrogate` only at beta = 1 and when
+    the summed common representations have identity covariance. "exact"
+    mode minimizes it outright; up to terms free of B it is
+    beta sum_v ||B Zc_v - I||^2 + gamma sum_i f_i ||b_i||^2, so row i
+    solves b_i (U U^T + (gamma / beta) f_i I) = s_i with
     U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i lies
     in the span of U, one thin SVD U = Q S W^T gives every row as
     b_i = s_i Q diag(1 / (S^2 + (gamma / beta) f_i)) Q^T, at O(K (mV)^2)
@@ -532,29 +534,26 @@ def update_view_weights(state, problem, *, _traces=None):
 
 
 def surrogate(block, x, state, problem, b, f_diag):
-    """Smooth objective that one block's update minimizes at frozen f_diag.
+    """The smooth function a block's update minimizes at frozen f_diag:
+    `objective` with the block set to x and its L2,1 term
+    gamma sum_i ||x_i|| frozen as gamma sum_i f_i ||x_i||^2.
 
-    block is ("common", v), ("specific", v) or ("consistency", None): the
-    objective's graph, orthogonality and map-residual terms that involve
-    the block, with the block set to x, plus gamma * sum_i f_i ||x_i||^2.
-    b is the frozen map the common block is fitted against (None: there is
-    no map); the consistency block reads x in its place. Maps are held as
-    `Problem` states.
+    block is ("common", v), ("specific", v) or ("consistency", None); b is
+    the frozen map, held as `Problem` states (None: there is no map), and
+    the consistency block sets it to x. The terms a block does not enter
+    are constant within its update. state is not changed.
     """
-    hp = state.hp
     kind, v = block
     if kind == "consistency":
-        value = hp.beta * sum(_map_residual(x @ r, pc) for r, pc
-                              in zip(problem.coords, state.p_common))
+        b = x
     else:
-        pc, ps = ((x, state.p_specific[v]) if kind == "common"
-                  else (state.p_common[v], x))
-        value = state.view_weights[v] * _smoothness(problem.xlx[v], pc + ps)
-        value += hp.alpha * _cross(problem.gram[v], pc, ps)
-        if kind == "common" and b is not None:
-            value += hp.beta * _map_residual(b @ problem.coords[v], x)
-    value += hp.gamma * float((f_diag[:, None] * x * x).sum())
-    return value
+        name = "p_" + kind
+        blocks = list(getattr(state, name))
+        blocks[v] = x
+        state = replace(state, **{name: blocks})
+    norms = _row_norms(x)
+    return objective(state, problem, b).total + state.hp.gamma * (
+        float((f_diag * norms * norms).sum()) - float(norms.sum()))
 
 
 # The Hyperparams fields prepare_inputs reads; no other field changes

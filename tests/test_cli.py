@@ -187,6 +187,32 @@ class TestExportRules:
         assert err["error"] == "config_error" and "foo" in err["message"]
         assert not (out / "rules.txt").exists()
 
+    @pytest.mark.parametrize("command", ["export-rules", "evaluate"])
+    @pytest.mark.parametrize("views, words", [
+        ([[1], [2]], "'views'"), (5, "'views'"), (None, "'views'"),
+        ("missing", "no 'views' field")])
+    def test_malformed_views_are_config_errors(self, synth_dir, tmp_path,
+                                               capsys, command, views,
+                                               words):
+        run = tmp_path / "run"
+        cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+                  "--iters", "2"])
+        model = json.loads((run / "model.json").read_text())
+        if views == "missing":
+            del model["views"]
+        else:
+            model["views"] = views
+        (run / "model.json").write_text(json.dumps(model))
+        out = tmp_path / "o"
+        extra = data_args(synth_dir) if command == "evaluate" else []
+        capsys.readouterr()
+        rc = cli.main([command, "--model", str(run / "model.json"), *extra,
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and words in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestGrid:
     def test_sweep_over_alpha(self, synth_dir, tmp_path):
@@ -214,6 +240,36 @@ class TestGrid:
         rc = cli.main(["grid", *data_args(synth_dir),
                        "--out", str(tmp_path / "g")])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid, words", [
+        ([1, 2], "\"grid\" must be an object"),
+        ({"alpha": 5}, "grid for alpha must be a non-empty list"),
+        ({"alpha": [None]}, "grid for alpha: alpha, beta, gamma, delta")])
+    def test_malformed_config_grid_is_config_error(self, synth_dir, tmp_path,
+                                                   capsys, grid, words):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "g"
+        rc = cli.main(["grid", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error" and words in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_grid_sweeps_an_integer_field(self, synth_dir, tmp_path):
+        # Grid values reach Hyperparams as given: n_rules stays an integer,
+        # and an integer alpha prints as one, as the base config does.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n_rules": [2, 3], "alpha": [2]},
+                                   "max_iter": 2}))
+        out = tmp_path / "g"
+        rc = cli.main(["grid", *data_args(synth_dir), "--config", str(cfg),
+                       "--out", str(out), "--repeats", "2"])
+        assert rc == 0
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[1], r[5]) for r in rows] == [("2", "2"), ("2", "3")]
 
     def test_unknown_config_grid_name_is_config_error(self, synth_dir,
                                                       tmp_path):

@@ -34,16 +34,40 @@ def test_unknown_version_rejected(fitted_blob):
         model_from_dict(doc)
 
 
+# Malformed documents made by setting one top-level field.
+SET_FIELD = {
+    "views_of_lists": ("views", [[1], [2]]), "views_number": ("views", 5),
+    "views_null": ("views", None), "views_empty": ("views", []),
+    "weights_null": ("view_weights", None),
+    "weights_short": ("view_weights", [1.0])}
+
+
 @pytest.mark.parametrize("malformed, words", [
     ("extra_key", "foo"), ("hyperparams_list", "list"),
-    ("array", "JSON object")])
+    ("array", "JSON object"), ("views_of_lists", "'views'"),
+    ("views_number", "'views'"), ("views_null", "'views'"),
+    ("views_empty", "'views'"), ("no_views", "no 'views' field"),
+    ("no_view_weights", "no 'view_weights' field"),
+    ("weights_null", "one weight per view"),
+    ("weights_short", "one weight per view"),
+    ("view_without_widths", "view 1 has no 'widths' field"),
+    ("view_field_object", "view 0 field 'mean'")])
 def test_malformed_document_rejected(fitted_blob, malformed, words):
     doc = model_to_dict(fitted_blob[0])
-    if malformed == "extra_key":
+    if malformed in SET_FIELD:
+        key, value = SET_FIELD[malformed]
+        doc[key] = value
+    elif malformed == "extra_key":
         doc["hyperparams"]["foo"] = 1
     elif malformed == "hyperparams_list":
         doc["hyperparams"] = list(doc["hyperparams"].values())
-    else:
+    elif malformed == "array":
         doc = [doc]
+    elif malformed in ("no_views", "no_view_weights"):
+        del doc[malformed[3:]]
+    elif malformed == "view_without_widths":
+        del doc["views"][1]["widths"]
+    else:
+        doc["views"][0]["mean"] = {"a": 1}
     with pytest.raises(ValueError, match=words):
         model_from_dict(doc)

@@ -738,6 +738,43 @@ def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
         assert after <= before + 1e-9 * (1.0 + abs(before))
 
 
+SURROGATE_BLOCKS = [("common", 1), ("specific", 0), ("consistency", None)]
+
+
+def _block_value(block, state, b):
+    kind, v = block
+    return b if kind == "consistency" else getattr(state, "p_" + kind)[v]
+
+
+@pytest.mark.parametrize("block", SURROGATE_BLOCKS)
+def test_surrogate_leaves_the_state_untouched(block):
+    # surrogate sets the block in a copy of the state: the caller's lists,
+    # arrays and map are the same objects, holding the same values.
+    state, b, problem, _, _ = random_instance(np.random.default_rng(4))
+    old = _block_value(block, state, b)
+    lists = state.p_common, state.p_specific
+    arrays = [*state.p_common, *state.p_specific, state.view_weights, b]
+    copies = [a.copy() for a in arrays]
+    surrogate(block, 2.0 * old + 1.0, state, problem, b, irls_diag(old))
+    assert state.p_common is lists[0] and state.p_specific is lists[1]
+    assert all(now is was for now, was in zip(
+        [*state.p_common, *state.p_specific, state.view_weights], arrays))
+    for now, was in zip(arrays, copies):
+        np.testing.assert_array_equal(now, was)
+
+
+@pytest.mark.parametrize("block", SURROGATE_BLOCKS)
+def test_surrogate_of_a_wrong_width_block_raises(block):
+    # The block set to x goes through objective's shape check: a consequent
+    # with a row too many, or a map with a column too many.
+    state, b, problem, _, _ = random_instance(np.random.default_rng(5))
+    old = _block_value(block, state, b)
+    axis = 1 if block[0] == "consistency" else 0
+    x = np.concatenate([old, old.take([0], axis)], axis)
+    with pytest.raises(ValueError, match="design width mismatch"):
+        surrogate(block, x, state, problem, b, irls_diag(x))
+
+
 @pytest.mark.parametrize("variant, b_update", [
     ("full", "paper"), ("full", "exact"), ("common_only", "exact"),
     ("no_consistency", "paper")])
