@@ -58,7 +58,9 @@ def _array(doc, key, where="model document"):
 def model_from_dict(doc):
     """The ModelState of a model document; ValueError if it is not a
     JSON object, lacks a field, or its version, hyperparams or views are
-    not a model's."""
+    not a model's. A view's mean and scale must hold d_v entries, its
+    centers and widths be (R, d_v) and its p_common and p_specific
+    (R (d_v + 1), m), with R = n_rules and one m for every view."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
@@ -76,10 +78,26 @@ def model_from_dict(doc):
         raise ValueError("model field 'views' must be a non-empty list of "
                          f"objects, got {views!r:.60}")
     standardizers, banks, p_common, p_specific = [], [], [], []
+    keys = ("mean", "scale", "centers", "widths", "p_common", "p_specific")
+    r, m = hp.n_rules, None
     for v, vd in enumerate(views):
-        mean, scale, centers, widths, pc, ps = (
-            _array(vd, key, f"model view {v}") for key in
-            ("mean", "scale", "centers", "widths", "p_common", "p_specific"))
+        where = f"model view {v}"
+        arrays = [_array(vd, key, where) for key in keys]
+        mean, scale, centers, widths, pc, ps = arrays
+        if mean.ndim != 1:
+            raise ValueError(f"{where} field 'mean' must be a list of "
+                             f"numbers, got shape {mean.shape}")
+        if m is None:
+            m = pc.shape[-1] if pc.ndim else 0
+        d = mean.size
+        expected = [(d,), (d,), (r, d), (r, d), (r * (d + 1), m),
+                    (r * (d + 1), m)]
+        for key, array, shape in zip(keys, arrays, expected):
+            if array.shape != shape:
+                raise ValueError(
+                    f"{where} field {key!r} has shape {array.shape}, not "
+                    f"{shape} (n_rules {r}, {d} features, embedding "
+                    f"width {m})")
         standardizers.append(Standardizer(mean=mean, scale=scale))
         banks.append(AntecedentBank(centers=centers, widths=widths))
         p_common.append(pc)

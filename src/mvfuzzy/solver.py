@@ -15,7 +15,9 @@ columns of their systems are formed.
 Every dense factorization in the fit goes through numpy's LAPACK. numpy
 and scipy each ship their own OpenBLAS, each with its own thread pool; a
 scipy solve between numpy products makes the two pools contend for the
-same cores and can double the fit's CPU time.
+same cores and can double the fit's CPU time. The package loads no scipy
+module but scipy.sparse, which loads no BLAS of its own, so a process
+that uses it maps only numpy's OpenBLAS.
 """
 
 import time

@@ -190,7 +190,9 @@ class TestExportRules:
     @pytest.mark.parametrize("command", ["export-rules", "evaluate"])
     @pytest.mark.parametrize("views, words", [
         ([[1], [2]], "'views'"), (5, "'views'"), (None, "'views'"),
-        ("missing", "no 'views' field")])
+        ("missing", "no 'views' field"),
+        ("p_common_1x1", "view 0 field 'p_common'"),
+        ("centers_short", "view 1 field 'centers'")])
     def test_malformed_views_are_config_errors(self, synth_dir, tmp_path,
                                                capsys, command, views,
                                                words):
@@ -200,6 +202,10 @@ class TestExportRules:
         model = json.loads((run / "model.json").read_text())
         if views == "missing":
             del model["views"]
+        elif views == "p_common_1x1":
+            model["views"][0]["p_common"] = [[1.0]]
+        elif views == "centers_short":
+            del model["views"][1]["centers"][0]
         else:
             model["views"] = views
         (run / "model.json").write_text(json.dumps(model))

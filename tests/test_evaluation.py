@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import protocol_labelings, protocol_seeds
 from mvfuzzy import evaluation
@@ -333,6 +334,16 @@ class TestAcc:
             true = rng.integers(0, int(rng.integers(1, 6)), size=n)
             assert acc(pred, true) == acc_oracle(pred.tolist(),
                                                  true.tolist())
+
+    def test_102_clusters_match_scipy_optimum(self):
+        # scipy.optimize is the oracle here only; the package never loads it.
+        rng = np.random.default_rng(10)
+        pred = rng.integers(0, 102, size=4000)
+        true = (pred + rng.integers(0, 6, size=4000)) % 102
+        table = evaluation._contingency(pred, true)
+        assert table.shape == (102, 102)
+        rows, cols = linear_sum_assignment(-table)
+        assert acc(pred, true) == float(table[rows, cols].sum() / 4000)
 
 
 class TestPurity:

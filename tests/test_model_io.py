@@ -51,12 +51,37 @@ SET_FIELD = {
     ("weights_null", "one weight per view"),
     ("weights_short", "one weight per view"),
     ("view_without_widths", "view 1 has no 'widths' field"),
-    ("view_field_object", "view 0 field 'mean'")])
+    ("view_field_object", "view 0 field 'mean'"),
+    ("p_common_one_by_one", r"view 0 field 'p_common' has shape \(1, 1\)"),
+    ("mean_matrix", "view 0 field 'mean' must be a list"),
+    ("scale_short", "view 1 field 'scale'"),
+    ("centers_short", "view 0 field 'centers'"),
+    ("widths_narrow", "view 1 field 'widths'"),
+    ("p_specific_narrow", "view 0 field 'p_specific'"),
+    ("p_common_wider_than_view_0", "view 1 field 'p_common'"),
+    ("n_rules_off_by_one", "view 0 field 'centers'")])
 def test_malformed_document_rejected(fitted_blob, malformed, words):
     doc = model_to_dict(fitted_blob[0])
+    views = doc["views"]
     if malformed in SET_FIELD:
         key, value = SET_FIELD[malformed]
         doc[key] = value
+    elif malformed == "p_common_one_by_one":
+        views[0]["p_common"] = [[1.0]]
+    elif malformed == "mean_matrix":
+        views[0]["mean"] = [views[0]["mean"]]
+    elif malformed == "scale_short":
+        views[1]["scale"] = views[1]["scale"][1:]
+    elif malformed == "centers_short":
+        views[0]["centers"] = views[0]["centers"][1:]
+    elif malformed == "widths_narrow":
+        views[1]["widths"] = [row[1:] for row in views[1]["widths"]]
+    elif malformed == "p_specific_narrow":
+        views[0]["p_specific"] = [row[1:] for row in views[0]["p_specific"]]
+    elif malformed == "p_common_wider_than_view_0":
+        views[1]["p_common"] = [row + [0.0] for row in views[1]["p_common"]]
+    elif malformed == "n_rules_off_by_one":
+        doc["hyperparams"]["n_rules"] += 1
     elif malformed == "extra_key":
         doc["hyperparams"]["foo"] = 1
     elif malformed == "hyperparams_list":

@@ -7,14 +7,16 @@ the Laplacian invariants. The k-means tests check each restart of a
 multi-restart Lloyd call against the direct-distance loop, its final centers
 against masked means, the k-means++ init (on rounded and unrounded
 points) and `kmeans` against sequential oracles, and every key of a
-protocol's fixed-point record against one oracle step. The solver tests
-draw N, V, the per-view inputs, m, the rule count and the regularization
-weights, build a random instance over real fuzzy design matrices and kNN
-graphs, and check one invariant against a dense or finite-difference
-reference. The fuzzy mapping tests draw data shapes, scales and rule
-counts and check the normalizations; the rule-export test fits small
-random models and replays the exported rule bases against `embed`. The
-example sequence is derandomized, so every run checks the same cases.
+protocol's fixed-point record against one oracle step; the ACC test
+checks the exact assignment against scipy's on integer tables with many
+ties. The solver tests draw N, V, the per-view inputs, m, the rule count
+and the regularization weights, build a random instance over real fuzzy
+design matrices and kNN graphs, and check one invariant against a dense
+or finite-difference reference. The fuzzy mapping tests draw data
+shapes, scales and rule counts and check the normalizations; the
+rule-export test fits small random models and replays the exported rule
+bases against `embed`. The example sequence is derandomized, so every
+run checks the same cases.
 """
 
 from dataclasses import replace
@@ -22,8 +24,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import (coordinate_basis, protocol_labelings, protocol_record,
                       protocol_seeds, random_instance)
@@ -32,7 +35,7 @@ from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
 from mvfuzzy.data import MultiViewDataset
 from mvfuzzy.evaluation import (_kmeanspp_init, _lloyd, _lloyd_inputs,
-                                _weighted_pick, kmeans)
+                                _weighted_pick, acc, kmeans)
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, TERM_NAMES, VARIANTS,
                             Hyperparams, fit, graph_traces,
@@ -316,6 +319,29 @@ def test_weighted_pick_draws_as_rng_choice(weights, seed):
         assert _weighted_pick(weights, total, rng) == ref_rng.choice(
             len(weights), p=weights / total)
     assert rng.random() == ref_rng.random()
+
+
+@st.composite
+def count_tables(draw):
+    """Rectangular integer contingency tables from 1x1 to 12x12, with
+    entries in 0-2 (many tied matchings) or in 0-10^4."""
+    shape = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    high = draw(st.sampled_from([2, 10 ** 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.integers(0, high + 1, size=shape)
+
+
+@GRAPH_PROPS
+@given(count_tables())
+@example(np.array([[2, 0, 1, 2, 1]]))
+@example(np.array([[0], [2], [1], [2]]))
+def test_acc_is_scipy_assignment_optimum(table):
+    # scipy.optimize is the oracle here only; the package never loads it.
+    total = table.sum()
+    assume(total > 0)
+    rows, cols = linear_sum_assignment(-table)
+    assert acc(None, None, _table=table) == float(
+        table[rows, cols].sum() / total)
 
 
 @GRAPH_PROPS

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -934,8 +939,11 @@ SCIPY_DENSE = ("solve", "cho_factor", "cho_solve", "lu_factor", "lstsq",
 @pytest.mark.parametrize("b_update", B_UPDATE_MODES)
 def test_fit_runs_on_numpy_linalg_only(blob_dataset, variant, b_update,
                                        monkeypatch):
-    """numpy and scipy each load their own OpenBLAS, each with its own
-    thread pool; a scipy factorization inside the fit makes the two pools
+    """numpy and scipy each ship their own OpenBLAS, each with its own
+    thread pool. The package never loads scipy's (see
+    `test_package_loads_only_numpy_and_scipy_sparse`); this test holds
+    the fit to numpy's solvers even in a process that has loaded
+    scipy.linalg, where a scipy factorization would make the two pools
     contend for the cores."""
     def refuse(*args, **kwargs):
         raise AssertionError("the fit called a scipy.linalg solver")
@@ -951,6 +959,63 @@ def test_fit_runs_on_numpy_linalg_only(blob_dataset, variant, b_update,
     hp = Hyperparams(max_iter=3, seed=2, variant=variant, b_update=b_update)
     _, trace = fit(blob_dataset, hp)
     assert np.all(np.isfinite(trace.totals()))
+
+
+# Prints the scipy modules and the OpenBLAS libraries the process holds
+# after running {body}.
+FOOTPRINT = """
+import json, sys
+{body}
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+try:
+    with open("/proc/self/maps") as fh:
+        paths = {{line.split()[-1] for line in fh if len(line.split()) > 5}}
+    blas = sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
+except OSError:
+    blas = None
+print(json.dumps({{"scipy": scipy, "openblas": blas}}))
+"""
+
+PACKAGE_RUN = """
+import mvfuzzy.cli
+from mvfuzzy import (Hyperparams, embed, evaluate_embedding, export_rules,
+                     fit, grid_search, load_model, make_synthetic,
+                     rules_predict, save_model)
+ds = make_synthetic(n_instances=60, n_views=2, n_clusters=3, seed=1)
+for b_update in ("exact", "paper"):
+    hp = Hyperparams(max_iter=3, seed=0, b_update=b_update)
+    state, _ = fit(ds, hp)
+z = embed(ds, state).data
+evaluate_embedding(z, ds.labels, repeats=2, restarts=2)
+grid_search(ds, [hp], repeats=2, restarts=2)
+rules_predict(export_rules(state), ds.views)
+save_model(state, sys.argv[1])
+load_model(sys.argv[1])
+"""
+
+
+def test_package_loads_only_numpy_and_scipy_sparse(tmp_path):
+    """A run through the whole package (fit in both B modes, embed,
+    evaluate, grid, rule export and replay, model I/O, the CLI module)
+    loads no scipy module that `import numpy, scipy.sparse` does not, so
+    the process maps one OpenBLAS, numpy's. Compared against that
+    baseline, not a fixed list, since scipy releases differ in what
+    scipy.sparse loads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+    def footprint(body):
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT.format(body=body),
+             str(tmp_path / "model.json")], env=env, capture_output=True,
+            text=True, timeout=120, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    baseline = footprint("import numpy, scipy.sparse")
+    package = footprint(PACKAGE_RUN)
+    assert "scipy.optimize" not in package["scipy"]
+    assert set(package["scipy"]) <= set(baseline["scipy"])
+    if sys.platform.startswith("linux"):
+        assert len(package["openblas"]) == 1, package["openblas"]
 
 
 class TestHyperparams:
