@@ -1,20 +1,21 @@
 """kNN similarity graphs and Laplacians in the fuzzy feature space.
 
-The graphs are sparse: S holds about N*k edges, so S and L = D - S are
-scipy.sparse CSR arrays. Gram products are formed one row block at a
-time, so no N x N array is ever allocated, and memory is O(N*k) plus one
-Gram block and one h slice. Each row's k nearest are selected exactly, but
-only among the columns that can pass a bound on its k-th distance, taken
-from strided column-group minima of a monotone form h of the distances
-with a rounding margin: about k*N/256 candidates per row for N >= 1024,
-and only theirs are turned into squared distances. h is formed a slice of
-rows at a time and reduced to the group minima while it is in cache.
+A graph is held as neighbour lists: row i of the directed kNN weights W
+holds weights[i] at the columns cols[i], both (N, k), and S = (W + W^T)/2
+and L = D - S are never formed, so memory is O(N*k). Gram products are
+formed one row block at a time, so no N x N array is ever allocated, and
+the kNN pass takes O(N*k) plus one Gram block and one h slice. Each row's
+k nearest are selected exactly, but only among the columns that can pass
+a bound on its k-th distance, taken from strided column-group minima of a
+monotone form h of the distances with a rounding margin: about k*N/256
+candidates per row for N >= 1024, and only theirs are turned into squared
+distances. h is formed a slice of rows at a time and reduced to the group
+minima while it is in cache.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import _is_int, _is_real
 
@@ -32,11 +33,35 @@ _GROUPS = 256
 
 @dataclass
 class GraphLaplacian:
-    """Symmetric similarity S (CSR) and the Laplacian L = D - S (CSR),
-    where D is the diagonal of S's row sums."""
+    """A kNN graph as neighbour lists. Row i of the directed weights W
+    holds weights[i] at the columns cols[i] (both (N, k)); the similarity
+    is S = (W + W^T)/2, degree (N,) holds S's row sums, and the Laplacian
+    is L = diag(degree) - S."""
 
-    similarity: sp.csr_array
-    laplacian: sp.csr_array
+    cols: np.ndarray
+    weights: np.ndarray
+    degree: np.ndarray
+
+    def quadratic(self, x):
+        """X^T L X for X (N, D), as the symmetric part of
+        A = X^T (diag(degree) X - W X), which equals X^T L X since
+        X^T W X and X^T W^T X are transposes. W X is gathered one
+        neighbour slot at a time, so every temporary is (N, D)."""
+        y = x * self.degree[:, None]
+        for cols, weights in zip(self.cols.T, self.weights.T):
+            neigh = x[cols]
+            neigh *= weights[:, None]
+            y -= neigh
+        a = x.T @ y
+        return 0.5 * (a + a.T)
+
+    def dense(self):
+        """(S, L) as dense (N, N) arrays, for tests and small N."""
+        n = len(self.degree)
+        w = np.zeros((n, n))
+        np.add.at(w, (np.arange(n)[:, None], self.cols), self.weights)
+        s = 0.5 * (w + w.T)
+        return s, np.diag(self.degree) - s
 
 
 def _row_blocks(n):
@@ -173,8 +198,8 @@ def _check_bandwidth(bandwidth):
 
 
 def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
-    """Gaussian-kernel similarity restricted to each row's k nearest
-    neighbors, then symmetrized as (S + S^T)/2 with a zero diagonal.
+    """Gaussian-kernel weights of each row's k nearest neighbors, as the
+    lists (cols, weights) that `laplacian` symmetrizes.
 
     bandwidth="auto" sets the kernel scale to the median of the nonzero
     selected neighbor distances, which keeps the weights away from the
@@ -184,10 +209,11 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     other string is not one), and x finite with 4 max ||x||^2 finite, so
     that no squared distance overflows; ValueError otherwise.
 
-    Returns S as an (N, N) scipy.sparse CSR array with at most 2*N*k
-    entries. Gram products are formed in row blocks of at most
-    _BLOCK_BYTES and h in slices of at most _SLICE_BYTES, so memory is
-    O(N*k) plus one Gram block and one h slice.
+    Returns cols (N, k), each row's neighbors in ascending column order
+    (never the row itself), and weights (N, k), their kernel weights.
+    Gram products are formed in row blocks of at most _BLOCK_BYTES and h
+    in slices of at most _SLICE_BYTES, so memory is O(N*k) plus one Gram
+    block and one h slice.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -238,28 +264,33 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     else:
         sigma = float(bandwidth)
 
-    weights = np.exp(-neigh_d2 / (2.0 * sigma * sigma))
-    s = sp.csr_array(
-        (weights.ravel(), cols.ravel(),
-         np.arange(0, n * n_neighbors + 1, n_neighbors)), shape=(n, n))
-    return 0.5 * (s + s.T)
+    return cols, np.exp(-neigh_d2 / (2.0 * sigma * sigma))
 
 
-def laplacian(similarity):
-    """Unnormalized graph Laplacian L = D - S of a symmetric similarity,
-    given dense or sparse; S and L are returned as CSR arrays."""
-    s = sp.csr_array(similarity, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("similarity must be square")
-    if abs(s - s.T).max() > 1e-10:
-        raise ValueError("similarity must be symmetric")
-    if np.any(s.data < 0):
-        raise ValueError("similarity must be non-negative")
-    degree = s.sum(axis=1)
-    lap = (sp.diags_array(degree) - s).tocsr()
-    return GraphLaplacian(similarity=s, laplacian=lap)
+def laplacian(cols, weights):
+    """The GraphLaplacian of the directed weights W whose row i holds
+    weights[i] at the columns cols[i], symmetrized as S = (W + W^T)/2; a
+    column repeated in a row adds its weights. ValueError unless cols and
+    weights are 2-D of one shape (N, k), cols integers in [0, N) and
+    weights finite and non-negative."""
+    cols = np.asarray(cols)
+    weights = np.asarray(weights, dtype=float)
+    if cols.ndim != 2 or cols.shape != weights.shape:
+        raise ValueError("cols and weights must be 2-D arrays of one shape, "
+                         f"got {cols.shape} and {weights.shape}")
+    n = len(cols)
+    if not (cols.dtype.kind in "iu"
+            and np.all((0 <= cols) & (cols < n))):
+        raise ValueError(f"cols must be integers in [0, {n})")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError("weights must be finite and non-negative")
+    cols = cols.astype(np.intp, copy=False)
+    degree = 0.5 * (weights.sum(axis=1)
+                    + np.bincount(cols.ravel(), weights.ravel(),
+                                  minlength=n))
+    return GraphLaplacian(cols=cols, weights=weights, degree=degree)
 
 
 def build_graph(x, n_neighbors=5, bandwidth="auto"):
-    """Similarity plus Laplacian in one call."""
-    return laplacian(knn_similarity(x, n_neighbors, bandwidth))
+    """Neighbour lists plus Laplacian in one call."""
+    return laplacian(*knn_similarity(x, n_neighbors, bandwidth))

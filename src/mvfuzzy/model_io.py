@@ -60,7 +60,7 @@ def model_from_dict(doc):
     JSON object, lacks a field, or its version, hyperparams or views are
     not a model's. A view's mean and scale must hold d_v entries, its
     centers and widths be (R, d_v) and its p_common and p_specific
-    (R (d_v + 1), m), with R = n_rules and one m for every view."""
+    (R (d_v + 1), m), with R = n_rules and one m >= 1 for every view."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
@@ -98,6 +98,9 @@ def model_from_dict(doc):
                     f"{where} field {key!r} has shape {array.shape}, not "
                     f"{shape} (n_rules {r}, {d} features, embedding "
                     f"width {m})")
+        if m == 0:
+            raise ValueError(f"{where} field 'p_common' has no columns: the "
+                             "embedding width must be at least 1")
         standardizers.append(Standardizer(mean=mean, scale=scale))
         banks.append(AntecedentBank(centers=centers, widths=widths))
         p_common.append(pc)

@@ -16,8 +16,7 @@ Every dense factorization in the fit goes through numpy's LAPACK. numpy
 and scipy each ship their own OpenBLAS, each with its own thread pool; a
 scipy solve between numpy products makes the two pools contend for the
 same cores and can double the fit's CPU time. The package loads no scipy
-module but scipy.sparse, which loads no BLAS of its own, so a process
-that uses it maps only numpy's OpenBLAS.
+module, so a process that uses it maps only numpy's OpenBLAS.
 """
 
 import time
@@ -266,9 +265,9 @@ class Problem:
     @classmethod
     def from_graphs(cls, design, graphs):
         """The Problem of the views' fuzzy designs and kNN graphs. X^T L X
-        is formed from each graph's sparse CSR Laplacian (O(N*k) entries)
-        by a sparse x dense product, then X^T times that."""
-        xlx = [x.T @ (g.laplacian @ x) for x, g in zip(design, graphs)]
+        is formed from each graph's neighbour lists (O(N*k) entries) by
+        `GraphLaplacian.quadratic`."""
+        xlx = [g.quadratic(x) for x, g in zip(design, graphs)]
         gram = [x.T @ x for x in design]
         n = design[0].shape[0]
         widths = np.cumsum([0] + [x.shape[1] for x in design])

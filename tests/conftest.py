@@ -21,6 +21,15 @@ def fitted_blob(blob_dataset):
     return fit(blob_dataset, hp)
 
 
+def knn_dense(x, n_neighbors, bandwidth="auto"):
+    """The similarity S of x's kNN graph, dense (N, N). The graph
+    module's constants are read at call time, so a patched block, slice
+    or group budget applies."""
+    from mvfuzzy.graph import build_graph
+
+    return build_graph(x, n_neighbors, bandwidth).dense()[0]
+
+
 def random_instance(rng, n=10, n_views=2, m=2, n_rules=2, dims=(3, 4),
                     **hp_kwargs):
     """A random solver state and consistency map over real fuzzy design

@@ -80,7 +80,7 @@ def test_c03_laplacian_suite():
     worst_sym = worst_row = worst_eig = worst_tr = 0.0
     for n, d, k in ((20, 3, 3), (90, 10, 5), (200, 6, 7)):
         g = build_graph(rng.normal(size=(n, d)), n_neighbors=k)
-        s, lap = g.similarity.toarray(), g.laplacian.toarray()
+        s, lap = g.dense()
         worst_sym = max(worst_sym, float(np.abs(s - s.T).max()))
         worst_row = max(worst_row, float(np.abs(lap.sum(axis=1)).max()))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(lap).min()))
@@ -109,7 +109,7 @@ def test_c04_objective_matches_scalar_oracle():
         oracle = scalar_objective(
             state.p_common, state.p_specific, b,
             state.view_weights, design,
-            [g.laplacian.toarray() for g in graphs],
+            [g.dense()[1] for g in graphs],
             state.hp.alpha, state.hp.beta, state.hp.gamma, state.hp.delta)
         for name in ("graph", "orthogonality", "consistency", "b_sparsity",
                      "pc_sparsity", "ps_sparsity", "entropy"):

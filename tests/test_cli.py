@@ -192,6 +192,7 @@ class TestExportRules:
         ([[1], [2]], "'views'"), (5, "'views'"), (None, "'views'"),
         ("missing", "no 'views' field"),
         ("p_common_1x1", "view 0 field 'p_common'"),
+        ("zero_width", "view 0 field 'p_common' has no columns"),
         ("centers_short", "view 1 field 'centers'")])
     def test_malformed_views_are_config_errors(self, synth_dir, tmp_path,
                                                capsys, command, views,
@@ -204,6 +205,10 @@ class TestExportRules:
             del model["views"]
         elif views == "p_common_1x1":
             model["views"][0]["p_common"] = [[1.0]]
+        elif views == "zero_width":
+            for vd in model["views"]:
+                for key in ("p_common", "p_specific"):
+                    vd[key] = [[] for _ in vd[key]]
         elif views == "centers_short":
             del model["views"][1]["centers"][0]
         else:

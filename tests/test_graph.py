@@ -5,32 +5,48 @@ import numpy as np
 import pytest
 
 from mvfuzzy import graph
+from conftest import knn_dense
 from mvfuzzy.graph import build_graph, knn_similarity, laplacian
 from oracles import dense_knn_similarity, pairwise_smoothness
+
+
+def from_dense(w):
+    """The GraphLaplacian whose directed weights W are the dense w: every
+    column of every row, weights = w."""
+    n = len(w)
+    return laplacian(np.tile(np.arange(n), (n, 1)), w)
 
 
 class TestKnnSimilarity:
     def test_coincident_points_get_unit_weight(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        s = knn_similarity(x, n_neighbors=1)
+        s = knn_dense(x, 1)
         assert s[0, 1] == 1.0 and s[1, 0] == 1.0
 
     def test_collinear_hand_values(self):
         x = np.array([[0.0], [1.0], [100.0]])
-        s = knn_similarity(x, n_neighbors=1, bandwidth=1.0)
+        s = knn_dense(x, 1, bandwidth=1.0)
         np.testing.assert_allclose(s[0, 1], np.exp(-0.5))
         assert s[0, 2] == 0.0 and s[2, 0] == 0.0
 
     def test_kernel_range(self):
         rng = np.random.default_rng(0)
-        s = knn_similarity(rng.normal(size=(40, 5)), n_neighbors=6)
+        s = knn_dense(rng.normal(size=(40, 5)), 6)
         assert s.max() <= 1.0 and s.min() >= 0.0
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(1)
-        s = knn_similarity(rng.normal(size=(30, 4)), n_neighbors=4).toarray()
+        s = knn_dense(rng.normal(size=(30, 4)), 4)
         np.testing.assert_allclose(s, s.T, atol=0)
         np.testing.assert_array_equal(np.diag(s), 0.0)
+
+    def test_lists_hold_each_rows_neighbors_in_ascending_order(self):
+        x = np.random.default_rng(8).normal(size=(30, 4))
+        cols, weights = knn_similarity(x, n_neighbors=4)
+        assert cols.shape == weights.shape == (30, 4)
+        assert np.all(np.diff(cols, axis=1) > 0)
+        assert not np.any(cols == np.arange(30)[:, None])
+        assert np.all((weights > 0) & (weights <= 1))
 
     def test_neighbor_count_validated(self):
         x = np.zeros((5, 2))
@@ -82,10 +98,10 @@ class TestKnnSimilarity:
         # only among themselves.
         x = np.array([[0.0], [1.0], [3.0], [6.0], [-6.0], [-6.5], [-7.0],
                       [-7.5]])
-        s = knn_similarity(x, n_neighbors=3, bandwidth=1.0)
-        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 2, 3])
+        s = knn_dense(x, 3, bandwidth=1.0)
+        np.testing.assert_array_equal(np.flatnonzero(s[0]), [1, 2, 3])
         np.testing.assert_array_equal(
-            s.toarray(), dense_knn_similarity(x, 3, bandwidth=1.0))
+            s, dense_knn_similarity(x, 3, bandwidth=1.0))
 
     def test_bound_set_by_a_group_minimum_outside_the_k_nearest(self):
         # With 3 column groups, row 0's group minima are 100 (column 3),
@@ -97,11 +113,11 @@ class TestKnnSimilarity:
         x = np.array([[0.0], [1.0], [10.0], [-10.0], [2.0], [-2.0], [20.0],
                       [-20.0], [30.0], [-30.0], [40.0], [-40.0]])
         with mock.patch.object(graph, "_GROUPS", 3):
-            s = knn_similarity(x, n_neighbors=2, bandwidth=1.0)
-        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 3, 4, 5])
+            s = knn_dense(x, 2, bandwidth=1.0)
+        np.testing.assert_array_equal(np.flatnonzero(s[0]), [1, 3, 4, 5])
         assert s[0, 4] == np.exp(-2.0) and s[0, 5] == 0.5 * np.exp(-2.0)
         np.testing.assert_array_equal(
-            s.toarray(), dense_knn_similarity(x, 2, bandwidth=1.0))
+            s, dense_knn_similarity(x, 2, bandwidth=1.0))
 
     def test_every_group_ties_at_the_bound(self):
         # Row 0 is at distance 1 from every other point, so all 4 group
@@ -109,10 +125,10 @@ class TestKnnSimilarity:
         # the lowest columns, 1 and 2, must win the tie.
         x = np.array([[0.0]] + [[(-1.0) ** i] for i in range(1, 17)])
         with mock.patch.object(graph, "_GROUPS", 4):
-            s = knn_similarity(x, n_neighbors=2, bandwidth=1.0)
-        np.testing.assert_array_equal(s[[0], :].nonzero()[1], [1, 2])
+            s = knn_dense(x, 2, bandwidth=1.0)
+        np.testing.assert_array_equal(np.flatnonzero(s[0]), [1, 2])
         np.testing.assert_array_equal(
-            s.toarray(), dense_knn_similarity(x, 2, bandwidth=1.0))
+            s, dense_knn_similarity(x, 2, bandwidth=1.0))
 
 
 @pytest.mark.parametrize("kind", ["dyadic", "grid"])
@@ -131,7 +147,7 @@ def test_default_block_budget_matches_dense_oracle(kind, k):
     n = len(x)
     assert len(graph._row_blocks(n)) == 3
     assert 750 % graph._slice_rows(n) and graph._slice_rows(n) < 750
-    np.testing.assert_array_equal(knn_similarity(x, k).toarray(),
+    np.testing.assert_array_equal(knn_dense(x, k),
                                   dense_knn_similarity(x, k))
 
 
@@ -150,12 +166,13 @@ def test_memory_stays_within_one_gram_block_and_one_h_slice():
 
 class TestLaplacian:
     def test_zero_similarity(self):
-        g = laplacian(np.zeros((4, 4)))
-        np.testing.assert_array_equal(g.laplacian.toarray(), 0.0)
+        g = from_dense(np.zeros((4, 4)))
+        np.testing.assert_array_equal(g.dense()[1], 0.0)
+        np.testing.assert_array_equal(g.quadratic(np.ones((4, 2))), 0.0)
 
     def test_two_node_graph(self):
-        g = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(g.laplacian.toarray(),
+        g = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(g.dense()[1],
                                       [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_trace_identity_against_bruteforce(self):
@@ -163,22 +180,52 @@ class TestLaplacian:
         s = rng.random((50, 50))
         s = 0.5 * (s + s.T)
         np.fill_diagonal(s, 0.0)
-        g = laplacian(s)
+        g = from_dense(s)
+        np.testing.assert_array_equal(g.dense()[0], s)
         z = rng.normal(size=(50, 3))
-        quad = float(np.trace(z.T @ g.laplacian @ z))
+        quad = float(np.trace(g.quadratic(z)))
         brute = pairwise_smoothness(s, z)
         assert abs(quad - brute) <= 1e-10 * abs(brute)
 
-    def test_asymmetric_rejected(self):
-        s = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError):
-            laplacian(s)
+    def test_asymmetric_weights_symmetrised(self):
+        # W holds 1 at (0, 1) and 0.5 at (1, 0): S = (W + W^T)/2 holds
+        # 0.75 at both, and each node's degree is 0.75.
+        g = laplacian([[1], [0]], [[1.0], [0.5]])
+        s, lap = g.dense()
+        np.testing.assert_array_equal(s, [[0.0, 0.75], [0.75, 0.0]])
+        np.testing.assert_array_equal(g.degree, [0.75, 0.75])
+        np.testing.assert_array_equal(lap, [[0.75, -0.75], [-0.75, 0.75]])
+        z = np.array([[1.0], [3.0]])
+        np.testing.assert_array_equal(g.quadratic(z), [[0.75 * 4.0]])
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_bad_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            laplacian([[1], [0]], [[1.0], [bad]])
+
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_column_out_of_range_rejected(self, col):
+        with pytest.raises(ValueError, match="cols"):
+            laplacian([[1], [col]], [[1.0], [1.0]])
+
+    def test_non_integer_columns_rejected(self):
+        with pytest.raises(ValueError, match="cols"):
+            laplacian([[1.0], [0.0]], [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("cols, weights", [
+        ([[1], [0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([[1], [0]], [1.0, 1.0]),
+        ([1, 0], [1.0, 1.0]),
+    ])
+    def test_mismatched_shapes_rejected(self, cols, weights):
+        with pytest.raises(ValueError, match="shape"):
+            laplacian(cols, weights)
 
     def test_invariants_on_knn_graphs(self):
         rng = np.random.default_rng(3)
         for n, d, k in ((10, 2, 2), (60, 7, 5), (120, 3, 8)):
             g = build_graph(rng.normal(size=(n, d)), n_neighbors=k)
-            s, lap = g.similarity.toarray(), g.laplacian.toarray()
+            s, lap = g.dense()
             assert np.max(np.abs(s - s.T)) <= 1e-10
             assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
             assert np.linalg.eigvalsh(lap).min() >= -1e-8
@@ -189,9 +236,9 @@ class TestLaplacian:
         s = 0.5 * (s + s.T)
         np.fill_diagonal(s, 0.0)
         z = rng.normal(size=(12, 2))
-        base = float(np.trace(z.T @ laplacian(s).laplacian @ z))
+        base = float(np.trace(from_dense(s).quadratic(z)))
         bumped = s.copy()
         bumped[2, 7] += 0.5
         bumped[7, 2] += 0.5
-        after = float(np.trace(z.T @ laplacian(bumped).laplacian @ z))
+        after = float(np.trace(from_dense(bumped).quadratic(z)))
         assert after >= base - 1e-12

@@ -59,6 +59,7 @@ SET_FIELD = {
     ("widths_narrow", "view 1 field 'widths'"),
     ("p_specific_narrow", "view 0 field 'p_specific'"),
     ("p_common_wider_than_view_0", "view 1 field 'p_common'"),
+    ("zero_width", "view 0 field 'p_common' has no columns"),
     ("n_rules_off_by_one", "view 0 field 'centers'")])
 def test_malformed_document_rejected(fitted_blob, malformed, words):
     doc = model_to_dict(fitted_blob[0])
@@ -80,6 +81,10 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         views[0]["p_specific"] = [row[1:] for row in views[0]["p_specific"]]
     elif malformed == "p_common_wider_than_view_0":
         views[1]["p_common"] = [row + [0.0] for row in views[1]["p_common"]]
+    elif malformed == "zero_width":
+        for vd in views:
+            for key in ("p_common", "p_specific"):
+                vd[key] = [[] for _ in vd[key]]
     elif malformed == "n_rules_off_by_one":
         doc["hyperparams"]["n_rules"] += 1
     elif malformed == "extra_key":

@@ -2,10 +2,10 @@
 random shapes and hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
-check the sparse kNN graph against the dense stable-argsort oracle and
-the Laplacian invariants. The k-means tests check each restart of a
-multi-restart Lloyd call against the direct-distance loop, its final centers
-against masked means, the k-means++ init (on rounded and unrounded
+check the kNN graph's neighbour lists against the dense stable-argsort
+oracle, and the Laplacian invariants and quadratic form against the dense
+L. The k-means tests check each restart of a multi-restart Lloyd call
+against the direct-distance loop, its final centers against masked means, the k-means++ init (on rounded and unrounded
 points) and `kmeans` against sequential oracles, and every key of a
 protocol's fixed-point record against one oracle step; the ACC test
 checks the exact assignment against scipy's on integer tables with many
@@ -28,8 +28,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import (coordinate_basis, protocol_labelings, protocol_record,
-                      protocol_seeds, random_instance)
+from conftest import (coordinate_basis, knn_dense, protocol_labelings,
+                      protocol_record, protocol_seeds, random_instance)
 from mvfuzzy import graph
 from mvfuzzy.antecedent import (EPS_WIDTH, fit_antecedents, firing_levels,
                                 fuzzy_map)
@@ -90,8 +90,8 @@ def point_sets(draw, kinds=EXACT_KINDS + ("gaussian",)):
 @given(point_sets())
 def test_knn_similarity_matches_dense_oracle(points):
     x, k, bandwidth = points
-    s = graph.knn_similarity(x, k, bandwidth)
-    np.testing.assert_array_equal(s.toarray(),
+    s = knn_dense(x, k, bandwidth)
+    np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
 
@@ -103,8 +103,8 @@ def test_knn_similarity_matches_oracle_across_row_blocks(points, data):
     rows = data.draw(st.integers(1, max(1, n // 2)))
     with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows):
         assert len(graph._row_blocks(n)) > 2
-        s = graph.knn_similarity(x, k, bandwidth)
-    np.testing.assert_array_equal(s.toarray(),
+        s = knn_dense(x, k, bandwidth)
+    np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
 
@@ -116,8 +116,8 @@ def test_knn_similarity_matches_oracle_across_row_blocks(points, data):
 def test_knn_similarity_matches_dense_oracle_with_few_groups(points, groups):
     x, k, bandwidth = points
     with mock.patch.object(graph, "_GROUPS", groups):
-        s = graph.knn_similarity(x, k, bandwidth)
-    np.testing.assert_array_equal(s.toarray(),
+        s = knn_dense(x, k, bandwidth)
+    np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
 
@@ -131,8 +131,8 @@ def test_knn_similarity_matches_oracle_across_row_blocks_with_few_groups(
     with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows), \
             mock.patch.object(graph, "_GROUPS", groups):
         assert len(graph._row_blocks(n)) > 2
-        s = graph.knn_similarity(x, k, bandwidth)
-    np.testing.assert_array_equal(s.toarray(),
+        s = knn_dense(x, k, bandwidth)
+    np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
 
@@ -155,8 +155,8 @@ def test_knn_similarity_matches_oracle_across_h_slices(points, groups, data):
         with mock.patch.object(graph, "_SLICE_BYTES", 8 * n * slice_rows), \
                 mock.patch.object(graph, "_GROUPS", groups):
             assert graph._slice_rows(n) == slice_rows
-            s = graph.knn_similarity(x, k, bandwidth)
-    np.testing.assert_array_equal(s.toarray(),
+            s = knn_dense(x, k, bandwidth)
+    np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
 
@@ -165,10 +165,24 @@ def test_knn_similarity_matches_oracle_across_h_slices(points, groups, data):
 def test_laplacian_symmetric_zero_row_sums_psd(points):
     x, k, bandwidth = points
     g = graph.build_graph(x, k, bandwidth)
-    lap = g.laplacian.toarray()
+    lap = g.dense()[1]
     assert np.abs(lap - lap.T).max() <= 1e-10
     assert np.abs(lap.sum(axis=1)).max() <= 1e-10
     assert np.linalg.eigvalsh(lap).min() >= -1e-8
+
+
+@GRAPH_PROPS
+@given(point_sets(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_quadratic_and_degree_match_dense_laplacian(points, d, seed):
+    x, k, bandwidth = points
+    g = graph.build_graph(x, k, bandwidth)
+    s, lap = g.dense()
+    np.testing.assert_allclose(g.degree, s.sum(axis=1), rtol=1e-14,
+                               atol=1e-14 * np.abs(s).sum(axis=1).max())
+    z = np.random.default_rng(seed).normal(size=(len(x), d))
+    # Natural scale of the form: ||L||_inf bounds L's top eigenvalue.
+    scale = np.abs(lap).sum(axis=1).max() * float((z * z).sum())
+    assert np.abs(g.quadratic(z) - z.T @ lap @ z).max() <= 1e-12 * scale
 
 
 def kmeanspp_init(points, k, rng):
@@ -494,9 +508,10 @@ def test_graph_traces_match_dense_trace(instance):
     traces = graph_traces(state, problem)
     for v, g in enumerate(graphs):
         z = design[v] @ (state.p_common[v] + state.p_specific[v])
-        dense = float(np.trace(z.T @ g.laplacian @ z))
+        lap = g.dense()[1]
+        dense = float(np.trace(z.T @ lap @ z))
         # Natural scale of the form: ||L||_inf bounds L's top eigenvalue.
-        scale = np.abs(g.laplacian).sum(axis=1).max() * float((z * z).sum())
+        scale = np.abs(lap).sum(axis=1).max() * float((z * z).sum())
         assert abs(traces[v] - dense) <= 1e-10 * scale
 
 
