@@ -13,8 +13,7 @@ from .evaluation import (ClusteringReport, acc, evaluate_embedding,
                          grid_search, kmeans, nmi, purity)
 from .graph import GraphLaplacian, build_graph, knn_similarity, laplacian
 from .model_io import load_model, save_model
-from .representation import (Embedding, RuleBaseExport, embed, export_rules,
-                             rules_from_dict, rules_predict, rules_to_dict,
+from .representation import (Embedding, embed, export_rules, rules_predict,
                              rules_to_text)
 from .solver import (FitTrace, Hyperparams, ModelState, NumericFailure,
                      ObjectiveTerms, Problem, fit, irls_diag, objective,
@@ -27,13 +26,12 @@ __all__ = [
     "AntecedentBank", "ClusteringReport", "DataError", "Embedding",
     "FitTrace", "GraphLaplacian", "Hyperparams", "ModelState",
     "MultiViewDataset", "NumericFailure", "ObjectiveTerms", "Problem",
-    "RuleBaseExport", "Standardizer", "acc", "build_graph", "embed",
-    "estimate_widths", "evaluate_embedding", "export_rules",
-    "firing_levels", "fit", "fit_antecedents", "fuzzy_map", "grid_search",
-    "irls_diag", "kmeans", "knn_similarity", "laplacian", "load_dataset",
-    "load_model", "log_firing_levels", "make_synthetic", "nmi",
-    "objective", "purity", "rules_from_dict", "rules_predict",
-    "rules_to_dict", "rules_to_text", "save_dataset", "save_model",
+    "Standardizer", "acc", "build_graph", "embed", "estimate_widths",
+    "evaluate_embedding", "export_rules", "firing_levels", "fit",
+    "fit_antecedents", "fuzzy_map", "grid_search", "irls_diag", "kmeans",
+    "knn_similarity", "laplacian", "load_dataset", "load_model",
+    "log_firing_levels", "make_synthetic", "nmi", "objective", "purity",
+    "rules_predict", "rules_to_text", "save_dataset", "save_model",
     "update_common", "update_consistency", "update_specific",
     "update_view_weights", "varpart_centers",
 ]

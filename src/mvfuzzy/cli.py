@@ -16,7 +16,7 @@ from pathlib import Path
 from .data import (DataError, load_dataset, make_synthetic, save_dataset)
 from .evaluation import check_protocol, evaluate_embedding, grid_search
 from .model_io import load_model, save_model
-from .representation import embed, export_rules, rules_to_dict, rules_to_text
+from .representation import embed, export_rules, rules_to_text
 from .solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, NumericFailure,
                      fit, prepare_inputs)
 
@@ -267,10 +267,10 @@ def cmd_export_rules(args):
     json_path = out / "rules.json"
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(rules_to_text(export))
-    _write_json(rules_to_dict(export), json_path)
+    _write_json(export, json_path)
     _write_manifest(out, "export-rules", {"model": str(args.model)}, None,
                     [text_path, json_path])
-    print(f"wrote rule bases for {len(export.views)} view(s) to {out}")
+    print(f"wrote rule bases for {len(export['views'])} view(s) to {out}")
     return 0
 
 

@@ -193,7 +193,7 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
     views agree on the clustering but differ in realization. noise=0 makes
     all points of a cluster coincide within each view.
     """
-    for name, value in (("n_instances", n_instances),
+    for name, value in (("n_instances", n_instances), ("n_views", n_views),
                         ("n_clusters", n_clusters)):
         if not _is_count(value):
             raise DataError(f"{name} must be an integer >= 1, got {value!r}")
@@ -231,7 +231,11 @@ def write_matrix_csv(matrix, path):
 
 
 def save_dataset(dataset, out_dir, seed=None):
-    """Write per-view CSVs, a labels CSV and a manifest; returns file paths."""
+    """Write per-view CSVs, a labels CSV and a manifest; returns file paths.
+
+    Integer labels are written as they are; any others as their
+    `np.unique` codes, so `load_labels` gives back the same partition.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     view_files = []
@@ -241,9 +245,12 @@ def save_dataset(dataset, out_dir, seed=None):
         view_files.append(str(p))
     label_file = None
     if dataset.labels is not None:
+        labels = dataset.labels
+        if not np.issubdtype(labels.dtype, np.integer):
+            labels = np.unique(labels, return_inverse=True)[1]
         p = out_dir / "labels.csv"
         with open(p, "w", encoding="utf-8") as fh:
-            for y in dataset.labels:
+            for y in labels:
                 fh.write(f"{int(y)}\n")
         label_file = str(p)
     manifest = {

@@ -18,32 +18,6 @@ class Embedding:
     block_layout: list
 
 
-@dataclass
-class FuzzyRule:
-    """One IF-THEN rule: per-feature clauses plus two affine consequent
-    tables of shape (embed_dim, n_features + 1), column 0 the intercept."""
-
-    antecedent: list
-    common: np.ndarray
-    specific: np.ndarray
-
-
-@dataclass
-class ViewRules:
-    view: int
-    weight: float
-    mean: np.ndarray
-    scale: np.ndarray
-    rules: list
-
-
-@dataclass
-class RuleBaseExport:
-    views: list
-    n_rules: int
-    embed_dim: int
-
-
 def _check_fitted(state, dataset=None):
     if not state.p_common:
         raise ValueError("model state holds no fitted parameters")
@@ -106,11 +80,19 @@ def _linguistic_labels(centers_column):
 
 
 def export_rules(state):
-    """Serialize the fitted model as per-view fuzzy rule bases.
+    """The fitted model as per-view fuzzy rule bases, in one JSON-ready
+    document of plain dicts, lists, floats and ints; rules.json holds it
+    as it is, and `rules_predict` replays it, also after `json.load`.
 
-    The consequent matrices are re-blocked rule by rule so every rule
-    carries its own affine table per output dimension; nothing is rounded
-    here, so the export reproduces the model exactly.
+    Keys: "n_rules", "embed_dim" and "views", one entry per view with
+    "view" (0-based index), "weight", "mean" and "scale" (the training
+    standardization, one value per feature) and "rules". Each rule holds
+    "antecedent", one clause per feature with "feature", "label",
+    "center" and "width", and the affine consequent tables "common" and
+    "specific", each embed_dim rows of n_features + 1 coefficients,
+    column 0 the intercept. The consequent matrices are re-blocked rule
+    by rule and nothing is rounded, so the document reproduces the model
+    exactly.
     """
     _check_fitted(state)
     views = []
@@ -132,20 +114,20 @@ def export_rules(state):
                 for j in range(d)
             ]
             block = slice(r * (d + 1), (r + 1) * (d + 1))
-            rules.append(FuzzyRule(
-                antecedent=clauses,
-                common=state.p_common[v][block].T.copy(),
-                specific=state.p_specific[v][block].T.copy(),
-            ))
-        views.append(ViewRules(
-            view=v,
-            weight=float(state.view_weights[v]),
-            mean=state.standardizers[v].mean.copy(),
-            scale=state.standardizers[v].scale.copy(),
-            rules=rules,
-        ))
-    return RuleBaseExport(views=views, n_rules=state.hp.n_rules,
-                          embed_dim=state.embed_dim)
+            rules.append({
+                "antecedent": clauses,
+                "common": state.p_common[v][block].T.tolist(),
+                "specific": state.p_specific[v][block].T.tolist(),
+            })
+        views.append({
+            "view": v,
+            "weight": float(state.view_weights[v]),
+            "mean": state.standardizers[v].mean.tolist(),
+            "scale": state.standardizers[v].scale.tolist(),
+            "rules": rules,
+        })
+    return {"n_rules": state.hp.n_rules, "embed_dim": state.embed_dim,
+            "views": views}
 
 
 def _affine_text(coefs):
@@ -158,87 +140,41 @@ def _affine_text(coefs):
 
 def _rule_section(rule, table, indent="    "):
     lines = []
-    clauses = rule.antecedent
+    clauses = rule["antecedent"]
     for i, c in enumerate(clauses):
         tail = " and" if i < len(clauses) - 1 else "."
         lead = "IF: " if i == 0 else indent
         lines.append(f"{lead}the {c['feature'] + 1}th feature is "
                      f"{c['label']}{tail}")
-    for t in range(table.shape[0]):
-        tail = " and" if t < table.shape[0] - 1 else ""
+    for t, coefs in enumerate(table):
+        tail = " and" if t < len(table) - 1 else ""
         lead = "Then: " if t == 0 else indent
         lines.append(f"{lead}the {t + 1}th output is "
-                     f"{_affine_text(table[t])}{tail}")
+                     f"{_affine_text(coefs)}{tail}")
     return lines
 
 
 def rules_to_text(export):
-    """Human-readable rule listing, one common and one specific rule base
-    per view, coefficients rounded to 4 decimals."""
+    """Human-readable listing of an `export_rules` document, one common
+    and one specific rule base per view, coefficients rounded to 4
+    decimals."""
     lines = []
-    for vr in export.views:
-        header = f"View {vr.view + 1} (weight {vr.weight:.4f})"
+    for vr in export["views"]:
+        header = f"View {vr['view'] + 1} (weight {vr['weight']:.4f})"
         lines += [header, "=" * len(header), ""]
-        for part, attr in (("common", "common"), ("specific", "specific")):
+        for part in ("common", "specific"):
             title = (f"The rule base of the TSK fuzzy system for the "
                      f"{part} representation")
             lines += [title, "-" * len(title), ""]
-            for r, rule in enumerate(vr.rules):
+            for r, rule in enumerate(vr["rules"]):
                 lines.append(f"Rule {r + 1}:")
-                lines += _rule_section(rule, getattr(rule, attr))
+                lines += _rule_section(rule, rule[part])
                 lines.append("")
     return "\n".join(lines) + "\n"
 
 
-def rules_to_dict(export):
-    """JSON-ready structure carrying exact (unrounded) coefficients."""
-    return {
-        "n_rules": export.n_rules,
-        "embed_dim": export.embed_dim,
-        "views": [
-            {
-                "view": vr.view,
-                "weight": vr.weight,
-                "mean": vr.mean.tolist(),
-                "scale": vr.scale.tolist(),
-                "rules": [
-                    {
-                        "antecedent": rule.antecedent,
-                        "common": rule.common.tolist(),
-                        "specific": rule.specific.tolist(),
-                    }
-                    for rule in vr.rules
-                ],
-            }
-            for vr in export.views
-        ],
-    }
-
-
-def rules_from_dict(doc):
-    views = []
-    for vd in doc["views"]:
-        rules = [
-            FuzzyRule(
-                antecedent=rd["antecedent"],
-                common=np.asarray(rd["common"], dtype=float),
-                specific=np.asarray(rd["specific"], dtype=float),
-            )
-            for rd in vd["rules"]
-        ]
-        views.append(ViewRules(
-            view=vd["view"],
-            weight=float(vd["weight"]),
-            mean=np.asarray(vd["mean"], dtype=float),
-            scale=np.asarray(vd["scale"], dtype=float),
-            rules=rules,
-        ))
-    return RuleBaseExport(views=views, n_rules=doc["n_rules"],
-                          embed_dim=doc["embed_dim"])
-
-
 def rules_predict(export, views):
-    """Run the exported rule bases as a multi-output fuzzy system.
+    """Run an `export_rules` document as a multi-output fuzzy system.
 
     Each view standardizes its input with the exported statistics, fires
     every rule, evaluates the per-rule affine consequents and combines
@@ -246,29 +182,30 @@ def rules_predict(export, views):
     exactly like embed. Agreement with embed certifies that the export is
     a faithful serialization rather than a summary.
     """
-    if len(views) != len(export.views):
+    if len(views) != len(export["views"]):
         raise ValueError("view count does not match the exported rule base")
     common_total = None
     specific_blocks = []
-    for vr, raw in zip(export.views, views):
-        x = (np.asarray(raw, dtype=float) - vr.mean) / vr.scale
-        centers = np.vstack([
-            [c["center"] for c in rule.antecedent] for rule in vr.rules])
-        widths = np.vstack([
-            [c["width"] for c in rule.antecedent] for rule in vr.rules])
+    for vr, raw in zip(export["views"], views):
+        x = ((np.asarray(raw, dtype=float) - np.asarray(vr["mean"]))
+             / np.asarray(vr["scale"]))
+        centers = np.array([[c["center"] for c in rule["antecedent"]]
+                            for rule in vr["rules"]])
+        widths = np.array([[c["width"] for c in rule["antecedent"]]
+                           for rule in vr["rules"]])
         bank = AntecedentBank(centers=centers, widths=widths)
         levels = firing_levels(x, bank)
         affine = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-        y_common = np.zeros((x.shape[0], export.embed_dim))
+        y_common = np.zeros((x.shape[0], export["embed_dim"]))
         y_specific = np.zeros_like(y_common)
-        for k, rule in enumerate(vr.rules):
+        for k, rule in enumerate(vr["rules"]):
             mu = levels[:, [k]]
-            y_common += mu * (affine @ rule.common.T)
-            y_specific += mu * (affine @ rule.specific.T)
-        weighted_common = vr.weight * y_common
+            y_common += mu * (affine @ np.asarray(rule["common"]).T)
+            y_specific += mu * (affine @ np.asarray(rule["specific"]).T)
+        weighted_common = vr["weight"] * y_common
         common_total = (weighted_common if common_total is None
                         else common_total + weighted_common)
-        specific_blocks.append(vr.weight * y_specific)
+        specific_blocks.append(vr["weight"] * y_specific)
     layout = ["common"] + [f"specific_{v + 1}" for v in range(len(views))]
     return Embedding(data=np.hstack([common_total] + specific_blocks),
                      block_layout=layout)

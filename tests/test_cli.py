@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import mvfuzzy.cli as cli
 from conftest import failing_solve, solve_calls
-from mvfuzzy import solver
+from mvfuzzy import (embed, export_rules, load_dataset, load_model,
+                     rules_predict, solver)
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             NumericFailure)
 
@@ -171,6 +173,13 @@ class TestExportRules:
         doc = json.loads((out / "rules.json").read_text())
         assert doc["n_rules"] == 3
         assert len(doc["views"]) == 2
+        state = load_model(run / "model.json")
+        assert doc == export_rules(state)
+        dataset = load_dataset([synth_dir / "view_0.csv",
+                                synth_dir / "view_1.csv"])
+        replay = rules_predict(doc, dataset.views).data
+        direct = embed(dataset, state).data
+        assert np.abs(replay - direct).max() <= 1e-10
 
     def test_malformed_model_is_config_error(self, synth_dir, tmp_path):
         run = tmp_path / "run"

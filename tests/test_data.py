@@ -163,7 +163,7 @@ class TestMakeSynthetic:
                             seed=0)
         assert ds.view_dims == [2, 3, 4]
 
-    @pytest.mark.parametrize("name", ["n_instances", "n_clusters"])
+    @pytest.mark.parametrize("name", ["n_instances", "n_views", "n_clusters"])
     @pytest.mark.parametrize("bad", [0, -1, 2.0, True, "3"])
     def test_counts_must_be_positive_integers(self, name, bad):
         counts = {"n_instances": 20, "n_clusters": 1, name: bad}
@@ -186,6 +186,19 @@ class TestMakeSynthetic:
         expected = "".join(",".join(repr(float(x)) for x in row) + "\n"
                            for row in matrix)
         assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("labels", [[0.2, 0.7, 0.2, 0.7],
+                                        ["a", "b", "a"]],
+                             ids=["float", "string"])
+    def test_saved_labels_keep_their_classes(self, tmp_path, labels):
+        n = len(labels)
+        ds = MultiViewDataset(views=[np.arange(2.0 * n).reshape(n, 2)],
+                              labels=labels)
+        save_dataset(ds, tmp_path)
+        loaded = load_labels(tmp_path / "labels.csv")
+        np.testing.assert_array_equal(
+            loaded, np.unique(labels, return_inverse=True)[1])
+        assert np.unique(loaded).size == 2
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         ds = make_synthetic(n_instances=20, n_views=2, seed=9)
