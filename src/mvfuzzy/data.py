@@ -125,8 +125,11 @@ def _first_bad_cell(path, numbered):
 
 
 def load_labels(path, header=False):
-    """Read a single-column CSV of class identifiers (numeric or strings);
-    a byte-order mark before the first label is dropped."""
+    """Read a single-column CSV of class identifiers (numeric or strings)
+    as dense integer codes; a byte-order mark before the first label is
+    dropped. When every label is an integer literal the codes follow the
+    labels' numeric order, so labels 0..K-1 load back as themselves;
+    otherwise they follow the labels' string order."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
@@ -137,9 +140,13 @@ def load_labels(path, header=False):
     values = [ln for ln in lines if ln]
     if not values:
         raise DataError(f"{path}: no labels")
-    # Map arbitrary class identifiers to dense integer codes.
-    _, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int64)
+    names, codes = np.unique(values, return_inverse=True)
+    try:
+        # Stable, so labels of one value ("1", "01") keep string order.
+        order = sorted(range(len(names)), key=lambda i: int(names[i]))
+    except ValueError:
+        return codes.astype(np.int64)
+    return np.argsort(order)[codes].astype(np.int64)
 
 
 def load_dataset(view_paths, label_path=None, header=False):
@@ -233,8 +240,9 @@ def write_matrix_csv(matrix, path):
 def save_dataset(dataset, out_dir, seed=None):
     """Write per-view CSVs, a labels CSV and a manifest; returns file paths.
 
-    Integer labels are written as they are; any others as their
-    `np.unique` codes, so `load_labels` gives back the same partition.
+    Integer labels are written as they are, so `load_labels` gives back
+    labels 0..K-1 unchanged; any others as their `np.unique` codes, so
+    `load_labels` gives back the same partition.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,13 +4,15 @@ A graph is held as neighbour lists: row i of the directed kNN weights W
 holds weights[i] at the columns cols[i], both (N, k), and S = (W + W^T)/2
 and L = D - S are never formed, so memory is O(N*k). Gram products are
 formed one row block at a time, so no N x N array is ever allocated, and
-the kNN pass takes O(N*k) plus one Gram block and one h slice. Each row's
-k nearest are selected exactly, but only among the columns that can pass
-a bound on its k-th distance, taken from strided column-group minima of a
-monotone form h of the distances with a rounding margin: about k*N/256
-candidates per row for N >= 1024, and only theirs are turned into squared
-distances. h is formed a slice of rows at a time and reduced to the group
-minima while it is in cache.
+the kNN pass takes O(N*k) plus one Gram block and one h slice. A block
+holds at most 256 rows and 16 MB: below N = 8192 the row cap binds (8 MB
+at N = 4000, 2 MB at N = 1000), and from there on the byte budget. Each
+row's k nearest are selected exactly, but only among the columns that
+can pass a bound on its k-th distance, taken from strided column-group
+minima of a monotone form h of the distances with a rounding margin:
+about k*N/256 candidates per row for N >= 1024, and only theirs are
+turned into squared distances. h is formed a slice of rows at a time and
+reduced to the group minima while it is in cache.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,11 @@ from .data import _is_int, _is_real
 # Bytes of squared distances held per row block; the block's temporaries
 # take a small multiple of this.
 _BLOCK_BYTES = 16 * 2 ** 20
+
+# Most rows per block. It binds for N < 8192, where a 16 MB block would
+# hold more rows and so more per-row temporaries; from N = 8192 on the
+# byte budget gives at most 256 rows and this cap changes nothing.
+_BLOCK_ROWS = 256
 
 # Bytes of h formed at a time: a slice of a block's rows small enough to
 # stay in a core's L2 cache until it is reduced to its group minima.
@@ -65,8 +72,9 @@ class GraphLaplacian:
 
 
 def _row_blocks(n):
-    """Bounds of near-equal row blocks, each within the byte budget."""
-    n_blocks = -(-n // max(1, _BLOCK_BYTES // (8 * n)))
+    """Bounds of near-equal row blocks, each within the byte budget and
+    the row cap."""
+    n_blocks = -(-n // max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))))
     return [n * i // n_blocks for i in range(n_blocks + 1)]
 
 
@@ -211,9 +219,9 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
 
     Returns cols (N, k), each row's neighbors in ascending column order
     (never the row itself), and weights (N, k), their kernel weights.
-    Gram products are formed in row blocks of at most _BLOCK_BYTES and h
-    in slices of at most _SLICE_BYTES, so memory is O(N*k) plus one Gram
-    block and one h slice.
+    Gram products are formed in row blocks of at most _BLOCK_ROWS rows
+    and _BLOCK_BYTES bytes, and h in slices of at most _SLICE_BYTES, so
+    memory is O(N*k) plus one Gram block and one h slice.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -245,12 +253,18 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))
     bounds = _row_blocks(n)
-    # One Gram buffer serves every block, since fresh 16 MB temporaries
+    # One Gram buffer serves every block, since fresh multi-MB temporaries
     # per block cost page faults until malloc reuses them, and one h slice
-    # serves every slice of every block.
+    # serves every slice of every block. Both share one allocation, the
+    # largest the call frees: glibc's dynamic mmap and trim thresholds
+    # follow the largest block freed, and then keep the call's memory for
+    # the next call. As two buffers, at N = 1000 that memory went back to
+    # the system after every call and came back as about 1350 minor page
+    # faults per call (10 -> 14 ms for two 1000-row views).
     rows = max(np.diff(bounds))
-    gram_buf = np.empty((rows, n))
-    h_buf = np.empty((min(rows, _slice_rows(n)), n))
+    h_rows = min(rows, _slice_rows(n))
+    buf = np.empty((rows + h_rows, n))
+    gram_buf, h_buf = buf[:rows], buf[rows:]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         gram = gram_buf[:hi - lo]
         np.matmul(x[lo:hi], x.T, out=gram)

@@ -200,6 +200,25 @@ class TestMakeSynthetic:
             loaded, np.unique(labels, return_inverse=True)[1])
         assert np.unique(loaded).size == 2
 
+    def test_integer_labels_round_trip_in_numeric_order(self, tmp_path):
+        # In string order "10" and "11" sort before "2".
+        labels = np.arange(12)
+        ds = MultiViewDataset(views=[np.arange(24.0).reshape(12, 2)],
+                              labels=labels)
+        save_dataset(ds, tmp_path)
+        loaded = load_dataset([tmp_path / "view_0.csv"],
+                              tmp_path / "labels.csv")
+        np.testing.assert_array_equal(loaded.labels, labels)
+
+    @pytest.mark.parametrize("text, codes", [
+        ("3\n-2\n10\n2\n", [2, 0, 3, 1]),
+        ("b\n10\n2\nb\n", [2, 0, 1, 2]),
+    ], ids=["integers", "mixed"])
+    def test_label_codes_follow_numeric_else_string_order(self, tmp_path,
+                                                          text, codes):
+        (tmp_path / "y.csv").write_text(text, encoding="utf-8")
+        np.testing.assert_array_equal(load_labels(tmp_path / "y.csv"), codes)
+
     def test_csv_roundtrip_is_exact(self, tmp_path):
         ds = make_synthetic(n_instances=20, n_views=2, seed=9)
         save_dataset(ds, tmp_path, seed=9)

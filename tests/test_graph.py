@@ -134,8 +134,8 @@ class TestKnnSimilarity:
 @pytest.mark.parametrize("kind", ["dyadic", "grid"])
 @pytest.mark.parametrize("k", [1, 5, 40])
 def test_default_block_budget_matches_dense_oracle(kind, k):
-    # At N = 1500 the unpatched 16 MB budget splits the rows into two
-    # blocks. Dyadic and small-integer coordinates make every squared
+    # At N = 1500 the unpatched 256-row cap splits the rows into six
+    # blocks of 250. Dyadic and small-integer coordinates make every squared
     # distance exact, so S must equal the oracle bit for bit; the integer
     # grid has few distinct distances, so most rows tie at the k-th.
     rng = np.random.default_rng(17)
@@ -143,25 +143,47 @@ def test_default_block_budget_matches_dense_oracle(kind, k):
         x = rng.integers(-1024, 1025, size=(1500, 6)) / 16.0
     else:
         x = rng.integers(-2, 3, size=(1500, 3)).astype(float)
-    # It also cuts each 750-row block into h slices, the last one short.
+    # It also cuts each 250-row block into h slices, the last one short.
     n = len(x)
-    assert len(graph._row_blocks(n)) == 3
-    assert 750 % graph._slice_rows(n) and graph._slice_rows(n) < 750
+    np.testing.assert_array_equal(np.diff(graph._row_blocks(n)), [250] * 6)
+    assert 250 % graph._slice_rows(n) and graph._slice_rows(n) < 250
     np.testing.assert_array_equal(knn_dense(x, k),
                                   dense_knn_similarity(x, k))
 
 
-def test_memory_stays_within_one_gram_block_and_one_h_slice():
-    # One 16 MB Gram block plus 1 MB h slices peak at about 20 MB; a
-    # block-wide h would add a second 16 MB array.
-    x = np.random.default_rng(23).normal(size=(4000, 39))
+def knn_peak_mb(n):
+    """tracemalloc's peak, in MB, of knn_similarity on N x 39 normal
+    points with k = 5."""
+    x = np.random.default_rng(23).normal(size=(n, 39))
     tracemalloc.start()
     try:
         knn_similarity(x, 5)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+
+
+def test_memory_stays_within_one_gram_block_and_one_h_slice():
+    # One 256-row Gram block (8 MB) plus 1 MB h slices and the block's
+    # per-row temporaries peak at about 10.7 MB; a 16 MB block, or a
+    # block-wide h, would not fit.
+    assert knn_peak_mb(4000) < 12
+
+
+def test_memory_at_n_1000_stays_within_one_2_mb_block():
+    # At N = 1000 a 256-row cap leaves four 2 MB blocks (peak about
+    # 4.2 MB) where a 16 MB budget would hold all 1000 rows at once.
+    assert knn_peak_mb(1000) < 6
+
+
+@pytest.mark.parametrize("n", [8192, 12000, 50000])
+def test_row_cap_leaves_large_n_blocks_to_the_byte_budget(n):
+    # From N = 8192 on a 16 MB block holds at most 256 rows, so the row
+    # cap changes nothing there.
+    rows = graph._BLOCK_BYTES // (8 * n)
+    n_blocks = -(-n // rows)
+    assert graph._row_blocks(n) == [n * i // n_blocks
+                                    for i in range(n_blocks + 1)]
 
 
 class TestLaplacian:

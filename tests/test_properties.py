@@ -95,13 +95,17 @@ def test_knn_similarity_matches_dense_oracle(points):
                                   dense_knn_similarity(x, k, bandwidth))
 
 
+# Row blocks are bounded by bytes and by rows; either bound may bind.
 @GRAPH_PROPS
 @given(point_sets(kinds=EXACT_KINDS), st.data())
 def test_knn_similarity_matches_oracle_across_row_blocks(points, data):
     x, k, bandwidth = points
     n = len(x)
     rows = data.draw(st.integers(1, max(1, n // 2)))
-    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows):
+    spare = data.draw(st.integers(rows, n))
+    cap, budget = (rows, spare) if data.draw(st.booleans()) else (spare, rows)
+    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * budget), \
+            mock.patch.object(graph, "_BLOCK_ROWS", cap):
         assert len(graph._row_blocks(n)) > 2
         s = knn_dense(x, k, bandwidth)
     np.testing.assert_array_equal(s,
