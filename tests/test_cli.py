@@ -1,12 +1,13 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import mvfuzzy.cli as cli
 from conftest import failing_solve, solve_calls
-from mvfuzzy import (embed, export_rules, load_dataset, load_model,
-                     rules_predict, solver)
+from mvfuzzy import (embed, evaluate_embedding, export_rules, fit,
+                     load_dataset, load_model, rules_predict, solver)
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             NumericFailure)
 
@@ -366,6 +367,130 @@ class TestAblate:
         assert rc == 2
         err = json.loads((out / "error.json").read_text())
         assert err["message"].startswith("view 1:")
+
+
+# The metric names and printed labels, in report order, spelled out here
+# so that the writers' output is pinned independently of the library.
+PINNED_METRICS = [("nmi", "NMI"), ("acc", "ACC"), ("purity", "Purity")]
+# Flags under which the 120-instance data cluster imperfectly without the
+# consistency map: the three metrics differ, their stds are not zero, and
+# the grid's best point differs between metrics.
+PINNED_FLAGS = ["--seed", "3", "--iters", "3", "--rules", "2", "--dim", "1"]
+PINNED_HP = Hyperparams(seed=3, max_iter=3, n_rules=2, embed_dim=1)
+PINNED_PROTOCOL = ["--repeats", "4", "--restarts", "1"]
+
+
+def pinned_stats(report):
+    """(mean, std, runs) per pinned metric, from the report's runs."""
+    doc = report.to_dict()
+    stats = []
+    for name, _ in PINNED_METRICS:
+        runs = np.asarray(doc[name]["runs"])
+        stats.append((float(runs.mean()), float(runs.std()), runs.tolist()))
+    return stats
+
+
+def pinned_cells(report):
+    return [repr(value) for mean, std, _ in pinned_stats(report)
+            for value in (mean, std)]
+
+
+class TestMetricWriters:
+    """Every metric writer's text, rebuilt from in-process reports of the
+    same fits, embeddings and seeds as the commands'."""
+
+    def rebuild(self, synth_dir, hp, seed):
+        dataset = load_dataset([synth_dir / "view_0.csv",
+                                synth_dir / "view_1.csv"],
+                               synth_dir / "labels.csv")
+        state, _ = fit(dataset, hp)
+        return evaluate_embedding(embed(dataset, state).data, dataset.labels,
+                                  repeats=4, restarts=1, seed=seed)
+
+    def test_evaluate_report_and_stdout(self, synth_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+                         *PINNED_FLAGS, "--variant", "no-consistency"]) == 0
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--model", str(run / "model.json"),
+                         *data_args(synth_dir), "--out", str(out),
+                         "--seed", "5", *PINNED_PROTOCOL]) == 0
+        report = self.rebuild(
+            synth_dir, replace(PINNED_HP, variant="no_consistency"), 5)
+        stats = pinned_stats(report)
+        doc = {name: {"mean": mean, "std": std, "runs": runs}
+               for (name, _), (mean, std, runs) in zip(PINNED_METRICS, stats)}
+        doc["best_assignment"] = report.best_assignment.tolist()
+        assert (out / "report.json").read_text() == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert capsys.readouterr().out == "evaluate: " + "  ".join(
+            f"{label} {mean:.4f}±{std:.4f}"
+            for (_, label), (mean, std, _) in zip(PINNED_METRICS, stats)
+        ) + "\n"
+
+    def test_grid_sweep_and_report(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"alpha": [0.5, 2.0]},
+                                   "variant": "no_consistency"}))
+        out = tmp_path / "grid"
+        capsys.readouterr()
+        assert cli.main(["grid", *data_args(synth_dir), "--config", str(cfg),
+                         "--out", str(out), *PINNED_FLAGS,
+                         *PINNED_PROTOCOL]) == 0
+        assert capsys.readouterr().out == "grid: 2 points swept over alpha\n"
+        base = replace(PINNED_HP, variant="no_consistency")
+        points = [replace(base, alpha=alpha) for alpha in (0.5, 2.0)]
+        seeds = np.random.SeedSequence(3).spawn(2)
+        reports = [self.rebuild(synth_dir, hp, ss)
+                   for hp, ss in zip(points, seeds)]
+        header = ("index,alpha,beta,gamma,delta,n_rules,embed_dim,"
+                  "nmi_mean,nmi_std,acc_mean,acc_std,purity_mean,"
+                  "purity_std,error\n")
+        rows = [",".join([str(i), repr(hp.alpha), repr(hp.beta),
+                          repr(hp.gamma), repr(hp.delta), str(hp.n_rules),
+                          str(hp.embed_dim), *pinned_cells(r), ""]) + "\n"
+                for i, (hp, r) in enumerate(zip(points, reports))]
+        assert (out / "sweep.csv").read_text() == header + "".join(rows)
+        best = {}
+        for k, (name, _) in enumerate(PINNED_METRICS):
+            means = [pinned_stats(r)[k][0] for r in reports]
+            idx = means.index(max(means))
+            best[name] = {"index": idx, "hyperparams": asdict(points[idx]),
+                          "mean": means[idx],
+                          "std": pinned_stats(reports[idx])[k][1]}
+        doc = {"swept": ["alpha"], "n_points": 2, "best": best}
+        assert (out / "grid_report.json").read_text() == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def test_ablate_files_and_stdout(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        capsys.readouterr()
+        assert cli.main(["ablate", *data_args(synth_dir), "--out", str(out),
+                         *PINNED_FLAGS, *PINNED_PROTOCOL]) == 0
+        reports = {variant: self.rebuild(
+            synth_dir, replace(PINNED_HP, variant=variant), 3)
+            for variant in VARIANTS}
+        assert (out / "ablation.csv").read_text() == (
+            "variant,nmi_mean,nmi_std,acc_mean,acc_std,purity_mean,"
+            "purity_std\n" + "".join(
+                ",".join([variant, *pinned_cells(r)]) + "\n"
+                for variant, r in reports.items()))
+        # The header keeps the last column's pad; rows have no trailing
+        # blanks.
+        lines = (out / "ablation.txt").read_text().split("\n")
+        assert lines[0] == ("variant         NMI               ACC"
+                            "               Purity            ")
+        assert lines[1:] == [
+            f"{variant:<16}" + "   ".join(
+                f"{mean:.4f} ± {std:.4f}"
+                for mean, std, _ in pinned_stats(r))
+            for variant, r in reports.items()] + [""]
+        assert capsys.readouterr().out == "".join(
+            f"{variant}: " + "  ".join(
+                f"{label} {mean:.4f}" for (_, label), (mean, _, _)
+                in zip(PINNED_METRICS, pinned_stats(r))) + "\n"
+            for variant, r in reports.items())
 
 
 class TestErrorPaths:
