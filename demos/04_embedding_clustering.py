@@ -8,23 +8,23 @@ specific blocks and the consistency map each contribute.
 
 from dataclasses import replace
 
-from mvfuzzy import (Hyperparams, embed, evaluate_embedding, fit,
+from mvfuzzy import (METRICS, Hyperparams, embed, evaluate_embedding, fit,
                      make_synthetic)
 
 dataset = make_synthetic(n_instances=200, n_views=2, n_clusters=4,
                          noise=0.1, seed=7)
 base = Hyperparams(seed=0)
 
-print(f"{'variant':<18} {'NMI':>14} {'ACC':>14} {'Purity':>14}")
+print(f"{'variant':<18}"
+      + "".join(f" {label:>14}" for label in METRICS.values()))
 for variant in ("full", "common_only", "no_consistency"):
     hp = replace(base, variant=variant)
     state, _ = fit(dataset, hp)
     z = embed(dataset, state)
     rep = evaluate_embedding(z.data, dataset.labels, repeats=20,
                              restarts=10, seed=0)
-    print(f"{variant:<18} {rep.nmi:>7.4f}±{rep.nmi_std:.4f} "
-          f"{rep.acc:>7.4f}±{rep.acc_std:.4f} "
-          f"{rep.purity:>7.4f}±{rep.purity_std:.4f}")
+    print(f"{variant:<18}" + "".join(
+        f" {rep.mean(name):>7.4f}±{rep.std(name):.4f}" for name in METRICS))
 
 state, _ = fit(dataset, base)
 z = embed(dataset, state)

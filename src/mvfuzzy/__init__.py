@@ -9,7 +9,7 @@ from .antecedent import (AntecedentBank, Standardizer, estimate_widths,
                          log_firing_levels, varpart_centers)
 from .data import (DataError, MultiViewDataset, load_dataset,
                    make_synthetic, save_dataset)
-from .evaluation import (ClusteringReport, acc, evaluate_embedding,
+from .evaluation import (METRICS, ClusteringReport, acc, evaluate_embedding,
                          grid_search, kmeans, nmi, purity)
 from .graph import GraphLaplacian, build_graph, knn_similarity, laplacian
 from .model_io import load_model, save_model
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntecedentBank", "ClusteringReport", "DataError", "Embedding",
-    "FitTrace", "GraphLaplacian", "Hyperparams", "ModelState",
+    "FitTrace", "GraphLaplacian", "Hyperparams", "METRICS", "ModelState",
     "MultiViewDataset", "NumericFailure", "ObjectiveTerms", "Problem",
     "Standardizer", "acc", "build_graph", "embed", "estimate_widths",
     "evaluate_embedding", "export_rules", "firing_levels", "fit",

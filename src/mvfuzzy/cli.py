@@ -14,7 +14,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .data import (DataError, load_dataset, make_synthetic, save_dataset)
-from .evaluation import check_protocol, evaluate_embedding, grid_search
+from .evaluation import (METRICS, check_protocol, evaluate_embedding,
+                         grid_search, metric_cells)
 from .model_io import load_model, save_model
 from .representation import embed, export_rules, rules_to_text
 from .solver import (B_UPDATE_MODES, VARIANTS, Hyperparams, NumericFailure,
@@ -253,9 +254,9 @@ def cmd_evaluate(args):
         "model": str(args.model), "repeats": args.repeats,
         "restarts": args.restarts,
     }, args.seed, [report_path])
-    print(f"evaluate: NMI {report.nmi:.4f}±{report.nmi_std:.4f}  "
-          f"ACC {report.acc:.4f}±{report.acc_std:.4f}  "
-          f"Purity {report.purity:.4f}±{report.purity_std:.4f}")
+    print("evaluate: " + "  ".join(
+        f"{label} {report.mean(name):.4f}±{report.std(name):.4f}"
+        for name, label in METRICS.items()))
     return 0
 
 
@@ -325,8 +326,8 @@ def cmd_grid(args):
         best[metric] = {
             "index": idx,
             "hyperparams": asdict(point.hp),
-            "mean": getattr(point.report, metric),
-            "std": getattr(point.report, f"{metric}_std"),
+            "mean": point.report.mean(metric),
+            "std": point.report.std(metric),
         }
     report_path = out / "grid_report.json"
     _write_json({"swept": names, "n_points": len(points), "best": best},
@@ -364,25 +365,22 @@ def cmd_ablate(args):
         rows.append((variant, report))
     csv_path = out / "ablation.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("variant,nmi_mean,nmi_std,acc_mean,acc_std,"
-                 "purity_mean,purity_std\n")
+        fh.write(",".join(["variant", *metric_cells()]) + "\n")
         for variant, r in rows:
-            fh.write(",".join([variant, repr(r.nmi), repr(r.nmi_std),
-                               repr(r.acc), repr(r.acc_std),
-                               repr(r.purity), repr(r.purity_std)]) + "\n")
+            fh.write(",".join([variant, *metric_cells(r)]) + "\n")
     text_path = out / "ablation.txt"
     with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{'variant':<16}{'NMI':<18}{'ACC':<18}{'Purity':<18}\n")
+        fh.write(f"{'variant':<16}" + "".join(
+            f"{label:<18}" for label in METRICS.values()) + "\n")
         for variant, r in rows:
-            fh.write(f"{variant:<16}"
-                     f"{r.nmi:.4f} ± {r.nmi_std:.4f}   "
-                     f"{r.acc:.4f} ± {r.acc_std:.4f}   "
-                     f"{r.purity:.4f} ± {r.purity_std:.4f}\n")
+            fh.write(f"{variant:<16}" + "   ".join(
+                f"{r.mean(name):.4f} ± {r.std(name):.4f}"
+                for name in METRICS) + "\n")
     artifacts += [csv_path, text_path]
     _write_manifest(out, "ablate", asdict(base_hp), base_hp.seed, artifacts)
     for variant, r in rows:
-        print(f"{variant}: NMI {r.nmi:.4f}  ACC {r.acc:.4f}  "
-              f"Purity {r.purity:.4f}")
+        print(f"{variant}: " + "  ".join(
+            f"{label} {r.mean(name):.4f}" for name, label in METRICS.items()))
     return 0
 
 

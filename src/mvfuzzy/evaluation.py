@@ -1,4 +1,4 @@
-"""Clustering-based evaluation: K-means, NMI/ACC/Purity, grid search."""
+"""Clustering-based evaluation: K-means, the METRICS scores, grid search."""
 
 import csv
 from dataclasses import dataclass, field, replace
@@ -355,49 +355,45 @@ def purity(pred, true, *, _table=None):
     return float(table.max(axis=1).sum() / table.sum())
 
 
+# Every metric the reports carry, name -> printed label, in report order.
+# The first ranks the repeats: the best run scores highest on it.
+METRICS = {"nmi": "NMI", "acc": "ACC", "purity": "Purity"}
+
+
 @dataclass
 class ClusteringReport:
-    """Per-repeat clustering metrics plus the best run's assignment."""
+    """Per-repeat scores of each METRICS name plus the best run's
+    assignment."""
 
-    nmi_runs: np.ndarray
-    acc_runs: np.ndarray
-    purity_runs: np.ndarray
+    runs: dict
     best_assignment: np.ndarray
 
-    @property
-    def nmi(self):
-        return float(self.nmi_runs.mean())
+    def mean(self, name):
+        return float(self.runs[name].mean())
 
-    @property
-    def acc(self):
-        return float(self.acc_runs.mean())
+    def std(self, name):
+        return float(self.runs[name].std())
 
-    @property
-    def purity(self):
-        return float(self.purity_runs.mean())
-
-    @property
-    def nmi_std(self):
-        return float(self.nmi_runs.std())
-
-    @property
-    def acc_std(self):
-        return float(self.acc_runs.std())
-
-    @property
-    def purity_std(self):
-        return float(self.purity_runs.std())
+    nmi = property(lambda self: self.mean("nmi"))
+    acc = property(lambda self: self.mean("acc"))
+    purity = property(lambda self: self.mean("purity"))
 
     def to_dict(self):
-        return {
-            "nmi": {"mean": self.nmi, "std": self.nmi_std,
-                    "runs": self.nmi_runs.tolist()},
-            "acc": {"mean": self.acc, "std": self.acc_std,
-                    "runs": self.acc_runs.tolist()},
-            "purity": {"mean": self.purity, "std": self.purity_std,
-                       "runs": self.purity_runs.tolist()},
-            "best_assignment": self.best_assignment.tolist(),
-        }
+        doc = {name: {"mean": self.mean(name), "std": self.std(name),
+                      "runs": runs.tolist()}
+               for name, runs in self.runs.items()}
+        doc["best_assignment"] = self.best_assignment.tolist()
+        return doc
+
+
+def metric_cells(report=None):
+    """The `name_mean`, `name_std` cells of every METRICS name in order:
+    the header's, or given a report, its means and stds as `repr`."""
+    if report is None:
+        return [f"{name}_{stat}" for name in METRICS
+                for stat in ("mean", "std")]
+    return [repr(value) for name in METRICS
+            for value in (report.mean(name), report.std(name))]
 
 
 def check_protocol(repeats, restarts):
@@ -410,8 +406,8 @@ def check_protocol(repeats, restarts):
 def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
                        restarts=10, seed=0):
     """Cluster an (N, m) embedding `repeats` times with derived seeds and
-    score each run; the best run (highest NMI, earliest on ties) supplies
-    the reported assignment. `true_labels` must hold N labels.
+    score each run; the best run (highest first METRICS score, earliest on
+    ties) supplies the reported assignment. `true_labels` must hold N labels.
 
     Each repeat is one `kmeans` call. The calls share one `_lloyd`
     fixed-point record, which lives only for this call; every labeling
@@ -435,23 +431,19 @@ def evaluate_embedding(z, true_labels, n_clusters=None, repeats=20,
 
 def _clustering_report(labelings, true_labels):
     """Score each predicted labeling as it arrives, on one contingency
-    table per labeling; the best one (highest NMI, earliest on ties)
-    supplies the reported assignment."""
-    nmis, accs, purities, assignments = [], [], [], []
+    table per labeling, looking each METRICS function up by name at call
+    time so that a rebound module attribute (a tracer's) sees the call;
+    the best one (highest first metric, earliest on ties) supplies the
+    reported assignment."""
+    scores, assignments = {name: [] for name in METRICS}, []
     for pred in labelings:
         table = _contingency(pred, true_labels)
-        nmis.append(nmi(pred, true_labels, _table=table))
-        accs.append(acc(pred, true_labels, _table=table))
-        purities.append(purity(pred, true_labels, _table=table))
+        for name, values in scores.items():
+            values.append(globals()[name](pred, true_labels, _table=table))
         assignments.append(pred)
-    nmis = np.array(nmis)
-    best = int(nmis.argmax())
-    return ClusteringReport(
-        nmi_runs=nmis,
-        acc_runs=np.array(accs),
-        purity_runs=np.array(purities),
-        best_assignment=assignments[best],
-    )
+    runs = {name: np.array(values) for name, values in scores.items()}
+    best = int(runs[next(iter(METRICS))].argmax())
+    return ClusteringReport(runs=runs, best_assignment=assignments[best])
 
 
 @dataclass
@@ -471,9 +463,9 @@ class GridSearchResult:
         """One row per point. A failed point's message is its last cell,
         quoted by the csv module when it holds a comma, a quote or a line
         break."""
+        metric_header = metric_cells()
         header = ["index", "alpha", "beta", "gamma", "delta", "n_rules",
-                  "embed_dim", "nmi_mean", "nmi_std", "acc_mean", "acc_std",
-                  "purity_mean", "purity_std", "error"]
+                  "embed_dim", *metric_header, "error"]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -483,12 +475,9 @@ class GridSearchResult:
                          repr(hp.gamma), repr(hp.delta), str(hp.n_rules),
                          str(hp.embed_dim)]
                 if p.report is not None:
-                    r = p.report
-                    cells += [repr(r.nmi), repr(r.nmi_std), repr(r.acc),
-                              repr(r.acc_std), repr(r.purity),
-                              repr(r.purity_std), ""]
+                    cells += metric_cells(p.report) + [""]
                 else:
-                    cells += [""] * 6 + [p.error or "failed"]
+                    cells += [""] * len(metric_header) + [p.error or "failed"]
                 writer.writerow(cells)
 
 
@@ -543,8 +532,8 @@ def grid_search(dataset, grid, repeats=20, restarts=10, seed=0,
                 points[gi] = GridPointResult(gi, hp, error=str(err))
         del prepared
     result = GridSearchResult(points=[points[gi] for gi in range(len(grid))])
-    for metric in ("nmi", "acc", "purity"):
-        scored = [(getattr(p.report, metric), p.index)
+    for metric in METRICS:
+        scored = [(p.report.mean(metric), p.index)
                   for p in result.points if p.report is not None]
         if scored:
             best_value = max(s[0] for s in scored)

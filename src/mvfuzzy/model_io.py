@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .antecedent import AntecedentBank, Standardizer
+from .data import _is_int
 from .solver import Hyperparams, ModelState
 
 FORMAT_VERSION = 2
@@ -46,28 +47,34 @@ def _field(doc, key, where="model document"):
 
 def _array(doc, key, where="model document"):
     """doc[key] as a float array; a ValueError naming the field if doc has
-    none or it is not numeric."""
+    none or it is not numeric or not finite (`json.load` reads NaN). A
+    scalar, as None gives, is left to the callers' shape checks."""
     value = _field(doc, key, where)
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(
             f"{where} field {key!r} is not a numeric array") from None
+    if array.ndim and not np.isfinite(array).all():
+        raise ValueError(f"{where} field {key!r} holds a non-finite value")
+    return array
 
 
 def model_from_dict(doc):
     """The ModelState of a model document; ValueError if it is not a
-    JSON object, lacks a field, or its version, hyperparams or views are
-    not a model's. A view's mean and scale must hold d_v entries, its
-    centers and widths be (R, d_v) and its p_common and p_specific
-    (R (d_v + 1), m), with R = n_rules and one m >= 1 for every view."""
+    JSON object, lacks a field, or its version (the integer 1 or
+    FORMAT_VERSION), hyperparams or views are not a model's. A view's mean
+    and scale must hold d_v entries, its centers and widths be (R, d_v)
+    and its p_common and p_specific (R (d_v + 1), m), with R = n_rules
+    and m = embed_dim >= 1 for every view."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
     version = doc.get("format_version")
     # Version 1 also held the training-set consistency map, ignored here.
-    if version not in (1, FORMAT_VERSION):
-        raise ValueError(f"unsupported model format version: {version}")
+    if not _is_int(version) or version not in (1, FORMAT_VERSION):
+        raise ValueError(
+            f"unsupported model field 'format_version': {version!r}")
     try:
         hp = Hyperparams(**_field(doc, "hyperparams"))
     except TypeError as err:
@@ -105,6 +112,9 @@ def model_from_dict(doc):
         banks.append(AntecedentBank(centers=centers, widths=widths))
         p_common.append(pc)
         p_specific.append(ps)
+    if hp.embed_dim != m:
+        raise ValueError(f"model hyperparams field 'embed_dim' is "
+                         f"{hp.embed_dim!r}, not the width {m} of p_common")
     weights = _array(doc, "view_weights")
     if weights.shape != (len(views),):
         raise ValueError("model field 'view_weights' must hold one weight "

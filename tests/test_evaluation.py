@@ -9,8 +9,9 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import protocol_labelings, protocol_seeds
 from mvfuzzy import evaluation
-from mvfuzzy.evaluation import (acc, check_protocol, evaluate_embedding,
-                                grid_search, kmeans, nmi, purity)
+from mvfuzzy.evaluation import (METRICS, acc, check_protocol,
+                                evaluate_embedding, grid_search, kmeans, nmi,
+                                purity)
 from mvfuzzy.solver import Hyperparams, fit
 from oracles import (acc_oracle, kmeans_best_sse, kmeans_oracle, lloyd_oracle,
                      nmi_oracle)
@@ -390,21 +391,28 @@ class TestEvaluateEmbedding:
                        rng.normal(8, 0.1, size=(15, 2))])
         truth = np.repeat([0, 1], 15)
         report = evaluate_embedding(z, truth, repeats=5, restarts=3, seed=0)
-        assert report.nmi_runs.shape == (5,)
+        assert report.runs["nmi"].shape == (5,)
         assert report.nmi == 1.0 and report.acc == 1.0
-        assert report.nmi_std == 0.0
+        assert report.std("nmi") == 0.0
         assert report.best_assignment.shape == (30,)
-        assert min(report.nmi_runs.min(), report.purity_runs.min()) >= 0.0
+        assert min(report.runs["nmi"].min(),
+                   report.runs["purity"].min()) >= 0.0
+        # One entry per metric, in METRICS order, then the assignment;
+        # each entry's mean and std are the report's.
+        doc = report.to_dict()
+        assert list(doc) == [*METRICS, "best_assignment"]
+        for name in METRICS:
+            assert doc[name]["mean"] == report.mean(name)
+            assert doc[name]["std"] == report.std(name)
 
     def test_mean_within_run_range(self):
         rng = np.random.default_rng(11)
         z = rng.normal(size=(40, 3))
         truth = rng.integers(0, 3, size=40)
         report = evaluate_embedding(z, truth, repeats=8, restarts=2, seed=1)
-        for runs, mean in ((report.nmi_runs, report.nmi),
-                           (report.acc_runs, report.acc),
-                           (report.purity_runs, report.purity)):
-            assert runs.min() <= mean <= runs.max()
+        for name in ("nmi", "acc", "purity"):
+            runs = report.runs[name]
+            assert runs.min() <= report.mean(name) <= runs.max()
             assert runs.std() >= 0.0
 
     def test_one_contingency_table_per_labeling(self):
@@ -419,10 +427,10 @@ class TestEvaluateEmbedding:
             report = evaluate_embedding(z, truth, repeats=4, restarts=2,
                                         seed=2)
         assert built.call_count == 4
-        for runs, metric in ((report.nmi_runs, nmi), (report.acc_runs, acc),
-                             (report.purity_runs, purity)):
-            assert runs.tolist() == [metric(pred, truth)
-                                     for pred in labelings]
+        for name, metric in (("nmi", nmi), ("acc", acc),
+                             ("purity", purity)):
+            assert report.runs[name].tolist() == [metric(pred, truth)
+                                                  for pred in labelings]
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_below_one_rejected(self, repeats, monkeypatch):
@@ -579,7 +587,7 @@ class TestGridSearch:
         hp = Hyperparams(max_iter=5, seed=3)
         result = grid_search(blob_dataset, [hp], repeats=2, restarts=2,
                              seed=5, refit_per_repeat=True)
-        assert result.points[0].report.nmi_runs.shape == (2,)
+        assert result.points[0].report.runs["nmi"].shape == (2,)
 
     def test_failed_point_marked_without_aborting(self, blob_dataset,
                                                   monkeypatch):

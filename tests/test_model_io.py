@@ -39,7 +39,11 @@ SET_FIELD = {
     "views_of_lists": ("views", [[1], [2]]), "views_number": ("views", 5),
     "views_null": ("views", None), "views_empty": ("views", []),
     "weights_null": ("view_weights", None),
-    "weights_short": ("view_weights", [1.0])}
+    "weights_short": ("view_weights", [1.0]),
+    # json.load reads NaN, and True == 1.0 == 1 in Python.
+    "weights_nan": ("view_weights", [float("nan"), 0.5]),
+    "version_true": ("format_version", True),
+    "version_float": ("format_version", 1.0)}
 
 
 @pytest.mark.parametrize("malformed, words", [
@@ -60,7 +64,12 @@ SET_FIELD = {
     ("p_specific_narrow", "view 0 field 'p_specific'"),
     ("p_common_wider_than_view_0", "view 1 field 'p_common'"),
     ("zero_width", "view 0 field 'p_common' has no columns"),
-    ("n_rules_off_by_one", "view 0 field 'centers'")])
+    ("n_rules_off_by_one", "view 0 field 'centers'"),
+    ("weights_nan", "field 'view_weights' holds a non-finite value"),
+    ("p_specific_inf", "view 1 field 'p_specific' holds a non-finite"),
+    ("version_true", "'format_version': True"),
+    ("version_float", "'format_version': 1.0"),
+    ("embed_dim_narrow", r"'embed_dim' is \d+, not the width \d+ of p_com")])
 def test_malformed_document_rejected(fitted_blob, malformed, words):
     doc = model_to_dict(fitted_blob[0])
     views = doc["views"]
@@ -85,6 +94,10 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         for vd in views:
             for key in ("p_common", "p_specific"):
                 vd[key] = [[] for _ in vd[key]]
+    elif malformed == "p_specific_inf":
+        views[1]["p_specific"][0][0] = float("inf")
+    elif malformed == "embed_dim_narrow":
+        doc["hyperparams"]["embed_dim"] -= 1
     elif malformed == "n_rules_off_by_one":
         doc["hyperparams"]["n_rules"] += 1
     elif malformed == "extra_key":
