@@ -13,7 +13,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .data import (DataError, load_dataset, make_synthetic, save_dataset)
+from .data import (DataError, load_dataset, make_synthetic, save_dataset,
+                   write_json)
 from .evaluation import (METRICS, check_protocol, evaluate_embedding,
                          grid_search, metric_cells)
 from .model_io import load_model, save_model
@@ -169,12 +170,6 @@ def _sha256(path):
     return "sha256:" + digest.hexdigest()
 
 
-def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir, command, config, seed, artifacts):
     manifest = {
         "command": command,
@@ -183,7 +178,7 @@ def _write_manifest(out_dir, command, config, seed, artifacts):
         "artifacts": {Path(a).name: _sha256(a) for a in artifacts},
     }
     path = Path(out_dir) / "run_manifest.json"
-    _write_json(manifest, path)
+    write_json(manifest, path)
     return path
 
 
@@ -249,7 +244,7 @@ def cmd_evaluate(args):
         z.data, dataset.labels, repeats=args.repeats,
         restarts=args.restarts, seed=args.seed)
     report_path = out / "report.json"
-    _write_json(report.to_dict(), report_path)
+    write_json(report.to_dict(), report_path)
     _write_manifest(out, "evaluate", {
         "model": str(args.model), "repeats": args.repeats,
         "restarts": args.restarts,
@@ -268,7 +263,7 @@ def cmd_export_rules(args):
     json_path = out / "rules.json"
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(rules_to_text(export))
-    _write_json(export, json_path)
+    write_json(export, json_path)
     _write_manifest(out, "export-rules", {"model": str(args.model)}, None,
                     [text_path, json_path])
     print(f"wrote rule bases for {len(export['views'])} view(s) to {out}")
@@ -330,8 +325,8 @@ def cmd_grid(args):
             "std": point.report.std(metric),
         }
     report_path = out / "grid_report.json"
-    _write_json({"swept": names, "n_points": len(points), "best": best},
-                report_path)
+    write_json({"swept": names, "n_points": len(points), "best": best},
+               report_path)
     _write_manifest(out, "grid", {
         "swept": names, "n_points": len(points),
         "base": asdict(base_hp), "repeats": args.repeats,

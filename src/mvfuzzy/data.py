@@ -237,6 +237,13 @@ def write_matrix_csv(matrix, path):
                       for row in matrix)
 
 
+def write_json(doc, path):
+    """Write doc as a JSON artifact: sorted keys, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_dataset(dataset, out_dir, seed=None):
     """Write per-view CSVs, a labels CSV and a manifest; returns file paths.
 
@@ -269,7 +276,5 @@ def save_dataset(dataset, out_dir, seed=None):
         "labels": label_file,
         "seed": seed,
     }
-    with open(out_dir / "dataset_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out_dir / "dataset_manifest.json")
     return manifest

@@ -6,10 +6,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .antecedent import AntecedentBank, Standardizer
-from .data import _is_int
+from .data import _is_int, write_json
 from .solver import Hyperparams, ModelState
 
 FORMAT_VERSION = 2
+
+WEIGHT_SUM_TOL = 1e-9  # the rounding of a softmax, not another weighting
 
 
 def model_to_dict(state):
@@ -33,9 +35,7 @@ def model_to_dict(state):
 
 
 def save_model(state, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(state), path)
 
 
 def _field(doc, key, where="model document"):
@@ -47,14 +47,22 @@ def _field(doc, key, where="model document"):
 
 def _array(doc, key, where="model document"):
     """doc[key] as a float array; a ValueError naming the field if doc has
-    none or it is not numeric or not finite (`json.load` reads NaN). A
-    scalar, as None gives, is left to the callers' shape checks."""
+    none, or it is not numeric, has an entry that is not a JSON number
+    (`np.asarray` takes bools and numeric strings) or is not finite
+    (`json.load` reads NaN). A scalar, as None gives, is left to the
+    callers' shape checks."""
     value = _field(doc, key, where)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(
             f"{where} field {key!r} is not a numeric array") from None
+    if isinstance(value, list):
+        kinds = set(map(type, np.asarray(value, dtype=object).flat))
+        other = sorted(kind.__name__ for kind in kinds - {int, float})
+        if other:
+            raise ValueError(
+                f"{where} field {key!r} holds a {other[0]}, not a number")
     if array.ndim and not np.isfinite(array).all():
         raise ValueError(f"{where} field {key!r} holds a non-finite value")
     return array
@@ -66,7 +74,8 @@ def model_from_dict(doc):
     FORMAT_VERSION), hyperparams or views are not a model's. A view's mean
     and scale must hold d_v entries, its centers and widths be (R, d_v)
     and its p_common and p_specific (R (d_v + 1), m), with R = n_rules
-    and m = embed_dim >= 1 for every view."""
+    and m = embed_dim >= 1 for every view. The view weights must be
+    non-negative and sum to 1 within WEIGHT_SUM_TOL."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
@@ -116,9 +125,12 @@ def model_from_dict(doc):
         raise ValueError(f"model hyperparams field 'embed_dim' is "
                          f"{hp.embed_dim!r}, not the width {m} of p_common")
     weights = _array(doc, "view_weights")
-    if weights.shape != (len(views),):
-        raise ValueError("model field 'view_weights' must hold one weight "
-                         f"per view, got {doc['view_weights']!r:.60}")
+    if (weights.shape != (len(views),) or weights.min() < 0
+            or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL):
+        raise ValueError(
+            "model field 'view_weights' must hold one weight per view, "
+            f"non-negative and summing to 1 (within {WEIGHT_SUM_TOL:g}), "
+            f"got {doc['view_weights']!r:.60}")
     return ModelState(
         hp=hp,
         standardizers=standardizers,

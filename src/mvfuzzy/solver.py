@@ -167,12 +167,11 @@ class TraceEntry:
 class FitTrace:
     """Per-iteration objective breakdown; entry 0 is the initialization.
 
-    stop_reason is "tolerance" when the early-stop test ended the fit and
-    "max_iter" when the iteration cap did; it is not part of the CSV.
+    stop_reason is "tolerance" when the early-stop test on the entries'
+    totals ended the fit, "max_iter" when the cap did; it is not in the CSV.
     """
 
     entries: list = field(default_factory=list)
-    surrogate_audit: list = field(default_factory=list)
     stop_reason: str | None = None
 
     def totals(self):
@@ -522,13 +521,11 @@ def update_consistency(state, problem, f_diag):
     return coef @ q.T
 
 
-def update_view_weights(state, problem, *, _traces=None):
-    """Entropy-regularized softmax over the per-view smoothness traces,
-    computed with max subtraction so huge traces cannot overflow. fit
-    passes the iteration's graph_traces as _traces."""
-    if _traces is None:
-        _traces = graph_traces(state, problem)
-    logits = -_traces / state.hp.delta
+def update_view_weights(traces, delta):
+    """The minimizer over the simplex of w @ traces + delta sum_v w_v ln w_v
+    for the per-view `graph_traces`: the softmax of -traces / delta, with
+    max subtraction so that huge traces cannot overflow."""
+    logits = -traces / delta
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
@@ -645,7 +642,7 @@ def _resolve_embed_dim(dataset, hp):
     return m
 
 
-def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
+def fit(dataset, hp=None, prepared=None):
     """Run the full alternating optimization.
 
     Per iteration: consistency map first, then per view the common and
@@ -658,7 +655,9 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     products B X_v right after the map update, for the common updates and
     the objective; each block's row norms right after its update, for the
     objective and for the block's next IRLS weights; the graph traces after
-    the consequents, for the view weights and the objective.
+    the consequents, for the view weights and the objective. Each update
+    is called through its module attribute, so a caller may wrap it there
+    to time it or to audit its surrogate.
 
     prepared, from prepare_inputs(dataset, hp') with prep_key(hp') equal
     to prep_key(hp), skips the preprocessing; fit only reads it, and the
@@ -704,65 +703,53 @@ def fit(dataset, hp=None, prepared=None, audit_surrogates=False):
     norms = _block_norms(state, b)
 
     trace = FitTrace(stop_reason="max_iter")
-    totals = []
     start = time.perf_counter()
 
     def record(t, traces=None):
-        """Append iteration t's trace entry and its total."""
-        entry = TraceEntry(
+        """Append iteration t's trace entry."""
+        trace.entries.append(TraceEntry(
             iteration=t,
             terms=objective(state, problem, b, _traces=traces, _bxs=bxs,
                             _norms=norms),
             weights=state.view_weights.copy(),
             elapsed=time.perf_counter() - start,
-        )
-        trace.entries.append(entry)
-        totals.append(entry.total)
+        ))
 
     record(0)
 
-    def step(block, old, update, *args, **kwargs):
+    def step(block, update, *args, **kwargs):
         """IRLS update of one block, reweighted at its old value's row
         norms; the new value's norms take their place."""
         f_diag = 1.0 / np.maximum(norms[block], hp.eps_irls)
         new = update(*args, f_diag=f_diag, **kwargs)
         norms[block] = _row_norms(new)
-        if audit_surrogates:
-            audit[block] = tuple(
-                surrogate(block, x, state, problem, b, f_diag)
-                for x in (old, new))
         return new
 
     for t in range(1, hp.max_iter + 1):
-        audit = {}
         try:
             if b is not None:
-                b = step(("consistency", None), b, update_consistency,
-                         state, problem)
+                b = step(("consistency", None), update_consistency, state,
+                         problem)
                 bxs = _map_products(b, problem)
             for v in range(state.n_views):
-                state.p_common[v] = step(("common", v), state.p_common[v],
-                                         update_common, state, v, problem, b,
-                                         _bxs=bxs)
+                state.p_common[v] = step(("common", v), update_common, state,
+                                         v, problem, b, _bxs=bxs)
                 if hp.variant != "common_only":
-                    state.p_specific[v] = step(
-                        ("specific", v), state.p_specific[v],
-                        update_specific, state, v, problem)
+                    state.p_specific[v] = step(("specific", v),
+                                               update_specific, state, v,
+                                               problem)
             # The weights do not change the traces: one evaluation
             # serves the weight update and the objective.
             traces = graph_traces(state, problem)
-            state.view_weights = update_view_weights(state, problem,
-                                                     _traces=traces)
+            state.view_weights = update_view_weights(traces, hp.delta)
         except NumericFailure as err:
             err.iteration = t
             raise
 
         record(t, traces)
-        if audit_surrogates:
-            trace.surrogate_audit.append(audit)
 
         if hp.tol_stop > 0 and t >= 5:
-            last = np.array(totals[-6:])
+            last = np.array([e.total for e in trace.entries[-6:]])
             prev, curr = last[:-1], last[1:]
             rel = np.abs(curr - prev) / np.maximum(np.abs(prev), 1e-12)
             if np.all(rel < hp.tol_stop):

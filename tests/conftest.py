@@ -158,6 +158,57 @@ def solve_calls(run):
     return calls
 
 
+def surrogate_audit(run):
+    """The surrogate audit of the one fit that run() makes: per iteration,
+    a dict that maps each block updated, keyed as `solver.surrogate` names
+    them, to `solver.surrogate` at its old and its new value, at the
+    reweighting f_diag its update was given. fit calls every update
+    through its module attribute, as perfbench's tracer sees them, so the
+    wrappers set there watch each one. The map's initial update has no
+    old value and is not audited; a view-weight update ends an iteration.
+    """
+    audit, maps = [{}], []
+    update_consistency = solver.update_consistency
+    update_common = solver.update_common
+    update_specific = solver.update_specific
+    update_view_weights = solver.update_view_weights
+
+    def record(block, old, new, state, problem, b, f_diag):
+        audit[-1][block] = tuple(
+            solver.surrogate(block, x, state, problem, b, f_diag)
+            for x in (old, new))
+
+    def consistency(state, problem, f_diag):
+        new = update_consistency(state, problem, f_diag)
+        if maps:
+            record(("consistency", None), maps[-1], new, state, problem,
+                   None, f_diag)
+        maps.append(new)
+        return new
+
+    def common(state, view, problem, b, f_diag, **kwargs):
+        new = update_common(state, view, problem, b, f_diag, **kwargs)
+        record(("common", view), state.p_common[view], new, state, problem,
+               b, f_diag)
+        return new
+
+    def specific(state, view, problem, f_diag):
+        new = update_specific(state, view, problem, f_diag)
+        record(("specific", view), state.p_specific[view], new, state,
+               problem, maps[-1] if maps else None, f_diag)
+        return new
+
+    def weighting(traces, delta):
+        audit.append({})
+        return update_view_weights(traces, delta)
+
+    with mock.patch.multiple(solver, update_consistency=consistency,
+                             update_common=common, update_specific=specific,
+                             update_view_weights=weighting):
+        run()
+    return audit[:-1]
+
+
 def failing_solve(n):
     """A `solver.solve_reg` whose nth call raises NumericFailure for the
     view it was given, as a singular system would; the other calls

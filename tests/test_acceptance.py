@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mvfuzzy.cli as cli
-from conftest import random_instance
+from conftest import random_instance, surrogate_audit
 from mvfuzzy.antecedent import (AntecedentBank, estimate_widths,
                                 firing_levels, varpart_centers)
 from mvfuzzy.data import make_synthetic
@@ -160,8 +160,8 @@ def test_c06_view_weight_exactness():
     for delta in (0.3, 1.0, 4.0):
         state, _, problem, _, _ = random_instance(
             rng, n_views=2, delta=delta)
-        w_star = update_view_weights(state, problem)
         traces = graph_traces(state, problem)
+        w_star = update_view_weights(traces, delta)
 
         def energy(w):
             ent = sum(x * np.log(x) for x in w if x > 0)
@@ -187,17 +187,18 @@ def test_c07_convergence(standard_dataset):
     frac = float((np.diff(totals) <= 0).mean())
 
     hp_exact = Hyperparams(max_iter=60, tol_stop=0.0, b_update="exact")
-    _, trace_exact = fit(standard_dataset, hp_exact, audit_surrogates=True)
+    audit = surrogate_audit(lambda: fit(standard_dataset, hp_exact))
     violations = 0
     checks = 0
-    for audit in trace_exact.surrogate_audit:
-        for before, after in audit.values():
+    for blocks in audit:
+        for before, after in blocks.values():
             checks += 1
             if after > before + 1e-9 * (1.0 + abs(before)):
                 violations += 1
     elapsed = time.perf_counter() - start
+    # 60 iterations of 5 blocks: the map and two consequents per view.
     ok = (drop and settled and frac >= 0.95 and violations == 0
-          and elapsed < 60.0)
+          and checks == 60 * 5 and elapsed < 60.0)
     report(7, "convergence within 60 iterations",
            ok, f"obj[1]={totals[1]:.3f} obj[60]={totals[60]:.3f}, "
                f"last-5 rel {rel_last5.max():.1e}, non-increase "

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvfuzzy.model_io import (FORMAT_VERSION, load_model, model_from_dict,
                               model_to_dict, save_model)
 from mvfuzzy.representation import embed
+from mvfuzzy.solver import update_view_weights
 
 
 def test_save_load_reproduces_embedding(blob_dataset, fitted_blob, tmp_path):
@@ -42,6 +45,10 @@ SET_FIELD = {
     "weights_short": ("view_weights", [1.0]),
     # json.load reads NaN, and True == 1.0 == 1 in Python.
     "weights_nan": ("view_weights", [float("nan"), 0.5]),
+    "weights_strings": ("view_weights", ["0.5", "0.5"]),
+    "weights_bools": ("view_weights", [True, False]),
+    "weights_negative": ("view_weights", [-3.0, 4.0]),
+    "weights_sum_low": ("view_weights", [0.1, 0.1]),
     "version_true": ("format_version", True),
     "version_float": ("format_version", 1.0)}
 
@@ -66,6 +73,12 @@ SET_FIELD = {
     ("zero_width", "view 0 field 'p_common' has no columns"),
     ("n_rules_off_by_one", "view 0 field 'centers'"),
     ("weights_nan", "field 'view_weights' holds a non-finite value"),
+    ("weights_strings", "field 'view_weights' holds a str, not a number"),
+    ("weights_bools", "field 'view_weights' holds a bool, not a number"),
+    ("weights_negative", "per view, non-negative and summing to 1"),
+    ("weights_sum_low", "per view, non-negative and summing to 1"),
+    ("mean_strings", "view 0 field 'mean' holds a str, not a number"),
+    ("p_common_string", "view 1 field 'p_common' holds a str, not a number"),
     ("p_specific_inf", "view 1 field 'p_specific' holds a non-finite"),
     ("version_true", "'format_version': True"),
     ("version_float", "'format_version': 1.0"),
@@ -78,6 +91,10 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         doc[key] = value
     elif malformed == "p_common_one_by_one":
         views[0]["p_common"] = [[1.0]]
+    elif malformed == "mean_strings":
+        views[0]["mean"] = [repr(x) for x in views[0]["mean"]]
+    elif malformed == "p_common_string":
+        views[1]["p_common"][2][0] = "1"
     elif malformed == "mean_matrix":
         views[0]["mean"] = [views[0]["mean"]]
     elif malformed == "scale_short":
@@ -114,3 +131,19 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         doc["views"][0]["mean"] = {"a": 1}
     with pytest.raises(ValueError, match=words):
         model_from_dict(doc)
+
+
+# delta = 1e-3 with traces 1e6 apart drives weights to exactly 0.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(traces=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+       delta=st.one_of(st.just(1e-3), st.floats(1e-3, 1e3)))
+@example(traces=[0.0, 5.0, 1e6], delta=1e-3)
+def test_fitted_view_weights_load_back(fitted_blob, traces, delta):
+    # Any weights the fit's update returns pass the load check, and come
+    # back bit for bit through a JSON round trip.
+    weights = update_view_weights(np.array(traces), delta)
+    doc = model_to_dict(fitted_blob[0])
+    doc["views"] = [doc["views"][v % 2] for v in range(len(traces))]
+    doc["view_weights"] = weights.tolist()
+    loaded = model_from_dict(json.loads(json.dumps(doc)))
+    assert loaded.view_weights.tolist() == weights.tolist()

@@ -759,7 +759,7 @@ def test_view_weights_stay_on_simplex(instance, delta, p_scale):
     state, _, problem, _, _ = instance
     state = replace(state, hp=replace(state.hp, delta=delta),
                     p_common=[p_scale * p for p in state.p_common])
-    w = update_view_weights(state, problem)
+    w = update_view_weights(graph_traces(state, problem), delta)
     assert np.all(np.isfinite(w)) and np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
 

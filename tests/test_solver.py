@@ -12,14 +12,16 @@ import pytest
 import scipy.linalg
 
 from conftest import (coordinate_basis, failing_solve, from_coords,
-                      prepared_designs, random_instance, solve_calls)
+                      prepared_designs, random_instance, solve_calls,
+                      surrogate_audit)
 from mvfuzzy import antecedent, graph, solver
 from mvfuzzy.data import DataError, MultiViewDataset, make_synthetic
 from mvfuzzy.model_io import model_to_dict
 from mvfuzzy.representation import embed, export_rules, rules_predict
 from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             ModelState, NumericFailure, Problem, fit,
-                            irls_diag, objective, prepare_inputs, solve_reg,
+                            graph_traces, irls_diag, objective,
+                            prepare_inputs, solve_reg,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
 from oracles import (fd_gradient, full_width_common, full_width_specific,
@@ -455,34 +457,20 @@ class TestUpdateViewWeights:
         state, _, problem, _, _ = random_instance(rng)
         state.p_common = [np.zeros_like(p) for p in state.p_common]
         state.p_specific = [np.zeros_like(p) for p in state.p_specific]
-        w = update_view_weights(state, problem)
+        w = update_view_weights(graph_traces(state, problem), state.hp.delta)
         np.testing.assert_allclose(w, 0.5, atol=1e-15)
 
-    def test_hand_computed_two_view_softmax(self, monkeypatch):
-        import mvfuzzy.solver as solver_mod
-
-        rng = np.random.default_rng(14)
-        state, _, problem, _, _ = random_instance(rng, delta=1.7)
-        monkeypatch.setattr(solver_mod, "graph_traces",
-                            lambda *a: np.array([0.0, 1.7]))
-        w = solver_mod.update_view_weights(state, problem)
+    def test_hand_computed_two_view_softmax(self):
+        w = update_view_weights(np.array([0.0, 1.7]), 1.7)
         expected = np.array([1.0, np.exp(-1.0)])
         expected /= expected.sum()
         np.testing.assert_allclose(w, expected, atol=1e-12)
         assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_temperature_limits(self, monkeypatch):
-        import mvfuzzy.solver as solver_mod
-
-        rng = np.random.default_rng(15)
+    def test_temperature_limits(self):
         traces = np.array([1.0, 4.0])
-        monkeypatch.setattr(solver_mod, "graph_traces",
-                            lambda *a: traces)
-        weights = {}
-        for delta in (0.5, 5.0, 5e6):
-            state, _, problem, _, _ = random_instance(rng, delta=delta)
-            weights[delta] = solver_mod.update_view_weights(
-                state, problem)
+        weights = {delta: update_view_weights(traces, delta)
+                   for delta in (0.5, 5.0, 5e6)}
         np.testing.assert_allclose(weights[5e6], 0.5, atol=1e-5)
         assert weights[0.5][0] > weights[5.0][0] > 0.5
 
@@ -735,9 +723,8 @@ def test_surrogate_audit_never_rises(blob_dataset, coords_dataset, side):
     # block update lowers its own surrogate.
     dataset = blob_dataset if side == "design" else coords_dataset
     hp = Hyperparams(max_iter=20, tol_stop=0.0, b_update="exact", seed=1)
-    _, trace = fit(dataset, hp, audit_surrogates=True)
-    pairs = [pair for audit in trace.surrogate_audit
-             for pair in audit.values()]
+    audit = surrogate_audit(lambda: fit(dataset, hp))
+    pairs = [pair for blocks in audit for pair in blocks.values()]
     assert len(pairs) == 20 * 5
     for before, after in pairs:
         assert after <= before + 1e-9 * (1.0 + abs(before))
@@ -791,21 +778,23 @@ def test_surrogate_audit_changes_no_bit(coords_dataset, variant, b_update,
                      b_update=b_update)
     prepared = prepare_inputs(coords_dataset, hp)
     state, trace = fit(coords_dataset, hp, prepared=prepared)
-    values = []
+    values, audited = [], []
 
     def recording(*args):
         values.append(surrogate(*args))
         return values[-1]
 
     monkeypatch.setattr(solver, "surrogate", recording)
-    audited_state, audited = fit(coords_dataset, hp, prepared=prepared,
-                                 audit_surrogates=True)
+    audit = surrogate_audit(lambda: audited.append(
+        fit(coords_dataset, hp, prepared=prepared)))
+    audited_state, audited_trace = audited[0]
     assert model_to_dict(audited_state) == model_to_dict(state)
     assert [(e.iteration, e.terms, e.weights.tolist())
-            for e in audited.entries] == [
+            for e in audited_trace.entries] == [
         (e.iteration, e.terms, e.weights.tolist()) for e in trace.entries]
-    assert [v for audit in audited.surrogate_audit
-            for pair in audit.values() for v in pair] == values
+    assert len(audit) == 6
+    assert [v for blocks in audit
+            for pair in blocks.values() for v in pair] == values
     blocks = (variant != "no_consistency") + 2 + 2 * (variant != "common_only")
     assert len(values) == 2 * 6 * blocks
 
