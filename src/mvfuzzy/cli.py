@@ -246,7 +246,7 @@ def cmd_evaluate(args):
     report_path = out / "report.json"
     write_json(report.to_dict(), report_path)
     _write_manifest(out, "evaluate", {
-        "model": str(args.model), "repeats": args.repeats,
+        "model": _sha256(args.model), "repeats": args.repeats,
         "restarts": args.restarts,
     }, args.seed, [report_path])
     print("evaluate: " + "  ".join(
@@ -264,8 +264,8 @@ def cmd_export_rules(args):
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(rules_to_text(export))
     write_json(export, json_path)
-    _write_manifest(out, "export-rules", {"model": str(args.model)}, None,
-                    [text_path, json_path])
+    _write_manifest(out, "export-rules", {"model": _sha256(args.model)},
+                    None, [text_path, json_path])
     print(f"wrote rule bases for {len(export['views'])} view(s) to {out}")
     return 0
 

@@ -238,43 +238,48 @@ def write_matrix_csv(matrix, path):
 
 
 def write_json(doc, path):
-    """Write doc as a JSON artifact: sorted keys, indent 2, final newline."""
+    """Write doc as a JSON artifact people read (reports, manifests,
+    rules.json): sorted keys, indent 2, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def save_dataset(dataset, out_dir, seed=None):
-    """Write per-view CSVs, a labels CSV and a manifest; returns file paths.
+    """Write per-view CSVs, a labels CSV and a manifest; returns the
+    manifest with the paths of the files written.
 
+    The manifest file names each file relative to its own directory, so
+    the same data saved into two directories gives the same bytes.
     Integer labels are written as they are, so `load_labels` gives back
     labels 0..K-1 unchanged; any others as their `np.unique` codes, so
     `load_labels` gives back the same partition.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    view_files = []
+    view_names = []
     for i, v in enumerate(dataset.views):
-        p = out_dir / f"view_{i}.csv"
-        write_matrix_csv(v, p)
-        view_files.append(str(p))
-    label_file = None
+        name = f"view_{i}.csv"
+        write_matrix_csv(v, out_dir / name)
+        view_names.append(name)
+    label_name = None
     if dataset.labels is not None:
         labels = dataset.labels
         if not np.issubdtype(labels.dtype, np.integer):
             labels = np.unique(labels, return_inverse=True)[1]
-        p = out_dir / "labels.csv"
-        with open(p, "w", encoding="utf-8") as fh:
+        label_name = "labels.csv"
+        with open(out_dir / label_name, "w", encoding="utf-8") as fh:
             for y in labels:
                 fh.write(f"{int(y)}\n")
-        label_file = str(p)
     manifest = {
         "n_instances": dataset.n_instances,
         "n_views": dataset.n_views,
         "view_dims": dataset.view_dims,
-        "views": view_files,
-        "labels": label_file,
+        "views": view_names,
+        "labels": label_name,
         "seed": seed,
     }
     write_json(manifest, out_dir / "dataset_manifest.json")
-    return manifest
+    return dict(manifest,
+                views=[str(out_dir / name) for name in view_names],
+                labels=label_name and str(out_dir / label_name))

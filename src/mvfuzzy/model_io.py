@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .antecedent import AntecedentBank, Standardizer
-from .data import _is_int, write_json
+from .data import _is_int
 from .solver import Hyperparams, ModelState
 
 FORMAT_VERSION = 2
@@ -35,7 +35,14 @@ def model_to_dict(state):
 
 
 def save_model(state, path):
-    write_json(model_to_dict(state), path)
+    """Write the model document as one compact JSON line with sorted keys
+    and a final newline. `json.dumps` without an indent runs CPython's C
+    encoder; `json.dump` and any indent fall back to the Python one.
+    `load_model` reads indented files as well."""
+    text = json.dumps(model_to_dict(state), sort_keys=True,
+                      separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _field(doc, key, where="model document"):

@@ -181,14 +181,27 @@ def rules_predict(export, views):
     them by the normalized firing levels, then the blocks are assembled
     exactly like embed. Agreement with embed certifies that the export is
     a faithful serialization rather than a summary.
+
+    Each view must be a 2-D matrix with one column per exported feature
+    and view 0's row count; a ValueError names the first view that is not.
     """
     if len(views) != len(export["views"]):
         raise ValueError("view count does not match the exported rule base")
+    views = [np.asarray(raw, dtype=float) for raw in views]
+    for v, (vr, raw) in enumerate(zip(export["views"], views)):
+        if raw.ndim != 2:
+            raise ValueError(f"view {v} is not a 2-D matrix")
+        if raw.shape[1] != len(vr["mean"]):
+            raise ValueError(
+                f"view {v}: feature count mismatch ({raw.shape[1]} columns, "
+                f"the rule base has {len(vr['mean'])} features)")
+        if raw.shape[0] != views[0].shape[0]:
+            raise ValueError(f"view {v} has {raw.shape[0]} rows but view 0 "
+                             f"has {views[0].shape[0]}")
     common_total = None
     specific_blocks = []
     for vr, raw in zip(export["views"], views):
-        x = ((np.asarray(raw, dtype=float) - np.asarray(vr["mean"]))
-             / np.asarray(vr["scale"]))
+        x = (raw - np.asarray(vr["mean"])) / np.asarray(vr["scale"])
         centers = np.array([[c["center"] for c in rule["antecedent"]]
                             for rule in vr["rules"]])
         widths = np.array([[c["width"] for c in rule["antecedent"]]

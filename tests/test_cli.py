@@ -235,6 +235,31 @@ class TestExportRules:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "evaluate", "export-rules"])
+def test_reruns_into_two_directories_are_byte_identical(synth_dir, tmp_path,
+                                                        command):
+    # The manifests name files relative to their directory and the model
+    # by its hash, so neither the output nor the model's path shows.
+    run = tmp_path / "run"
+    cli.main(["fit", *data_args(synth_dir), "--out", str(run),
+              "--iters", "2"])
+    models = [tmp_path / "a" / "model.json", tmp_path / "b" / "c" / "m.json"]
+    outs = [tmp_path / "out_one", tmp_path / "out" / "two"]
+    for model, out in zip(models, outs):
+        model.parent.mkdir(parents=True)
+        model.write_bytes((run / "model.json").read_bytes())
+        args = {"synth": ["--n", "40", "--seed", "3"],
+                "evaluate": ["--model", str(model), *data_args(synth_dir),
+                             "--repeats", "2", "--restarts", "2"],
+                "export-rules": ["--model", str(model)]}[command]
+        assert cli.main([command, *args, "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "run_manifest.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestGrid:
     def test_sweep_over_alpha(self, synth_dir, tmp_path):
         out = tmp_path / "grid"

@@ -20,6 +20,34 @@ def test_save_load_reproduces_embedding(blob_dataset, fitted_blob, tmp_path):
                           embed(blob_dataset, state).data)
 
 
+def test_model_file_is_one_compact_line(fitted_blob, tmp_path):
+    state, _ = fitted_blob
+    path = tmp_path / "model.json"
+    save_model(state, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert ": " not in text and ", " not in text
+    assert json.loads(text) == model_to_dict(state)
+
+
+def test_save_load_save_is_byte_identical(fitted_blob, tmp_path):
+    save_model(fitted_blob[0], tmp_path / "one.json")
+    save_model(load_model(tmp_path / "one.json"), tmp_path / "two.json")
+    assert ((tmp_path / "one.json").read_bytes()
+            == (tmp_path / "two.json").read_bytes())
+
+
+def test_indented_file_loads(blob_dataset, fitted_blob, tmp_path):
+    # Model files were written indented before they became one line.
+    state, _ = fitted_blob
+    path = tmp_path / "model.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model_to_dict(state), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert np.array_equal(embed(blob_dataset, load_model(path)).data,
+                          embed(blob_dataset, state).data)
+
+
 def test_version_1_document_loads(blob_dataset, fitted_blob):
     state, _ = fitted_blob
     doc = model_to_dict(state)

@@ -95,6 +95,23 @@ class TestExportRules:
         replayed = rules_predict(restored, blob_dataset.views).data
         np.testing.assert_allclose(replayed, direct, atol=1e-10)
 
+    @pytest.mark.parametrize("bad, words", [
+        ("one_column", "view 0: feature count mismatch"),
+        ("flat", "view 1 is not a 2-D matrix"),
+        ("short", "view 1 has 79 rows but view 0 has 80")])
+    def test_replay_checks_the_views(self, fitted_blob, blob_dataset, bad,
+                                     words):
+        # A one-column view would broadcast against a wider rule base.
+        views = list(blob_dataset.views)
+        if bad == "one_column":
+            views[0] = views[0][:, :1]
+        elif bad == "flat":
+            views[1] = views[1][:, 0]
+        else:
+            views[1] = views[1][1:]
+        with pytest.raises(ValueError, match=words):
+            rules_predict(export_rules(fitted_blob[0]), views)
+
     def test_text_structure(self, fitted_blob):
         state, _ = fitted_blob
         text = rules_to_text(export_rules(state))
