@@ -4,15 +4,17 @@ A graph is held as neighbour lists: row i of the directed kNN weights W
 holds weights[i] at the columns cols[i], both (N, k), and S = (W + W^T)/2
 and L = D - S are never formed, so memory is O(N*k). Gram products are
 formed one row block at a time, so no N x N array is ever allocated, and
-the kNN pass takes O(N*k) plus one Gram block and one h slice. A block
-holds at most 256 rows and 16 MB: below N = 8192 the row cap binds (8 MB
-at N = 4000, 2 MB at N = 1000), and from there on the byte budget. Each
-row's k nearest are selected exactly, but only among the columns that
-can pass a bound on its k-th distance, taken from strided column-group
-minima of a monotone form h of the distances with a rounding margin:
-about k*N/256 candidates per row for N >= 1024, and only theirs are
-turned into squared distances. h is formed a slice of rows at a time and
-reduced to the group minima while it is in cache.
+the kNN pass takes O(N*k) plus one Gram block plus the (N, D + 1)
+augmented columns [x, -||x_j||^2 / 2] (16 MB at N = 50000 and D = 39).
+A block holds at most 256 rows and 16 MB: below N = 8192 the row cap
+binds (8 MB at N = 4000, 2 MB at N = 1000), and from there on the byte
+budget. One product of the block's rows of [x, 1] with the augmented
+columns gives t_ij = x_i . x_j - ||x_j||^2 / 2, which orders each row
+as its negated squared distances do. Each row's k nearest are selected
+exactly, but only among the columns that can pass a bound on its k-th
+distance, taken from strided column-group maxima of t, reduced straight
+from the block, with a rounding margin: about k*N/256 candidates per row
+for N >= 1024, and only theirs are turned into squared distances.
 """
 
 from dataclasses import dataclass
@@ -29,10 +31,6 @@ _BLOCK_BYTES = 16 * 2 ** 20
 # hold more rows and so more per-row temporaries; from N = 8192 on the
 # byte budget gives at most 256 rows and this cap changes nothing.
 _BLOCK_ROWS = 256
-
-# Bytes of h formed at a time: a slice of a block's rows small enough to
-# stay in a core's L2 cache until it is reduced to its group minima.
-_SLICE_BYTES = 2 ** 20
 
 # Most column groups `_nearest` bounds each row's k-th distance with.
 _GROUPS = 256
@@ -102,65 +100,57 @@ def _select(d2, k):
     return pos, np.take_along_axis(d2, pos, axis=1)
 
 
-def _slice_rows(n):
-    """Rows of an N-wide h slice within the slice budget."""
-    return max(1, _SLICE_BYTES // (8 * n))
-
-
-def _group_minima(gram, half_sq, lo, groups, h_buf):
-    """Each row's minima of h_ij = sq_j / 2 - g_ij over its column groups
-    j = c, c + G, c + 2G, ... (c < G = groups), with h = +inf at the row's
-    own column, for the Gram rows g = x[lo:hi] x^T of a block and
-    half_sq = sq / 2. h is formed in h_buf, len(h_buf) rows at a time, and
-    each slice is reduced before the next overwrites it."""
-    rows, n = gram.shape
-    minima = np.empty((rows, groups))
+def _group_minima(t, groups):
+    """Each row's minima of h = -t over its column groups j = c, c + G,
+    c + 2G, ... (c < G = groups), for a block t of the augmented Gram
+    product whose own columns hold -inf, so h = +inf there. The group
+    maxima of t are reduced straight from the block, with no copy of it,
+    and negated in place."""
+    rows, n = t.shape
+    maxima = np.empty((rows, groups))
     full = n // groups * groups
-    for start in range(0, rows, len(h_buf)):
-        stop = min(start + len(h_buf), rows)
-        h, low = h_buf[:stop - start], minima[start:stop]
-        np.subtract(half_sq[None, :], gram[start:stop], out=h)
-        h[np.arange(stop - start), np.arange(lo + start, lo + stop)] = np.inf
-        # Elementwise minima over the G-wide column slices give every
-        # group's minimum in one pass; the last column slice, shorter than
-        # G when G does not divide N, holds the first N - full groups.
-        np.minimum.reduce(h[:, :full].reshape(stop - start, -1, groups),
-                          axis=1, out=low)
-        np.minimum(low[:, :n - full], h[:, full:], out=low[:, :n - full])
-    return minima
+    # Elementwise maxima over the G-wide column slices give every group's
+    # maximum in one pass; the last column slice, shorter than G when G
+    # does not divide N, holds the first N - full groups.
+    slices = np.lib.stride_tricks.as_strided(
+        t, (rows, n // groups, groups),
+        (t.strides[0], groups * t.strides[1], t.strides[1]), writeable=False)
+    np.maximum.reduce(slices, axis=1, out=maxima)
+    np.maximum(maxima[:, :n - full], t[:, full:], out=maxima[:, :n - full])
+    return np.negative(maxima, out=maxima)
 
 
-def _nearest(gram, half_sq, sq, lo, k, margin, h_buf):
+def _nearest(t, sq, lo, k, margin):
     """Columns (ascending) and squared distances of each row's k nearest
     among the N columns, for the block of rows lo, lo + 1, ... of x; k < N.
     Ties at the k-th distance go to the lowest column indices, as in
-    `_select`. gram is the block's Gram rows g = x[lo:hi] x^T, sq the
-    squared row norms of x and half_sq = sq / 2; h_buf is scratch for
-    `_group_minima`, and gram is only read.
+    `_select`. t is the block's rows t_ij = g_ij - sq_j / 2 of the
+    augmented Gram product (see `knn_similarity`), with g = x x^T and sq
+    the squared row norms of x; the rows' own columns are set to -inf.
 
-    A row's squared distances are d2_ij = sq_i + sq_j - 2 g_ij, so in exact
-    arithmetic d2_ij = 2 h_ij + sq_i orders the row as
-    h_ij = sq_j / 2 - g_ij does. Group c holds columns c, c + G, c + 2G,
-    ... with G = min(_GROUPS, N // 4), and `_group_minima` gives every
-    group's minimum of h, with +inf at the row's own column. Call the
-    min(k, G)-th smallest of them tau. For G >= k, the columns of the
-    min(k, G) smallest minima bound the row's k-th distance; for G < k tau
-    is the largest minimum and admits every group. Every column within
-    the k-th distance then has h <= max(tau, -sq_i / 2) + margin, where
-    margin covers the rounding of h and of d2 and the -sq_i / 2 term the
-    clamp of d2 at 0 (see `knn_similarity`). The columns of the groups
-    whose minimum passes that bound, gathered slice by slice (ascending
-    column order), hold the row's k nearest and every tie at the k-th.
-    Their d2 is formed from the same Gram entries in the same operations
-    as for a whole row, so `_select` on them picks the same set as on the
-    whole row.
+    A row's squared distances are d2_ij = sq_i + sq_j - 2 g_ij
+    = sq_i - 2 t_ij, so d2 orders the row as h_ij = -t_ij does. Group c
+    holds columns c, c + G, c + 2G, ... with G = min(_GROUPS, N // 4), and
+    `_group_minima` gives every group's minimum of h, with +inf at the
+    row's own column. Call the min(k, G)-th smallest of them tau. For
+    G >= k, the columns of the min(k, G) smallest minima bound the row's
+    k-th distance; for G < k tau is the largest minimum and admits every
+    group. Every column within the k-th distance then has
+    h <= max(tau, -sq_i / 2) + margin, where margin covers the rounding of
+    d2 and the -sq_i / 2 term its clamp at 0 (see `knn_similarity`). The
+    columns of the groups whose minimum passes that bound, gathered slice
+    by slice (ascending column order), hold the row's k nearest and every
+    tie at the k-th. Their d2 = max(sq_i - 2 t_ij, 0) is formed from the
+    same entries of t in the same operations as for a whole row, so
+    `_select` on them picks the same set as on the whole row; the own
+    column's t = -inf gives it d2 = inf.
 
-    Per block this costs one pass over h, slice by slice, a partition of
-    rows x G minima, and the exact selection on about k*N/G candidates
-    per row."""
-    rows, n = gram.shape
+    Per block this costs one pass over t, a partition of rows x G minima,
+    and the exact selection on about k*N/G candidates per row."""
+    rows, n = t.shape
     groups = max(1, min(_GROUPS, n // 4))
-    minima = _group_minima(gram, half_sq, lo, groups, h_buf)
+    t[np.arange(rows), np.arange(lo, lo + rows)] = -np.inf
+    minima = _group_minima(t, groups)
     ranked = minima.copy()
     rank = min(k, groups) - 1
     ranked.partition(rank, axis=1)
@@ -186,12 +176,11 @@ def _nearest(gram, half_sq, sq, lo, k, margin, h_buf):
     # inf.
     past = cand >= n
     np.minimum(cand, n - 1, out=cand)
-    g = np.take_along_axis(gram, cand, axis=1)
-    g *= 2.0
-    d2 = sq_rows[:, None] + sq[cand]
-    d2 -= g
+    d2 = np.take_along_axis(t, cand, axis=1)
+    d2 *= -2.0
+    d2 += sq_rows[:, None]
     np.maximum(d2, 0.0, out=d2)
-    d2[past | (cand == np.arange(lo, lo + rows)[:, None])] = np.inf
+    d2[past] = np.inf
     pos, near = _select(d2, k)
     return np.take_along_axis(cand, pos, axis=1), near
 
@@ -220,8 +209,10 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     Returns cols (N, k), each row's neighbors in ascending column order
     (never the row itself), and weights (N, k), their kernel weights.
     Gram products are formed in row blocks of at most _BLOCK_ROWS rows
-    and _BLOCK_BYTES bytes, and h in slices of at most _SLICE_BYTES, so
-    memory is O(N*k) plus one Gram block and one h slice.
+    and _BLOCK_BYTES bytes, each from one product of the block's rows of
+    [x, 1] with the (N, D + 1) augmented columns [x, -sq / 2], so memory
+    is O(N*k) plus one Gram block plus those columns (16 MB at N = 50000
+    and D = 39).
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -239,37 +230,44 @@ def knn_similarity(x, n_neighbors=5, bandwidth="auto"):
     if not np.isfinite(bound):
         raise ValueError("x is too large: squared distances overflow")
 
-    # The rounding that `_nearest`'s group bound allows for. With M the
-    # largest squared row norm, every Gram entry has |g| <= 2M (it is M
-    # to within the rounding of the products). With u = eps / 2, the
-    # computed h and the computed d2 before its clamp each lie within
-    # 2.5 M u and 8 M u of their exact values from sq and g, so
-    # 2 h + sq_i lies within 13 M u of d2; the bound's own sum adds at
-    # most 3 M u in h units. 16 M eps = 32 M u holds twice that. The tiny
-    # term covers the absolute error of halving a subnormal sq.
+    # The rounding that `_nearest`'s group bound allows for. In a row,
+    # the computed d2_ij = fl(sq_i - 2 t_ij) takes one rounding and is
+    # monotone in the computed t_ij, the very values the group minima of
+    # h = -t come from; so however t itself is rounded, the bound need
+    # cover only that rounding, and the -sq_i / 2 term the clamp of d2 at
+    # 0. With M the largest squared row norm and u = eps / 2, every
+    # |sq_i - 2 t_ij| is at most about 4 M, so a column whose d2 rounds to
+    # at most another's has h at most 4 M u above the other's, and the
+    # bound's own sum adds at most 2 M u. 16 M eps = 32 M u holds that
+    # five times over. The tiny term covers the absolute error of halving
+    # a subnormal sq.
     margin = 4.0 * np.finfo(float).eps * bound + np.finfo(float).tiny
-    half_sq = 0.5 * sq
 
     cols = np.empty((n, n_neighbors), dtype=np.intp)
     neigh_d2 = np.empty((n, n_neighbors))
     bounds = _row_blocks(n)
     # One Gram buffer serves every block, since fresh multi-MB temporaries
-    # per block cost page faults until malloc reuses them, and one h slice
-    # serves every slice of every block. Both share one allocation, the
-    # largest the call frees: glibc's dynamic mmap and trim thresholds
-    # follow the largest block freed, and then keep the call's memory for
-    # the next call. As two buffers, at N = 1000 that memory went back to
-    # the system after every call and came back as about 1350 minor page
-    # faults per call (10 -> 14 ms for two 1000-row views).
-    rows = max(np.diff(bounds))
-    h_rows = min(rows, _slice_rows(n))
-    buf = np.empty((rows + h_rows, n))
-    gram_buf, h_buf = buf[:rows], buf[rows:]
+    # per block cost page faults until malloc reuses them. It is allocated
+    # before the augmented columns and apart from them. Allocated after
+    # them, the columns split the heap hole that the previous call's block
+    # left; in one allocation with them, its size follows D and the views'
+    # calls alternate between two sizes. Either way the large_n benchmark's
+    # peak RSS rose by 5-8 MB. The cost: at N = 1000 glibc gives this 2 MB
+    # buffer back between fits, and a fit's first call pays about 1250
+    # minor page faults for it.
+    gram_buf = np.empty((max(np.diff(bounds)), n))
+    # t = [x_blk, 1] [x, -sq / 2]^T is each block's Gram rows less
+    # sq_j / 2, formed by the product itself.
+    aug = np.empty((n, x.shape[1] + 1))
+    aug[:, :-1] = x
+    np.multiply(sq, -0.5, out=aug[:, -1])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        gram = gram_buf[:hi - lo]
-        np.matmul(x[lo:hi], x.T, out=gram)
-        cols[lo:hi], neigh_d2[lo:hi] = _nearest(gram, half_sq, sq, lo,
-                                                n_neighbors, margin, h_buf)
+        left = np.ones((hi - lo, aug.shape[1]))
+        left[:, :-1] = x[lo:hi]
+        t = gram_buf[:hi - lo]
+        np.matmul(left, aug.T, out=t)
+        cols[lo:hi], neigh_d2[lo:hi] = _nearest(t, sq, lo, n_neighbors,
+                                                margin)
 
     if bandwidth == "auto":
         dists = np.sqrt(neigh_d2)

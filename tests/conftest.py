@@ -23,8 +23,8 @@ def fitted_blob(blob_dataset):
 
 def knn_dense(x, n_neighbors, bandwidth="auto"):
     """The similarity S of x's kNN graph, dense (N, N). The graph
-    module's constants are read at call time, so a patched block, slice
-    or group budget applies."""
+    module's constants are read at call time, so a patched block or
+    group budget applies."""
     from mvfuzzy.graph import build_graph
 
     return build_graph(x, n_neighbors, bandwidth).dense()[0]

@@ -109,11 +109,16 @@ def pairwise_smoothness(similarity, z):
 def dense_knn_similarity(x, n_neighbors, bandwidth="auto"):
     """kNN Gaussian similarity from the full N x N distance matrix and a
     stable argsort of each row (ties go to the lower index), returned
-    dense."""
+    dense. The distances are d2_ij = sq_i - 2 t_ij from the augmented
+    product t = [x, 1] [x, -sq / 2]^T, whose t_ij = x_i . x_j - sq_j / 2;
+    they equal sq_i + sq_j - 2 x_i . x_j exactly when every product and
+    sum is exact, and to within rounding otherwise."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    ones = np.ones((n, 1))
+    t = np.hstack([x, ones]) @ np.hstack([x, -0.5 * sq[:, None]]).T
+    d2 = sq[:, None] - 2.0 * t
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]

@@ -4,7 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mvfuzzy import graph
+from mvfuzzy import graph, make_synthetic
+from mvfuzzy.antecedent import Standardizer, fit_antecedents, fuzzy_map
 from conftest import knn_dense
 from mvfuzzy.graph import build_graph, knn_similarity, laplacian
 from oracles import dense_knn_similarity, pairwise_smoothness
@@ -143,12 +144,35 @@ def test_default_block_budget_matches_dense_oracle(kind, k):
         x = rng.integers(-1024, 1025, size=(1500, 6)) / 16.0
     else:
         x = rng.integers(-2, 3, size=(1500, 3)).astype(float)
-    # It also cuts each 250-row block into h slices, the last one short.
-    n = len(x)
-    np.testing.assert_array_equal(np.diff(graph._row_blocks(n)), [250] * 6)
-    assert 250 % graph._slice_rows(n) and graph._slice_rows(n) < 250
+    np.testing.assert_array_equal(np.diff(graph._row_blocks(len(x))),
+                                  [250] * 6)
     np.testing.assert_array_equal(knn_dense(x, k),
                                   dense_knn_similarity(x, k))
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_fuzzy_designs_pick_the_plain_distance_neighbours(n):
+    # The oracle forms its distances from the same augmented product as
+    # the library. On real fuzzy designs, in three or four row blocks, the
+    # neighbours must also be those of a stable argsort of the plain
+    # sq_i + sq_j - 2 x x^T distances, with weights equal to rounding.
+    ds = make_synthetic(n_instances=n, n_views=2, n_clusters=4, noise=1.5,
+                        seed=0, dims=[8, 12])
+    assert len(graph._row_blocks(n)) > 3
+    for view in ds.views:
+        z = Standardizer.fit(view).transform(view)
+        x = fuzzy_map(z, fit_antecedents(z, 3))
+        cols, weights = knn_similarity(x, 5)
+        sq = (x * x).sum(axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+        np.fill_diagonal(d2, np.inf)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :5]
+        np.testing.assert_array_equal(cols, np.sort(order, axis=1))
+        near = np.take_along_axis(d2, cols, axis=1)
+        sigma = np.median(np.sqrt(near[near > 0]))
+        np.testing.assert_allclose(weights,
+                                   np.exp(-near / (2.0 * sigma * sigma)),
+                                   rtol=1e-13, atol=0)
 
 
 def knn_peak_mb(n):
@@ -163,10 +187,10 @@ def knn_peak_mb(n):
         tracemalloc.stop()
 
 
-def test_memory_stays_within_one_gram_block_and_one_h_slice():
-    # One 256-row Gram block (8 MB) plus 1 MB h slices and the block's
-    # per-row temporaries peak at about 10.7 MB; a 16 MB block, or a
-    # block-wide h, would not fit.
+def test_memory_stays_within_one_gram_block_and_the_augmented_columns():
+    # One 256-row Gram block (8 MB) plus the 4000 x 40 augmented columns
+    # (1.3 MB) and the block's per-row temporaries peak at about 11 MB; a
+    # 16 MB block, or a copy of the block, would not fit.
     assert knn_peak_mb(4000) < 12
 
 

@@ -62,7 +62,7 @@ ANY_GAMMA = st.one_of(st.just(0.0), POSITIVE_GAMMA)
 # float64 whatever order BLAS sums it in: any difference from the oracle
 # is a selection or assembly difference, not rounding. "gaussian" points
 # are only compared in one row block, where the library forms the same
-# x @ x.T product as the oracle.
+# augmented product [x, 1] [x, -sq / 2]^T as the oracle.
 EXACT_KINDS = ("dyadic", "grid", "duplicates")
 
 
@@ -136,30 +136,6 @@ def test_knn_similarity_matches_oracle_across_row_blocks_with_few_groups(
             mock.patch.object(graph, "_GROUPS", groups):
         assert len(graph._row_blocks(n)) > 2
         s = knn_dense(x, k, bandwidth)
-    np.testing.assert_array_equal(s,
-                                  dense_knn_similarity(x, k, bandwidth))
-
-
-# Each row block's h is formed a slice of rows at a time. With several
-# row blocks, each cut into two or more slices of which the last is
-# short, and 1 to 8 column groups, S must still equal the oracle.
-@GRAPH_PROPS
-@given(point_sets(kinds=EXACT_KINDS), st.integers(1, 8), st.data())
-def test_knn_similarity_matches_oracle_across_h_slices(points, groups, data):
-    x, k, bandwidth = points
-    n = len(x)
-    rows = data.draw(st.integers(3, max(3, n // 2)))
-    with mock.patch.object(graph, "_BLOCK_BYTES", 8 * n * rows):
-        bounds = graph._row_blocks(n)
-        sizes = set(np.diff(bounds).tolist())
-        spans = [r for r in range(2, min(sizes))
-                 if all(b % r for b in sizes)]
-        assume(len(bounds) > 2 and spans)
-        slice_rows = data.draw(st.sampled_from(spans))
-        with mock.patch.object(graph, "_SLICE_BYTES", 8 * n * slice_rows), \
-                mock.patch.object(graph, "_GROUPS", groups):
-            assert graph._slice_rows(n) == slice_rows
-            s = knn_dense(x, k, bandwidth)
     np.testing.assert_array_equal(s,
                                   dense_knn_similarity(x, k, bandwidth))
 
