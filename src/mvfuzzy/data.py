@@ -204,6 +204,10 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
                         ("n_clusters", n_clusters)):
         if not _is_count(value):
             raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value in (("noise", noise), ("separation", separation)):
+        if not (_is_real(value) and np.isfinite(value) and value >= 0):
+            raise DataError(f"{name} must be a finite real number >= 0, "
+                            f"got {value!r}")
     if n_clusters > n_instances:
         raise DataError("more clusters than instances")
     rng = np.random.default_rng(seed)

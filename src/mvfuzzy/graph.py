@@ -51,14 +51,30 @@ class GraphLaplacian:
         """X^T L X for X (N, D), as the symmetric part of
         A = X^T (diag(degree) X - W X), which equals X^T L X since
         X^T W X and X^T W^T X are transposes. W X is gathered one
-        neighbour slot at a time, so every temporary is (N, D)."""
+        neighbour slot and one block of _BLOCK_ROWS rows at a time, and A
+        is symmetrized in place one pair of _BLOCK_ROWS-square tiles at a
+        time, so besides X it holds one (N, D) array, then one (D, D).
+        Every entry takes the operations of 0.5 * (A + A^T) in the same
+        order, so the result equals that formula's bit for bit."""
         y = x * self.degree[:, None]
-        for cols, weights in zip(self.cols.T, self.weights.T):
-            neigh = x[cols]
-            neigh *= weights[:, None]
-            y -= neigh
+        for lo in range(0, len(y), _BLOCK_ROWS):
+            block = y[lo:lo + _BLOCK_ROWS]
+            for cols, weights in zip(self.cols[lo:lo + _BLOCK_ROWS].T,
+                                     self.weights[lo:lo + _BLOCK_ROWS].T):
+                neigh = x[cols]
+                neigh *= weights[:, None]
+                block -= neigh
         a = x.T @ y
-        return 0.5 * (a + a.T)
+        del y
+        for i in range(0, len(a), _BLOCK_ROWS):
+            si = slice(i, i + _BLOCK_ROWS)
+            for j in range(i, len(a), _BLOCK_ROWS):
+                sj = slice(j, j + _BLOCK_ROWS)
+                tile = a[si, sj] + a[sj, si].T
+                tile *= 0.5
+                a[si, sj] = tile
+                a[sj, si] = tile.T
+        return a
 
     def dense(self):
         """(S, L) as dense (N, N) arrays, for tests and small N."""

@@ -228,7 +228,9 @@ def solve_reg(a, rhs, view=None):
     out = attempt(a)
     if out is None:
         ridge = RIDGE * max(1.0, float(np.abs(np.diag(a)).max()))
-        out = attempt(a + ridge * np.eye(a.shape[0]))
+        ridged = np.array(a, dtype=float)
+        ridged.flat[::len(a) + 1] += ridge
+        out = attempt(ridged)
     if out is None:
         raise NumericFailure("linear system is singular", view=view)
     return out

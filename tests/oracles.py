@@ -106,6 +106,17 @@ def pairwise_smoothness(similarity, z):
     return 0.5 * total
 
 
+def laplacian_quadratic(graph, x):
+    """X^T L X as the two-line formula: W X gathered one neighbour slot
+    at a time over all N rows, A = X^T (diag(degree) X - W X) in one
+    product, and its symmetric part 0.5 * (A + A^T)."""
+    y = x * graph.degree[:, None]
+    for cols, weights in zip(graph.cols.T, graph.weights.T):
+        y -= x[cols] * weights[:, None]
+    a = x.T @ y
+    return 0.5 * (a + a.T)
+
+
 def dense_knn_similarity(x, n_neighbors, bandwidth="auto"):
     """kNN Gaussian similarity from the full N x N distance matrix and a
     stable argsort of each row (ties go to the lower index), returned

@@ -42,6 +42,17 @@ class TestSynth:
         labels = (synth_dir / "labels.csv").read_text().split()
         assert len(set(labels)) == 3
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_is_config_error(self, tmp_path, noise):
+        out = tmp_path / "data"
+        rc = cli.main(["synth", "--out", str(out), "--n", "20",
+                       "--noise", noise])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert err["message"].startswith("noise must be a finite real")
+        assert not (out / "view_0.csv").exists()
+
 
 class TestFit:
     def test_fit_writes_artifacts(self, synth_dir, tmp_path):

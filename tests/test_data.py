@@ -170,6 +170,22 @@ class TestMakeSynthetic:
         with pytest.raises(DataError, match=f"{name} must be an integer"):
             make_synthetic(**counts)
 
+    @pytest.mark.parametrize("name", ["noise", "separation"])
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf,
+                                     True, "0.1", None])
+    def test_noise_and_separation_must_be_finite_and_non_negative(self, name,
+                                                                  bad):
+        with pytest.raises(DataError, match=f"{name} must be a finite real"):
+            make_synthetic(n_instances=20, **{name: bad})
+
+    def test_integer_and_numpy_noise_and_separation_are_accepted(self):
+        ds = make_synthetic(n_instances=20, noise=np.float64(0.5),
+                            separation=4, seed=2)
+        again = make_synthetic(n_instances=20, noise=0.5, separation=4.0,
+                               seed=2)
+        for a, b in zip(ds.views, again.views):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("dims", [[0, 3], [3, -2], [2.5, 3]])
     def test_every_view_needs_a_dimension(self, dims):
         with pytest.raises(DataError, match="integer dimension >= 1"):

@@ -200,6 +200,26 @@ def test_memory_at_n_1000_stays_within_one_2_mb_block():
     assert knn_peak_mb(1000) < 6
 
 
+def quadratic_peak_mb(n, d):
+    """tracemalloc's peak, in MB, of `GraphLaplacian.quadratic` on N x D
+    normal data, with the k = 5 graph built on 20 of its columns."""
+    x = np.random.default_rng(29).normal(size=(n, d))
+    g = build_graph(x[:, :20], 5)
+    tracemalloc.start()
+    try:
+        g.quadratic(x)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadratic_holds_one_n_by_d_and_one_d_by_d_array():
+    # At N = 600, D = 1200 the (N, D) product y = diag(degree) X - W X
+    # (5.5 MB) and A = X^T y (11 MB) peak at about 19 MB; the two-line
+    # formula's gather, A + A^T and 0.5 * (A + A^T) reach about 33 MB.
+    assert quadratic_peak_mb(600, 1200) < 22
+
+
 @pytest.mark.parametrize("n", [8192, 12000, 50000])
 def test_row_cap_leaves_large_n_blocks_to_the_byte_budget(n):
     # From N = 8192 on a 16 MB block holds at most 256 rows, so the row

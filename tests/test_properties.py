@@ -3,8 +3,9 @@ random shapes and hyperparameters.
 
 The graph tests draw point sets, neighbor counts and bandwidths, and
 check the kNN graph's neighbour lists against the dense stable-argsort
-oracle, and the Laplacian invariants and quadratic form against the dense
-L. The k-means tests check each restart of a multi-restart Lloyd call
+oracle, the Laplacian invariants and quadratic form against the dense
+L, and the blocked quadratic form against the two-line formula bit for
+bit. The k-means tests check each restart of a multi-restart Lloyd call
 against the direct-distance loop, its final centers against masked means, the k-means++ init (on rounded and unrounded
 points) and `kmeans` against sequential oracles, and every key of a
 protocol's fixed-point record against one oracle step; the ACC test
@@ -45,7 +46,7 @@ from mvfuzzy.solver import (B_UPDATE_MODES, TERM_NAMES, VARIANTS,
 from oracles import (dense_active_set, dense_consequent_system,
                      dense_exact_consistency, dense_knn_similarity,
                      fd_gradient, kmeans_oracle, kmeanspp_oracle,
-                     lloyd_oracle, lloyd_step_oracle)
+                     laplacian_quadratic, lloyd_oracle, lloyd_step_oracle)
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
@@ -163,6 +164,30 @@ def test_quadratic_and_degree_match_dense_laplacian(points, d, seed):
     # Natural scale of the form: ||L||_inf bounds L's top eigenvalue.
     scale = np.abs(lap).sum(axis=1).max() * float((z * z).sum())
     assert np.abs(g.quadratic(z) - z.T @ lap @ z).max() <= 1e-12 * scale
+
+
+# Sizes below, at and across the 256-row neighbour blocks and 256-wide
+# tiles of `GraphLaplacian.quadratic`, mixed with sizes drawn at random.
+def block_sizes(top):
+    return st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512, 513]),
+                     st.integers(1, top))
+
+
+@PROPS
+@given(block_sizes(700), block_sizes(600), st.integers(1, 12),
+       st.integers(0, 2 ** 32 - 1))
+@example(n=700, d=600, k=12, seed=0)
+@example(n=1, d=1, k=1, seed=0)
+def test_quadratic_equals_the_two_line_formula_bit_for_bit(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    cols = rng.integers(0, n, size=(n, k))
+    # Every third row repeats a column, whose weights then add up.
+    cols[::3, -1] = cols[::3, 0]
+    g = graph.laplacian(cols, rng.random((n, k)))
+    x = rng.normal(size=(n, d))
+    q = g.quadratic(x)
+    np.testing.assert_array_equal(q, laplacian_quadratic(g, x))
+    np.testing.assert_array_equal(q, q.T)
 
 
 def kmeanspp_init(points, k, rng):

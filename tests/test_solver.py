@@ -156,6 +156,19 @@ class TestSolveReg:
         np.testing.assert_allclose(x, [1e10 / (1e-300 + 1e-10),
                                        1.0 / (1.0 + 1e-10)], rtol=1e-12)
 
+    @pytest.mark.parametrize("a, rhs", [
+        *[(scale * np.ones((2, 2)), scale * np.ones(2))
+          for scale in (1.0, 1e8, 1e12)],
+        (np.diag([1e-300, 1.0]), np.array([1e10, 1.0])),
+    ], ids=["scale_1", "scale_1e8", "scale_1e12", "non_finite"])
+    def test_ridge_retry_solves_a_plus_ridge_times_identity(self, a, rhs):
+        # The retry adds the ridge to a copy's diagonal: the same system as
+        # a + ridge * I, built without two more (D, D) arrays.
+        ridge = solver.RIDGE * max(1.0, float(np.abs(np.diag(a)).max()))
+        np.testing.assert_array_equal(
+            solve_reg(a, rhs),
+            np.linalg.solve(a + ridge * np.eye(len(a)), rhs))
+
     def test_solution_is_c_ordered(self):
         # embed is bit-reproducible across save/load only for C-ordered P.
         rng = np.random.default_rng(1)
