@@ -232,6 +232,9 @@ def cmd_fit(args):
     final = trace.entries[-1]
     print(f"fit: {len(trace.entries) - 1} iterations, "
           f"objective {final.total:.6g}")
+    if trace.collapsed:
+        print("fit: every common consequent ended exactly 0, so the common "
+              "embedding is 0 for any input")
     return 0
 
 

@@ -208,6 +208,8 @@ def make_synthetic(n_instances=200, n_views=2, n_clusters=4, noise=0.1,
         if not (_is_real(value) and np.isfinite(value) and value >= 0):
             raise DataError(f"{name} must be a finite real number >= 0, "
                             f"got {value!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
     if n_clusters > n_instances:
         raise DataError("more clusters than instances")
     rng = np.random.default_rng(seed)

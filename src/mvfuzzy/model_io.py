@@ -9,9 +9,18 @@ from .antecedent import AntecedentBank, Standardizer
 from .data import _is_int
 from .solver import Hyperparams, ModelState
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 WEIGHT_SUM_TOL = 1e-9  # the rounding of a softmax, not another weighting
+
+
+def _consequent_rows(block):
+    """The rows of a consequent block as lists of floats, except that a
+    row whose entries are all +0.0 is the integer 0 (format 3). The L2,1
+    terms leave most rows exactly 0; a row that holds a -0.0 stays a list,
+    so the loaded block keeps every bit."""
+    live = (np.signbit(block) | (block != 0)).any(axis=1).tolist()
+    return [row if keep else 0 for row, keep in zip(block.tolist(), live)]
 
 
 def model_to_dict(state):
@@ -23,8 +32,8 @@ def model_to_dict(state):
             "scale": state.standardizers[v].scale.tolist(),
             "centers": state.banks[v].centers.tolist(),
             "widths": state.banks[v].widths.tolist(),
-            "p_common": state.p_common[v].tolist(),
-            "p_specific": state.p_specific[v].tolist(),
+            "p_common": _consequent_rows(state.p_common[v]),
+            "p_specific": _consequent_rows(state.p_specific[v]),
         })
     return {
         "format_version": FORMAT_VERSION,
@@ -52,13 +61,18 @@ def _field(doc, key, where="model document"):
     return doc[key]
 
 
-def _array(doc, key, where="model document"):
+def _array(doc, key, where="model document", zero_width=None):
     """doc[key] as a float array; a ValueError naming the field if doc has
     none, or it is not numeric, has an entry that is not a JSON number
     (`np.asarray` takes bools and numeric strings) or is not finite
     (`json.load` reads NaN). A scalar, as None gives, is left to the
-    callers' shape checks."""
+    callers' shape checks. With zero_width, each entry of a list value
+    that is the integer 0 (not a bool, not 0.0) is read as a row of
+    zero_width zeros before the checks run."""
     value = _field(doc, key, where)
+    if zero_width is not None and isinstance(value, list):
+        value = [[0.0] * zero_width if type(row) is int and row == 0
+                 else row for row in value]
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -77,18 +91,21 @@ def _array(doc, key, where="model document"):
 
 def model_from_dict(doc):
     """The ModelState of a model document; ValueError if it is not a
-    JSON object, lacks a field, or its version (the integer 1 or
+    JSON object, lacks a field, or its version (an integer from 1 to
     FORMAT_VERSION), hyperparams or views are not a model's. A view's mean
     and scale must hold d_v entries, its centers and widths be (R, d_v)
     and its p_common and p_specific (R (d_v + 1), m), with R = n_rules
-    and m = embed_dim >= 1 for every view. The view weights must be
-    non-negative and sum to 1 within WEIGHT_SUM_TOL."""
+    and m = embed_dim >= 1 for every view; a p_common or p_specific row
+    given as the integer 0 is embed_dim zeros, whatever the version. The
+    view weights must be non-negative and sum to 1 within
+    WEIGHT_SUM_TOL."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
     version = doc.get("format_version")
-    # Version 1 also held the training-set consistency map, ignored here.
-    if not _is_int(version) or version not in (1, FORMAT_VERSION):
+    # Version 1 also held the training-set consistency map, ignored here;
+    # version 3 added the 0 rows.
+    if not _is_int(version) or not 1 <= version <= FORMAT_VERSION:
         raise ValueError(
             f"unsupported model field 'format_version': {version!r}")
     try:
@@ -105,7 +122,9 @@ def model_from_dict(doc):
     r, m = hp.n_rules, None
     for v, vd in enumerate(views):
         where = f"model view {v}"
-        arrays = [_array(vd, key, where) for key in keys]
+        arrays = [_array(vd, key, where) for key in keys[:4]]
+        # Without an embed_dim a 0 row stays a scalar, for the shape checks.
+        arrays += [_array(vd, key, where, hp.embed_dim) for key in keys[4:]]
         mean, scale, centers, widths, pc, ps = arrays
         if mean.ndim != 1:
             raise ValueError(f"{where} field 'mean' must be a list of "

@@ -168,11 +168,14 @@ class FitTrace:
     """Per-iteration objective breakdown; entry 0 is the initialization.
 
     stop_reason is "tolerance" when the early-stop test on the entries'
-    totals ended the fit, "max_iter" when the cap did; it is not in the CSV.
+    totals ended the fit, "max_iter" when the cap did. collapsed is True
+    when every entry of every common block ended exactly 0, so that the
+    common part of the embedding is 0 for any input. Neither is in the CSV.
     """
 
     entries: list = field(default_factory=list)
     stop_reason: str | None = None
+    collapsed: bool = False
 
     def totals(self):
         return np.array([e.total for e in self.entries])
@@ -439,7 +442,9 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
 
     The smooth system wv X^T L X + alpha (G P)(G P)^T + beta (B X)^T (B X),
     with G = X^T X and P = other, is formed only in the columns
-    `_solve_l21` asks for: the live rows'."""
+    `_solve_l21` asks for: the live rows'. G P is formed at the first
+    such request and reused by the later KKT release rounds; an update
+    that asks for no column never forms it."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
@@ -447,9 +452,12 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
     rhs = -wv * (xlx @ other)
     if bx is not None:
         rhs += hp.beta * bx.T
+    gp = None
 
     def columns(idx):
-        gp = problem.gram[view] @ other
+        nonlocal gp
+        if gp is None:
+            gp = problem.gram[view] @ other
         cols = xlx.take(idx, 1)
         cols *= wv
         cols += hp.alpha * (gp @ gp.take(idx, 0).T)
@@ -758,4 +766,5 @@ def fit(dataset, hp=None, prepared=None):
                 trace.stop_reason = "tolerance"
                 break
 
+    trace.collapsed = not any(pc.any() for pc in state.p_common)
     return state, trace

@@ -54,6 +54,17 @@ class TestSynth:
         assert not (out / "view_0.csv").exists()
 
 
+    def test_negative_seed_is_config_error(self, tmp_path):
+        out = tmp_path / "data"
+        rc = cli.main(["synth", "--out", str(out), "--n", "20",
+                       "--seed", "-1"])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config_error"
+        assert err["message"].startswith("seed must be an integer >= 0")
+        assert not (out / "view_0.csv").exists()
+
+
 class TestFit:
     def test_fit_writes_artifacts(self, synth_dir, tmp_path):
         out = tmp_path / "run"
@@ -108,6 +119,16 @@ class TestFit:
         model = json.loads((out / "model.json").read_text())
         assert model["hyperparams"]["variant"] == "no_consistency"
         assert model["hyperparams"]["b_update"] == "exact"
+
+    def test_collapsed_fit_says_so(self, synth_dir, tmp_path, capsys):
+        # On these data the no-consistency fit ends all-zero.
+        args = ["fit", *data_args(synth_dir), "--iters", "20"]
+        line = "every common consequent ended exactly 0"
+        assert cli.main([*args, "--out", str(tmp_path / "full")]) == 0
+        assert line not in capsys.readouterr().out
+        assert cli.main([*args, "--out", str(tmp_path / "nc"),
+                         "--variant", "no-consistency"]) == 0
+        assert capsys.readouterr().out.count(line) == 1
 
 
 def subcommand_options(command):

@@ -186,6 +186,18 @@ class TestMakeSynthetic:
         for a, b in zip(ds.views, again.views):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            make_synthetic(n_instances=20, seed=bad)
+
+    def test_numpy_integer_seed_draws_the_same_data(self):
+        ds = make_synthetic(n_instances=20, seed=np.int64(0))
+        again = make_synthetic(n_instances=20, seed=0)
+        np.testing.assert_array_equal(ds.labels, again.labels)
+        for a, b in zip(ds.views, again.views):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("dims", [[0, 3], [3, -2], [2.5, 3]])
     def test_every_view_needs_a_dimension(self, dims):
         with pytest.raises(DataError, match="integer dimension >= 1"):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvfuzzy.antecedent import AntecedentBank, Standardizer
 from mvfuzzy.model_io import (FORMAT_VERSION, load_model, model_from_dict,
                               model_to_dict, save_model)
 from mvfuzzy.representation import embed
-from mvfuzzy.solver import update_view_weights
+from mvfuzzy.solver import Hyperparams, ModelState, update_view_weights
 
 
 def test_save_load_reproduces_embedding(blob_dataset, fitted_blob, tmp_path):
@@ -58,6 +59,106 @@ def test_version_1_document_loads(blob_dataset, fitted_blob):
                           embed(blob_dataset, state).data)
 
 
+def dense_document(state, version):
+    """The document the format 1 and 2 writers gave: every p row a list."""
+    doc = model_to_dict(state)
+    doc["format_version"] = version
+    for vd, pc, ps in zip(doc["views"], state.p_common, state.p_specific):
+        vd["p_common"], vd["p_specific"] = pc.tolist(), ps.tolist()
+    return doc
+
+
+def model_arrays(state):
+    arrays = [state.view_weights]
+    for v in range(state.n_views):
+        arrays += [state.standardizers[v].mean, state.standardizers[v].scale,
+                   state.banks[v].centers, state.banks[v].widths,
+                   state.p_common[v], state.p_specific[v]]
+    return arrays
+
+
+def assert_same_model(loaded, state):
+    """Same hyperparameters, and every array the same bits."""
+    assert loaded.hp == state.hp and loaded.n_views == state.n_views
+    for a, b in zip(model_arrays(loaded), model_arrays(state)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("indent", [None, 2])
+def test_format_1_and_2_documents_load(fitted_blob, tmp_path, version,
+                                       indent):
+    state, _ = fitted_blob
+    doc = dense_document(state, version)
+    if version == 1:
+        doc["consistency"] = [[0.5, -0.5]] * state.embed_dim
+    separators = None if indent else (",", ":")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc, indent=indent, separators=separators,
+                               sort_keys=True) + "\n", encoding="utf-8")
+    assert_same_model(load_model(path), state)
+
+
+# Each p row is drawn live, +0.0 only (written as 0) or zero with a -0.0
+# (written as a list); "none" draws no +0.0 row, "all" only those.
+ROW_KINDS = {"none": ("live", "negative_zero"), "all": ("zero",),
+             "some": ("live", "zero", "negative_zero")}
+
+
+@st.composite
+def model_states(draw):
+    n_views, r, m = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                     draw(st.integers(1, 5)))
+    kinds = ROW_KINDS[draw(st.sampled_from(sorted(ROW_KINDS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def values(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, shape)
+
+    def block(rows):
+        out = values(rows, m)
+        for i in range(rows):
+            kind = draw(st.sampled_from(kinds))
+            if kind != "live":
+                out[i] = 0.0
+            if kind == "negative_zero":
+                out[i, draw(st.integers(0, m - 1))] = -0.0
+        return out
+
+    standardizers, banks, p_common, p_specific = [], [], [], []
+    for _ in range(n_views):
+        d = draw(st.integers(1, 6))
+        standardizers.append(Standardizer(mean=values(d),
+                                          scale=np.abs(values(d))))
+        banks.append(AntecedentBank(centers=values(r, d),
+                                    widths=rng.uniform(0.01, 1.0, (r, d))))
+        p_common.append(block(r * (d + 1)))
+        p_specific.append(block(r * (d + 1)))
+    weights = update_view_weights(rng.uniform(0, 10, n_views), 1.0)
+    return ModelState(hp=Hyperparams(n_rules=r, embed_dim=m),
+                      standardizers=standardizers, banks=banks,
+                      p_common=p_common, p_specific=p_specific,
+                      view_weights=weights)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model_states())
+def test_round_trip_is_bit_for_bit(state):
+    text = json.dumps(model_to_dict(state), sort_keys=True,
+                      separators=(",", ":"))
+    loaded = model_from_dict(json.loads(text))
+    assert_same_model(loaded, state)
+    assert json.dumps(model_to_dict(loaded), sort_keys=True,
+                      separators=(",", ":")) == text
+    # Exactly the rows whose every bit is 0 are written as 0.
+    for vd, pc, ps in zip(json.loads(text)["views"], state.p_common,
+                          state.p_specific):
+        for rows, block in ((vd["p_common"], pc), (vd["p_specific"], ps)):
+            assert ([row == 0 for row in rows]
+                    == [not row.view(np.int64).any() for row in block])
+
+
 def test_unknown_version_rejected(fitted_blob):
     doc = model_to_dict(fitted_blob[0])
     doc["format_version"] = 99
@@ -78,7 +179,17 @@ SET_FIELD = {
     "weights_negative": ("view_weights", [-3.0, 4.0]),
     "weights_sum_low": ("view_weights", [0.1, 0.1]),
     "version_true": ("format_version", True),
-    "version_float": ("format_version", 1.0)}
+    "version_float": ("format_version", 1.0),
+    "version_zero": ("format_version", 0),
+    "version_next": ("format_version", FORMAT_VERSION + 1)}
+
+DENSE_BLOCKS = {"p_common_string", "p_specific_narrow",
+                "p_common_wider_than_view_0", "p_specific_inf",
+                "embed_dim_narrow"}
+
+P_ROWS = {"p_row_one": 1, "p_row_true": True, "p_row_false": False,
+          "p_row_float_zero": 0.0, "p_row_string_zero": "0",
+          "p_row_empty": []}
 
 
 @pytest.mark.parametrize("malformed, words", [
@@ -110,10 +221,25 @@ SET_FIELD = {
     ("p_specific_inf", "view 1 field 'p_specific' holds a non-finite"),
     ("version_true", "'format_version': True"),
     ("version_float", "'format_version': 1.0"),
-    ("embed_dim_narrow", r"'embed_dim' is \d+, not the width \d+ of p_com")])
+    ("version_zero", "'format_version': 0"),
+    ("version_next", f"'format_version': {FORMAT_VERSION + 1}"),
+    ("embed_dim_narrow", r"'embed_dim' is \d+, not the width \d+ of p_com"),
+    # A p row is a list of numbers or the integer 0, nothing else.
+    ("p_row_one", "view 1 field 'p_common' is not a numeric array"),
+    ("p_row_true", "view 1 field 'p_common' is not a numeric array"),
+    ("p_row_false", "view 1 field 'p_common' is not a numeric array"),
+    ("p_row_float_zero", "view 1 field 'p_common' is not a numeric array"),
+    ("p_row_string_zero", "view 1 field 'p_common' is not a numeric array"),
+    ("p_row_empty", "view 1 field 'p_common' is not a numeric array")])
 def test_malformed_document_rejected(fitted_blob, malformed, words):
-    doc = model_to_dict(fitted_blob[0])
+    state, _ = fitted_blob
+    doc = model_to_dict(state)
     views = doc["views"]
+    if malformed in DENSE_BLOCKS:
+        # These edit p rows that the writer may put as 0, or, for
+        # embed_dim_narrow, would widen its 0 rows to the new embed_dim.
+        for vd, pc, ps in zip(views, state.p_common, state.p_specific):
+            vd["p_common"], vd["p_specific"] = pc.tolist(), ps.tolist()
     if malformed in SET_FIELD:
         key, value = SET_FIELD[malformed]
         doc[key] = value
@@ -121,6 +247,8 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         views[0]["p_common"] = [[1.0]]
     elif malformed == "mean_strings":
         views[0]["mean"] = [repr(x) for x in views[0]["mean"]]
+    elif malformed in P_ROWS:
+        views[1]["p_common"][0] = P_ROWS[malformed]
     elif malformed == "p_common_string":
         views[1]["p_common"][2][0] = "1"
     elif malformed == "mean_matrix":

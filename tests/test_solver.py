@@ -580,6 +580,20 @@ class TestFit:
         assert len(trace.entries) - 1 == max_iter
         assert trace.stop_reason == "max_iter"
 
+    # A noisy fit that ends all-zero, c09's no_consistency fit and the
+    # README's fit.
+    @pytest.mark.parametrize("data, hp, collapsed", [
+        (dict(n_clusters=3, noise=3.0, seed=0, dims=[20, 30]),
+         Hyperparams(n_rules=5, max_iter=20, seed=1), True),
+        (dict(n_clusters=4, noise=0.1, seed=7),
+         Hyperparams(variant="no_consistency"), True),
+        (dict(n_clusters=4, noise=0.1, seed=7), Hyperparams(seed=0), False)])
+    def test_collapse_flag(self, data, hp, collapsed):
+        ds = make_synthetic(n_instances=200, n_views=2, **data)
+        state, trace = fit(ds, hp)
+        assert trace.collapsed is collapsed
+        assert collapsed == all(not pc.any() for pc in state.p_common)
+
     def test_embed_dim_above_fuzzy_width_rejected(self, monkeypatch):
         # 8/12-dim views with 3 rules: fuzzy widths 27 and 39.
         ds = make_synthetic(n_instances=40, n_views=2, n_clusters=3,
