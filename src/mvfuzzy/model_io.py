@@ -61,18 +61,14 @@ def _field(doc, key, where="model document"):
     return doc[key]
 
 
-def _array(doc, key, where="model document", zero_width=None):
-    """doc[key] as a float array; a ValueError naming the field if doc has
-    none, or it is not numeric, has an entry that is not a JSON number
-    (`np.asarray` takes bools and numeric strings) or is not finite
-    (`json.load` reads NaN). A scalar, as None gives, is left to the
-    callers' shape checks. With zero_width, each entry of a list value
-    that is the integer 0 (not a bool, not 0.0) is read as a row of
-    zero_width zeros before the checks run."""
-    value = _field(doc, key, where)
-    if zero_width is not None and isinstance(value, list):
-        value = [[0.0] * zero_width if type(row) is int and row == 0
-                 else row for row in value]
+def _array(doc, key, where="model document", value=None):
+    """doc[key], or value when given, as a float array; a ValueError
+    naming the field if doc has none, or it is not numeric, has an entry
+    that is not a JSON number (`np.asarray` takes bools and numeric
+    strings) or is not finite (`json.load` reads NaN). A scalar, as None
+    gives, is left to the callers' shape checks."""
+    if value is None:
+        value = _field(doc, key, where)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -89,6 +85,38 @@ def _array(doc, key, where="model document", zero_width=None):
     return array
 
 
+def _zero_rows_expanded(doc, key, where, m, n_rows, embed_dim):
+    """doc[key] with each entry that is the integer 0 (not a bool, not
+    0.0) replaced by a row of zeros, for `_array`. The zeros take the
+    width of the block's first list row, else the width m of view 0's
+    p_common, so an embed_dim at odds with the rows reaches the embed_dim
+    check. View 0's p_common, when it is all 0 rows, takes embed_dim,
+    which must be an integer from 1 to n_rows = n_rules (d_0 + 1), the
+    widest embedding a fit makes (`_resolve_embed_dim`)."""
+    value = _field(doc, key, where)
+    if not isinstance(value, list):
+        return value
+    zero = [type(row) is int and row == 0 for row in value]
+    if not any(zero):
+        return value
+    width = next((len(row) for row in value if isinstance(row, list)), m)
+    if width is None:
+        if not (_is_int(embed_dim) and 1 <= embed_dim <= n_rows):
+            raise ValueError(
+                f"model hyperparams field 'embed_dim' is {embed_dim!r}, "
+                f"not a width from 1 to {n_rows} for the 0 rows of {where} "
+                f"field {key!r}")
+        width = embed_dim
+    return [[0.0] * width if z else row for row, z in zip(value, zero)]
+
+
+def _check_shapes(where, keys, arrays, shapes, context):
+    for key, array, shape in zip(keys, arrays, shapes):
+        if array.shape != shape:
+            raise ValueError(f"{where} field {key!r} has shape "
+                             f"{array.shape}, not {shape} ({context})")
+
+
 def model_from_dict(doc):
     """The ModelState of a model document; ValueError if it is not a
     JSON object, lacks a field, or its version (an integer from 1 to
@@ -96,9 +124,9 @@ def model_from_dict(doc):
     and scale must hold d_v entries, its centers and widths be (R, d_v)
     and its p_common and p_specific (R (d_v + 1), m), with R = n_rules
     and m = embed_dim >= 1 for every view; a p_common or p_specific row
-    given as the integer 0 is embed_dim zeros, whatever the version. The
-    view weights must be non-negative and sum to 1 within
-    WEIGHT_SUM_TOL."""
+    given as the integer 0 is a row of zeros, whatever the version (see
+    `_zero_rows_expanded`). The view weights must be non-negative and sum
+    to 1 within WEIGHT_SUM_TOL."""
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object, not "
                          f"{type(doc).__name__}")
@@ -123,23 +151,23 @@ def model_from_dict(doc):
     for v, vd in enumerate(views):
         where = f"model view {v}"
         arrays = [_array(vd, key, where) for key in keys[:4]]
-        # Without an embed_dim a 0 row stays a scalar, for the shape checks.
-        arrays += [_array(vd, key, where, hp.embed_dim) for key in keys[4:]]
-        mean, scale, centers, widths, pc, ps = arrays
+        mean = arrays[0]
         if mean.ndim != 1:
             raise ValueError(f"{where} field 'mean' must be a list of "
                              f"numbers, got shape {mean.shape}")
-        if m is None:
-            m = pc.shape[-1] if pc.ndim else 0
         d = mean.size
-        expected = [(d,), (d,), (r, d), (r, d), (r * (d + 1), m),
-                    (r * (d + 1), m)]
-        for key, array, shape in zip(keys, arrays, expected):
-            if array.shape != shape:
-                raise ValueError(
-                    f"{where} field {key!r} has shape {array.shape}, not "
-                    f"{shape} (n_rules {r}, {d} features, embedding "
-                    f"width {m})")
+        _check_shapes(where, keys[:4], arrays,
+                      [(d,), (d,), (r, d), (r, d)], f"n_rules {r}, {d} "
+                      "features")
+        # Checked centers bound r (d + 1), the widest block a 0 row fills.
+        for key in keys[4:]:
+            arrays.append(_array(vd, key, where, _zero_rows_expanded(
+                vd, key, where, m, r * (d + 1), hp.embed_dim)))
+            if m is None:
+                m = arrays[4].shape[-1] if arrays[4].ndim else 0
+        mean, scale, centers, widths, pc, ps = arrays
+        _check_shapes(where, keys[4:], arrays[4:], [(r * (d + 1), m)] * 2,
+                      f"n_rules {r}, {d} features, embedding width {m}")
         if m == 0:
             raise ValueError(f"{where} field 'p_common' has no columns: the "
                              "embedding width must be at least 1")

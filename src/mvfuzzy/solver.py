@@ -442,9 +442,7 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
 
     The smooth system wv X^T L X + alpha (G P)(G P)^T + beta (B X)^T (B X),
     with G = X^T X and P = other, is formed only in the columns
-    `_solve_l21` asks for: the live rows'. G P is formed at the first
-    such request and reused by the later KKT release rounds; an update
-    that asks for no column never forms it."""
+    `_solve_l21` asks for: the live rows'."""
     hp = state.hp
     xlx = problem.xlx[view]
     wv = state.view_weights[view]
@@ -452,12 +450,9 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
     rhs = -wv * (xlx @ other)
     if bx is not None:
         rhs += hp.beta * bx.T
-    gp = None
 
     def columns(idx):
-        nonlocal gp
-        if gp is None:
-            gp = problem.gram[view] @ other
+        gp = problem.gram[view] @ other
         cols = xlx.take(idx, 1)
         cols *= wv
         cols += hp.alpha * (gp @ gp.take(idx, 0).T)

@@ -184,8 +184,7 @@ SET_FIELD = {
     "version_next": ("format_version", FORMAT_VERSION + 1)}
 
 DENSE_BLOCKS = {"p_common_string", "p_specific_narrow",
-                "p_common_wider_than_view_0", "p_specific_inf",
-                "embed_dim_narrow"}
+                "p_common_wider_than_view_0", "p_specific_inf"}
 
 P_ROWS = {"p_row_one": 1, "p_row_true": True, "p_row_false": False,
           "p_row_float_zero": 0.0, "p_row_string_zero": "0",
@@ -236,8 +235,7 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
     doc = model_to_dict(state)
     views = doc["views"]
     if malformed in DENSE_BLOCKS:
-        # These edit p rows that the writer may put as 0, or, for
-        # embed_dim_narrow, would widen its 0 rows to the new embed_dim.
+        # These edit p rows that the writer may put as 0.
         for vd, pc, ps in zip(views, state.p_common, state.p_specific):
             vd["p_common"], vd["p_specific"] = pc.tolist(), ps.tolist()
     if malformed in SET_FIELD:
@@ -270,6 +268,7 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
     elif malformed == "p_specific_inf":
         views[1]["p_specific"][0][0] = float("inf")
     elif malformed == "embed_dim_narrow":
+        assert 0 in views[0]["p_common"]  # the 0 rows take the rows' width
         doc["hyperparams"]["embed_dim"] -= 1
     elif malformed == "n_rules_off_by_one":
         doc["hyperparams"]["n_rules"] += 1
@@ -287,6 +286,42 @@ def test_malformed_document_rejected(fitted_blob, malformed, words):
         doc["views"][0]["mean"] = {"a": 1}
     with pytest.raises(ValueError, match=words):
         model_from_dict(doc)
+
+
+def zero_block_document(embed_dim):
+    """A format 3 document with 1 rule, one 1-feature view and p blocks
+    of 0 rows only, with embed_dim set as given."""
+    zeros = np.zeros((2, 1))
+    state = ModelState(
+        hp=Hyperparams(n_rules=1, embed_dim=1),
+        standardizers=[Standardizer(mean=np.zeros(1), scale=np.ones(1))],
+        banks=[AntecedentBank(centers=np.zeros((1, 1)),
+                              widths=np.ones((1, 1)))],
+        p_common=[zeros], p_specific=[zeros], view_weights=np.ones(1))
+    doc = json.loads(json.dumps(model_to_dict(state)))
+    assert doc["views"][0]["p_common"] == [0, 0]
+    doc["hyperparams"]["embed_dim"] = embed_dim
+    return doc
+
+
+# A block of 0 rows is embed_dim wide, which a fit keeps at most
+# n_rules (d_v + 1) = 2 here; a wider one is refused before any zeros
+# are made.
+@pytest.mark.parametrize("embed_dim", [3, 100000, 10**12, None])
+def test_zero_rows_wider_than_a_fit_rejected(embed_dim):
+    doc = zero_block_document(embed_dim)
+    assert len(json.dumps(doc, separators=(",", ":"))) < 400
+    with pytest.raises(ValueError, match=f"'embed_dim' is {embed_dim!r}, "
+                       "not a width from 1 to 2 for the 0 rows of model "
+                       "view 0 field 'p_common'"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("embed_dim", [1, 2])
+def test_zero_rows_take_embed_dim(embed_dim):
+    state = model_from_dict(zero_block_document(embed_dim))
+    for block in state.p_common + state.p_specific:
+        assert block.shape == (2, embed_dim) and not block.view(np.int64).any()
 
 
 # delta = 1e-3 with traces 1e6 apart drives weights to exactly 0.
