@@ -87,7 +87,7 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     lowest index first, is re-seeded at the point farthest from its
     assigned center. A restart stops when its labels repeat, or when they
     return to those of two steps before: a two-cycle, which would
-    otherwise run to `max_iter`.
+    otherwise run to `max_iter`, which must be >= 1.
 
     A step sends each point to the center with the least
     ||c||^2 - 2 x.c, formed on mean-centred coordinates so that a large
@@ -122,14 +122,14 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
     if fixed_points is None:
         fixed_points = {}
     compact = np.min_scalar_type(k - 1)
-    labels = np.full((r, n), -1)
+    labels = np.empty((r, n), dtype=int)
     scores = np.empty((k, n))
     ks = np.arange(k)[:, None]
     onehot = np.empty((k, n))
     distances = {}
     sses = []
     for centers_i, labels_i in zip(centers, labels):
-        last, fixed = labels_i, False
+        fixed = False
         # The keys of the last two steps' labels, None before any step.
         last_key = older_key = final = None
         for _ in range(max_iter):
@@ -170,17 +170,15 @@ def _lloyd(points, centers, mean, centred_t, columns, max_iter=300,
 
 
 def _final_pass(points, columns, centers_i, labels_i, distances, d2):
-    """One restart's final (centers, labels, SSE) from its last labels
-    (the init `centers_i` if it never assigned, under max_iter=0).
+    """One restart's final (centers, labels, SSE) from its last labels.
     `distances` maps a center's bytes to its squared distances, within
     `_DISTANCE_BYTES`; `d2` is a (k, N) buffer."""
     k, n = centers_i.shape[0], points.shape[0]
     centers_i = centers_i.copy()
-    if labels_i[0] >= 0:
-        counts = np.bincount(labels_i, minlength=k)
-        for j, column in enumerate(columns):
-            centers_i[:, j] = np.bincount(labels_i, weights=column,
-                                          minlength=k) / counts
+    counts = np.bincount(labels_i, minlength=k)
+    for j, column in enumerate(columns):
+        centers_i[:, j] = np.bincount(labels_i, weights=column,
+                                      minlength=k) / counts
     for c, center in enumerate(centers_i):
         key = center.tobytes()
         if key not in distances:

@@ -18,6 +18,14 @@ class Embedding:
     block_layout: list
 
 
+def _assemble(commons, specifics):
+    """The Embedding of each view's weighted common and specific blocks:
+    the sum of the common ones, then the specific ones in view order."""
+    layout = ["common"] + [f"specific_{v + 1}" for v in range(len(specifics))]
+    return Embedding(data=np.hstack([sum(commons)] + specifics),
+                     block_layout=layout)
+
+
 def _check_fitted(state, dataset=None):
     if not state.p_common:
         raise ValueError("model state holds no fitted parameters")
@@ -50,14 +58,9 @@ def embed(dataset, state):
     """
     design = view_design_matrices(dataset, state)
     w = state.view_weights
-    common = sum(w[v] * (design[v] @ state.p_common[v])
-                 for v in range(state.n_views))
-    blocks = [common]
-    layout = ["common"]
-    for v in range(state.n_views):
-        blocks.append(w[v] * (design[v] @ state.p_specific[v]))
-        layout.append(f"specific_{v + 1}")
-    return Embedding(data=np.hstack(blocks), block_layout=layout)
+    views = range(state.n_views)
+    return _assemble([w[v] * (design[v] @ state.p_common[v]) for v in views],
+                     [w[v] * (design[v] @ state.p_specific[v]) for v in views])
 
 
 def _linguistic_labels(centers_column):
@@ -198,8 +201,7 @@ def rules_predict(export, views):
         if raw.shape[0] != views[0].shape[0]:
             raise ValueError(f"view {v} has {raw.shape[0]} rows but view 0 "
                              f"has {views[0].shape[0]}")
-    common_total = None
-    specific_blocks = []
+    commons, specifics = [], []
     for vr, raw in zip(export["views"], views):
         x = (raw - np.asarray(vr["mean"])) / np.asarray(vr["scale"])
         centers = np.array([[c["center"] for c in rule["antecedent"]]
@@ -215,10 +217,6 @@ def rules_predict(export, views):
             mu = levels[:, [k]]
             y_common += mu * (affine @ np.asarray(rule["common"]).T)
             y_specific += mu * (affine @ np.asarray(rule["specific"]).T)
-        weighted_common = vr["weight"] * y_common
-        common_total = (weighted_common if common_total is None
-                        else common_total + weighted_common)
-        specific_blocks.append(vr["weight"] * y_specific)
-    layout = ["common"] + [f"specific_{v + 1}" for v in range(len(views))]
-    return Embedding(data=np.hstack([common_total] + specific_blocks),
-                     block_layout=layout)
+        commons.append(vr["weight"] * y_common)
+        specifics.append(vr["weight"] * y_specific)
+    return _assemble(commons, specifics)

@@ -199,9 +199,23 @@ def _row_norms(x):
     return np.sqrt((x ** 2).sum(axis=1))
 
 
+def _reweighting(norms, eps):
+    """The frozen L2,1 reweighting f_i = 1 / max(||x_i||, eps) of a block
+    whose row norms are `norms`."""
+    return 1.0 / np.maximum(norms, eps)
+
+
 def irls_diag(m, eps=1e-8):
     """Diagonal of the row reweighting matrix: 1 / max(row norm, eps)."""
-    return 1.0 / np.maximum(_row_norms(np.asarray(m, dtype=float)), eps)
+    return _reweighting(_row_norms(np.asarray(m, dtype=float)), eps)
+
+
+def _l21_weight(hp):
+    """The weight per unit of f_i of a block's frozen L2,1 term: each
+    block's `surrogate` replaces gamma ||x_i|| by this times f_i ||x_i||^2.
+    The consequent updates, the exact map update and the surrogate read it
+    here; paper mode's closed form does not."""
+    return hp.gamma
 
 
 def solve_reg(a, rhs, view=None):
@@ -385,40 +399,33 @@ def objective(state, problem, b, *, _traces=None, _bxs=None, _norms=None):
                           entropy=entropy)
 
 
-def _solve_l21(columns, rhs, gamma, f_diag, eps, view):
+def _solve_l21(columns, rhs, weight, f_diag, eps, view):
     """Minimize a consequent block's `surrogate` over the rows not held at
     0. Up to terms free of x it is x^T a x - 2 tr(rhs^T x) plus the frozen
-    gamma sum_i f_i ||x_i||^2, for a the smooth system, symmetric; it is
-    never formed here. columns(idx) returns its columns idx, a[:, idx]
-    (D, |idx|), and is asked only for the free rows' columns: the full
-    width only when every row is free, and then the whole system is
-    solved with no test. Rows at the IRLS floor (f_i >= 1 / eps, so the
-    old row norm was at most eps) start at exactly 0 when gamma > 0; the
+    weight sum_i f_i ||x_i||^2 (weight from `_l21_weight`), for a the
+    smooth system, symmetric; it is never formed here. columns(idx)
+    returns its columns idx, a[:, idx] (D, |idx|), and is asked only for
+    the free rows' columns. Rows at the IRLS floor (f_i >= 1 / eps, so the
+    old row norm was at most eps) start at exactly 0 when weight > 0; the
     system is solved on the other rows only. With x_i = 0 the stationarity
-    condition h + gamma f x = 0 of the smooth residual h = a x - rhs
-    becomes the subgradient test ||h_i|| <= gamma, the weight that
-    multiplies f_i; each zero row that fails it is released and the free
-    rows are solved again. A zero row so certified is within eps of its old
-    value, and a solve of every row would leave it within about
-    eps ||h_i|| / gamma <= eps of 0. A block with no free row asks for no
-    column: its test reads rhs alone.
+    condition h + weight f x = 0 of the smooth residual h = a x - rhs
+    becomes the subgradient test ||h_i|| <= weight; each zero row that
+    fails it is released and the free rows are solved again. A zero row
+    so certified is within eps of its old value, and a solve of every row
+    would leave it within about eps ||h_i|| / weight <= eps of 0. A block
+    with no free row asks for no column: its test reads rhs alone; one
+    with every row free is solved once at full width, with no row to test.
     """
-    # The L2,1 weight per unit of f: it sets both the diagonal term and
-    # the KKT threshold.
-    weight = gamma
     idx = np.flatnonzero(f_diag < (1.0 / eps if weight > 0 else np.inf))
     x = np.zeros(rhs.shape)
     while True:
         if idx.size:
             cols = columns(idx)
-            if idx.size == len(rhs):
-                cols.flat[::idx.size + 1] += weight * f_diag
-                return solve_reg(cols, rhs, view=view)
             sub = cols.take(idx, 0)
             sub.flat[::idx.size + 1] += weight * f_diag[idx]
             live = solve_reg(sub, rhs.take(idx, 0), view=view)
             x[idx] = live
-            # The gamma f term adds nothing to h on a zero row.
+            # The weight f term adds nothing to h on a zero row.
             h = cols @ live
             h -= rhs
         else:
@@ -460,7 +467,8 @@ def _update_consequent(state, view, problem, other, bx, f_diag):
             cols += hp.beta * (bx.T @ bx.take(idx, 1))
         return cols
 
-    return _solve_l21(columns, rhs, hp.gamma, f_diag, hp.eps_irls, view)
+    return _solve_l21(columns, rhs, _l21_weight(hp), f_diag, hp.eps_irls,
+                      view)
 
 
 def update_common(state, view, problem, b, f_diag, *, _bxs=None):
@@ -492,11 +500,11 @@ def update_consistency(state, problem, f_diag):
     the true minimizer of the map's `surrogate` only at beta = 1 and when
     the summed common representations have identity covariance. "exact"
     mode minimizes it outright; up to terms free of B it is
-    beta sum_v ||B Zc_v - I||^2 + gamma sum_i f_i ||b_i||^2, so row i
-    solves b_i (U U^T + (gamma / beta) f_i I) = s_i with
-    U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i lies
-    in the span of U, one thin SVD U = Q S W^T gives every row as
-    b_i = s_i Q diag(1 / (S^2 + (gamma / beta) f_i)) Q^T, at O(K (mV)^2)
+    beta sum_v ||B Zc_v - I||^2 + w sum_i f_i ||b_i||^2, with w the
+    `_l21_weight`, so row i solves b_i (U U^T + (w / beta) f_i I) = s_i
+    with U = [Zc_1 ... Zc_V] (N, mV) and s_i = sum_v Zc_v[:, i]. Since s_i
+    lies in the span of U, one thin SVD U = Q S W^T gives every row as
+    b_i = s_i Q diag(1 / (S^2 + (w / beta) f_i)) Q^T, at O(K (mV)^2)
     per iteration. Singular values below the usual rank tolerance for an
     (N, mV) matrix are dropped, so gamma = 0 yields the pseudo-inverse
     solution; beta = 0 yields B = 0.
@@ -506,6 +514,8 @@ def update_consistency(state, problem, f_diag):
     stacked = sum(z.T for z in zcs)  # (m, K)
 
     if hp.b_update == "paper":
+        # The paper's own closed form: its gamma f_i does not read the
+        # `_l21_weight`.
         return stacked / (1.0 + hp.gamma * f_diag)[:, None]
 
     if hp.beta == 0:
@@ -522,7 +532,8 @@ def update_consistency(state, problem, f_diag):
     rank_tol = max(problem.n_instances, u.shape[1]) * np.finfo(float).eps
     keep = sigma > rank_tol * sigma[0]
     q, sigma = q[:, keep], sigma[keep]
-    coef = (stacked @ q) / (sigma ** 2 + hp.gamma / hp.beta * f_diag[:, None])
+    shift = _l21_weight(hp) / hp.beta * f_diag
+    coef = (stacked @ q) / (sigma ** 2 + shift[:, None])
     return coef @ q.T
 
 
@@ -539,7 +550,8 @@ def update_view_weights(traces, delta):
 def surrogate(block, x, state, problem, b, f_diag):
     """The smooth function a block's update minimizes at frozen f_diag:
     `objective` with the block set to x and its L2,1 term
-    gamma sum_i ||x_i|| frozen as gamma sum_i f_i ||x_i||^2.
+    gamma sum_i ||x_i|| frozen as w sum_i f_i ||x_i||^2, with w the
+    `_l21_weight`.
 
     block is ("common", v), ("specific", v) or ("consistency", None); b is
     the frozen map, held as `Problem` states (None: there is no map), and
@@ -555,8 +567,9 @@ def surrogate(block, x, state, problem, b, f_diag):
         blocks[v] = x
         state = replace(state, **{name: blocks})
     norms = _row_norms(x)
-    return objective(state, problem, b).total + state.hp.gamma * (
-        float((f_diag * norms * norms).sum()) - float(norms.sum()))
+    return (objective(state, problem, b).total
+            + _l21_weight(state.hp) * float((f_diag * norms * norms).sum())
+            - state.hp.gamma * float(norms.sum()))
 
 
 # The Hyperparams fields prepare_inputs reads; no other field changes
@@ -725,7 +738,7 @@ def fit(dataset, hp=None, prepared=None):
     def step(block, update, *args, **kwargs):
         """IRLS update of one block, reweighted at its old value's row
         norms; the new value's norms take their place."""
-        f_diag = 1.0 / np.maximum(norms[block], hp.eps_irls)
+        f_diag = _reweighting(norms[block], hp.eps_irls)
         new = update(*args, f_diag=f_diag, **kwargs)
         norms[block] = _row_norms(new)
         return new

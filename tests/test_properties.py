@@ -255,7 +255,7 @@ def test_lockstep_lloyd_matches_oracle_per_restart(n, m, k, spread_inits,
 @GRAPH_PROPS
 @given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
        st.lists(st.booleans(), min_size=1, max_size=6),
-       st.one_of(st.integers(0, 6), st.just(300)),
+       st.one_of(st.integers(1, 6), st.just(300)),
        st.integers(0, 2 ** 32 - 1))
 def test_lloyd_final_centers_are_masked_means(n, m, k, spread_inits,
                                               max_iter, seed):
@@ -263,7 +263,7 @@ def test_lloyd_final_centers_are_masked_means(n, m, k, spread_inits,
     # masked means of the labels it last assigned, which the oracle leaves
     # in its own centers. A restart that converged (max_iter = 300 always
     # suffices here) returns those labels; one cut off by max_iter returns
-    # the next assignment, and max_iter = 0 leaves the init.
+    # the next assignment.
     k = min(k, n)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
@@ -444,7 +444,7 @@ def test_two_cycle_protocol_records_nothing():
 
 @GRAPH_PROPS
 @given(kmeans_inputs(), st.integers(1, 6), st.integers(1, 6),
-       st.sampled_from([0, 1, 2, 3, 5, 300]), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([1, 2, 3, 5, 300]), st.integers(0, 2 ** 32 - 1))
 def test_lloyd_with_filled_record_is_bit_identical(inputs, filled, fresh,
                                                    max_iter, seed):
     # A record filled by earlier restarts on the same points must change

@@ -24,8 +24,9 @@ from mvfuzzy.solver import (B_UPDATE_MODES, VARIANTS, Hyperparams,
                             prepare_inputs, solve_reg,
                             surrogate, update_common, update_consistency,
                             update_specific, update_view_weights)
-from oracles import (fd_gradient, full_width_common, full_width_specific,
-                     scalar_objective)
+from oracles import (dense_active_set, dense_consequent_system,
+                     dense_exact_consistency, fd_gradient, full_width_common,
+                     full_width_specific, scalar_objective)
 
 
 def zeroed(state):
@@ -385,6 +386,27 @@ class TestActiveSet:
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-10 * np.abs(want).max())
 
+    @pytest.mark.parametrize("gamma", [0.6, 0.0])
+    @pytest.mark.parametrize("kind", ["common", "specific"])
+    def test_no_floor_row_makes_one_full_width_solve(self, kind, gamma):
+        # Every row free: the loop solves once at full width, through the
+        # module attribute, and has no zero row to test.
+        rng = np.random.default_rng(28)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.5, beta=0.8, gamma=gamma)
+        for v in range(state.n_views):
+            old = (state.p_common if kind == "common"
+                   else state.p_specific)[v]
+            f = irls_diag(old, self.EPS)
+            assert f.max() < 1 / self.EPS
+            with mock.patch.object(solver, "solve_reg",
+                                   wraps=solver.solve_reg) as traced:
+                if kind == "common":
+                    update_common(state, v, problem, b, f)
+                else:
+                    update_specific(state, v, problem, f)
+            assert solve_shapes(traced) == [(len(old), len(old))]
+
 
 class TestUpdateConsistency:
     def test_paper_mode_single_view_gamma_zero(self):
@@ -462,6 +484,84 @@ class TestUpdateConsistency:
         with pytest.raises(NumericFailure):
             update_consistency(state, problem,
                                irls_diag(b, state.hp.eps_irls))
+
+
+def half_weight(hp):
+    return hp.gamma / 2
+
+
+class TestL21Weight:
+    """`solver._l21_weight` is the one statement of the frozen L2,1
+    weight: patched to gamma / 2, the consequent updates, the exact map
+    and the surrogates all move with it; paper mode's map does not."""
+
+    @pytest.mark.parametrize("kind", ["common", "specific"])
+    def test_consequent_updates_and_surrogate_read_it(self, kind):
+        rng = np.random.default_rng(42)
+        state, b, problem, _, _ = random_instance(
+            rng, alpha=0.5, beta=0.8, gamma=0.6)
+        hp = state.hp
+        if kind == "specific":
+            b = None
+        old = (state.p_common if kind == "common" else state.p_specific)[0]
+        old = old.copy()
+        old[::3] = 0.0  # rows at the eps floor
+        f = irls_diag(old, hp.eps_irls)
+        a, rhs = dense_consequent_system(kind, state, 0, problem, b)
+
+        def update():
+            if kind == "common":
+                return update_common(state, 0, problem, b, f)
+            return update_specific(state, 0, problem, f)
+
+        def value(p):
+            return surrogate((kind, 0), p, state, problem, b, f)
+
+        with mock.patch.object(solver, "_l21_weight", half_weight):
+            new = update()
+            scale = np.abs(fd_gradient(value, old)).max()
+            grad = fd_gradient(value, new)
+        want = dense_active_set(a, rhs, hp.gamma / 2, f, hp.eps_irls)
+        np.testing.assert_array_equal(~new.any(axis=1), ~want.any(axis=1))
+        assert np.abs(new - want).max() <= 1e-10 * np.abs(want).max()
+        unpatched = dense_active_set(a, rhs, hp.gamma, f, hp.eps_irls)
+        assert np.abs(new - unpatched).max() > 1e-3 * np.abs(want).max()
+        live = new.any(axis=1)
+        assert live.any()
+        assert np.abs(grad[live]).max() <= 1e-5 * scale
+
+    def test_exact_map_and_its_surrogate_read_it(self):
+        # N = 10 < 2 sum_v D_v: the map is held as B itself.
+        rng = np.random.default_rng(43)
+        state, b, problem, _, design = random_instance(
+            rng, beta=0.8, gamma=0.6, b_update="exact")
+        assert coordinate_basis(problem, design) is None
+        hp = state.hp
+        f_b = irls_diag(b, hp.eps_irls)
+
+        def value(x):
+            return surrogate(("consistency", None), x, state, problem, b,
+                             f_b)
+
+        with mock.patch.object(solver, "_l21_weight", half_weight):
+            new = update_consistency(state, problem, f_b)
+            scale = np.abs(fd_gradient(value, b)).max()
+            grad = fd_gradient(value, new)
+        zcs = [x @ pc for x, pc in zip(design, state.p_common)]
+        want = dense_exact_consistency(zcs, f_b, hp.gamma / (2 * hp.beta))
+        assert np.abs(new - want).max() <= 1e-10 * np.abs(want).max()
+        unpatched = dense_exact_consistency(zcs, f_b, hp.gamma / hp.beta)
+        assert np.abs(new - unpatched).max() > 1e-3 * np.abs(want).max()
+        assert np.abs(grad).max() <= 1e-5 * scale
+
+    def test_paper_map_does_not_read_it(self):
+        rng = np.random.default_rng(44)
+        state, b, problem, _, _ = random_instance(rng, gamma=0.6)
+        f_b = irls_diag(b, state.hp.eps_irls)
+        want = update_consistency(state, problem, f_b)
+        with mock.patch.object(solver, "_l21_weight", half_weight):
+            got = update_consistency(state, problem, f_b)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestUpdateViewWeights:
